@@ -1,0 +1,382 @@
+"""Truth-table representation of Boolean functions over GF(2).
+
+A function of arity ``n`` is stored as a single ``2**n``-bit integer: bit
+``w`` of the integer is the value of the function at the input word encoded
+by ``w``.  The encoding is fixed once and for all: variable ``x_i``
+(1-based) lives in bit ``i - 1`` of the index, so ``x1`` is the least
+significant index bit.  This makes variable restriction, input negation and
+variable swaps cheap mask/shift operations on the table integer.
+
+All values are immutable; every operation returns a new value.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
+
+#: Hard cap on the arity of dense truth tables.  A table has 2**n bits, so
+#: this bounds memory, not analysis cost; expensive analyses carry their own
+#: much lower guards (see `complexity` and `symmetry`).
+MAX_TABLE_ARITY = 24
+
+Word = tuple[int, ...]
+
+
+class NcflabError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class InvalidInputError(NcflabError):
+    """An argument violates a documented precondition."""
+
+
+class ParseError(InvalidInputError):
+    """Malformed input text. ``position`` is the 1-based column of the error."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (column {position})")
+        self.position = position
+
+
+class GuardExceededError(NcflabError):
+    """An analysis guard was exceeded; carries the guard's name.
+
+    Guards protect against accidentally launching computations whose cost is
+    exponential (or worse) in the arity.  They can be raised explicitly by
+    callers that know what they are doing.
+    """
+
+    def __init__(self, guard: str, arity: int, limit: int):
+        super().__init__(
+            f"guard '{guard}' exceeded: arity {arity} is above the limit {limit}"
+        )
+        self.guard = guard
+        self.arity = arity
+        self.limit = limit
+
+
+@lru_cache(maxsize=None)
+def full_mask(arity: int) -> int:
+    """All-ones mask covering every entry of an ``arity``-variable table."""
+    return (1 << (1 << arity)) - 1
+
+
+@lru_cache(maxsize=None)
+def variable_mask(arity: int, i: int) -> int:
+    """Mask of the table entries whose index has ``x_i = 1``.
+
+    This is also the truth table of the projection function ``x_i``.
+    """
+    span = 1 << (i - 1)
+    block = ((1 << span) - 1) << span
+    width = span << 1
+    size = 1 << arity
+    mask = block
+    while width < size:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+def literal_mask(arity: int, i: int, value: int) -> int:
+    """Mask of the table entries whose index has ``x_i == value``."""
+    mask = variable_mask(arity, i)
+    return mask if value else full_mask(arity) & ~mask
+
+
+def subcube_mask(arity: int, assignments: Iterable[tuple[int, int]]) -> int:
+    """Mask of the entries agreeing with every ``(variable, value)`` pair."""
+    mask = full_mask(arity)
+    for i, value in assignments:
+        mask &= literal_mask(arity, i, value)
+    return mask
+
+
+def index_of(word: Sequence[int]) -> int:
+    """Encode a word (a1, ..., an) as a table index."""
+    idx = 0
+    for p, bit in enumerate(word):
+        if bit not in (0, 1):
+            raise InvalidInputError(f"word entries must be bits, got {bit!r}")
+        idx |= bit << p
+    return idx
+
+
+def word_at(index: int, arity: int) -> Word:
+    """Decode a table index back into the word (a1, ..., an)."""
+    return tuple((index >> p) & 1 for p in range(arity))
+
+
+def words(arity: int) -> Iterator[Word]:
+    """All words of the given arity, in table-index order (x1 varies fastest)."""
+    for index in range(1 << arity):
+        yield word_at(index, arity)
+
+
+def _check_bit(value: int, name: str) -> int:
+    if value not in (0, 1):
+        raise InvalidInputError(f"{name} must be 0 or 1, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class BooleanFunction:
+    """An ``arity``-variable Boolean function as a packed truth table.
+
+    ``bits`` holds the full table: bit ``w`` of ``bits`` is the function
+    value at the word encoded by index ``w`` (``x_i`` = index bit ``i-1``).
+    """
+
+    arity: int
+    bits: int
+
+    def __post_init__(self):
+        if not 0 <= self.arity <= MAX_TABLE_ARITY:
+            raise InvalidInputError(
+                f"arity must lie in 0..{MAX_TABLE_ARITY}, got {self.arity}"
+            )
+        if not 0 <= self.bits <= full_mask(self.arity):
+            raise InvalidInputError(
+                f"table value out of range for arity {self.arity}"
+            )
+
+    def __repr__(self) -> str:
+        return f"BooleanFunction.from_hex({self.to_hex()!r})"
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def from_values(cls, values: Sequence[int]) -> "BooleanFunction":
+        """Build from the value column listed in table-index order."""
+        size = len(values)
+        arity = size.bit_length() - 1
+        if size < 1 or size != 1 << arity:
+            raise InvalidInputError(f"table length {size} is not a power of two")
+        bits = 0
+        for idx, value in enumerate(values):
+            bits |= _check_bit(value, "table entry") << idx
+        return cls(arity, bits)
+
+    @classmethod
+    def from_predicate(cls, arity, predicate) -> "BooleanFunction":
+        """Build by evaluating ``predicate(word)`` over every word."""
+        bits = 0
+        for idx in range(1 << arity):
+            if predicate(word_at(idx, arity)):
+                bits |= 1 << idx
+        return cls(arity, bits)
+
+    @classmethod
+    def constant(cls, arity: int, value: int) -> "BooleanFunction":
+        return cls(arity, full_mask(arity) if _check_bit(value, "value") else 0)
+
+    @classmethod
+    def projection(cls, arity: int, i: int) -> "BooleanFunction":
+        """The function ``x_i``."""
+        if not 1 <= i <= arity:
+            raise InvalidInputError(f"variable index {i} out of range 1..{arity}")
+        return cls(arity, variable_mask(arity, i))
+
+    @classmethod
+    def from_hex(cls, text: str) -> "BooleanFunction":
+        """Parse the ``"n:HEX"`` truth-table format.
+
+        HEX is the table integer in hexadecimal (bit ``j`` of the value is
+        the function at index ``j``), zero-padded to ``ceil(2**n / 4)``
+        digits; the padding is required so the format is self-delimiting.
+        """
+        head, sep, payload = text.strip().partition(":")
+        if not sep:
+            raise InvalidInputError(f"expected 'n:HEX', got {text!r}")
+        if not head.isdigit():
+            raise InvalidInputError(f"bad arity field in {text!r}")
+        arity = int(head)
+        if arity > MAX_TABLE_ARITY:
+            raise InvalidInputError(
+                f"arity {arity} is above the table cap {MAX_TABLE_ARITY}"
+            )
+        digits = _hex_digits(arity)
+        if len(payload) != digits:
+            raise InvalidInputError(
+                f"expected {digits} hex digits for arity {arity}, got {len(payload)}"
+            )
+        try:
+            bits = int(payload, 16)
+        except ValueError:
+            raise InvalidInputError(f"bad hex digits in {text!r}") from None
+        if bits > full_mask(arity):
+            raise InvalidInputError(f"table value out of range in {text!r}")
+        return cls(arity, bits)
+
+    def to_hex(self) -> str:
+        return f"{self.arity}:{self.bits:0{_hex_digits(self.arity)}X}"
+
+    # ------------------------------------------------------------------
+    # Evaluation and inspection
+    # ------------------------------------------------------------------
+
+    def bit(self, index: int) -> int:
+        """Value at a table index."""
+        return (self.bits >> index) & 1
+
+    def evaluate(self, word: Sequence[int]) -> int:
+        """Value at a word; rejects words of the wrong length."""
+        if len(word) != self.arity:
+            raise InvalidInputError(
+                f"word length {len(word)} does not match arity {self.arity}"
+            )
+        return self.bit(index_of(word))
+
+    def values(self) -> tuple[int, ...]:
+        """The value column in table-index order."""
+        return tuple(self.bit(idx) for idx in range(1 << self.arity))
+
+    @property
+    def is_constant(self) -> bool:
+        return self.bits == 0 or self.bits == full_mask(self.arity)
+
+    def is_essential(self, i: int) -> bool:
+        """Whether the function actually depends on ``x_i``."""
+        self._check_var(i)
+        span = 1 << (i - 1)
+        high = self.bits & variable_mask(self.arity, i)
+        low = self.bits & ~variable_mask(self.arity, i) & full_mask(self.arity)
+        return (high >> span) != low
+
+    def essential_variables(self) -> tuple[int, ...]:
+        return tuple(i for i in range(1, self.arity + 1) if self.is_essential(i))
+
+    def _check_var(self, i: int) -> None:
+        if not 1 <= i <= self.arity:
+            raise InvalidInputError(
+                f"variable index {i} out of range 1..{self.arity}"
+            )
+
+    # ------------------------------------------------------------------
+    # Restriction
+    # ------------------------------------------------------------------
+
+    def restrict(self, i: int, value: int) -> "BooleanFunction":
+        """Fix ``x_i = value`` and drop the variable.
+
+        The result has arity ``n - 1``; the remaining variables are
+        renumbered 1..n-1 preserving their original order.
+        """
+        self._check_var(i)
+        _check_bit(value, "value")
+        span = 1 << (i - 1)
+        chunk = (1 << span) - 1
+        src = self.bits >> (value * span)
+        out = 0
+        for h in range(1 << (self.arity - i)):
+            out |= ((src >> (h * 2 * span)) & chunk) << (h * span)
+        return BooleanFunction(self.arity - 1, out)
+
+    def restrict_many(self, assignments: Sequence[tuple[int, int]]) -> "BooleanFunction":
+        """Restrict several variables at once (indices refer to ``self``)."""
+        seen = set()
+        for i, _ in assignments:
+            self._check_var(i)
+            if i in seen:
+                raise InvalidInputError(f"variable {i} restricted twice")
+            seen.add(i)
+        out = self
+        # Highest index first, so earlier positions stay valid and the
+        # per-step copy loops stay short.
+        for i, value in sorted(assignments, reverse=True):
+            out = out.restrict(i, value)
+        return out
+
+    # ------------------------------------------------------------------
+    # Input/output transformations
+    # ------------------------------------------------------------------
+
+    def complement(self) -> "BooleanFunction":
+        return BooleanFunction(self.arity, self.bits ^ full_mask(self.arity))
+
+    def flip_input(self, i: int) -> "BooleanFunction":
+        """Replace ``x_i`` by ``x_i + 1``."""
+        self._check_var(i)
+        span = 1 << (i - 1)
+        high = variable_mask(self.arity, i)
+        low = ~high & full_mask(self.arity)
+        return BooleanFunction(
+            self.arity, ((self.bits & high) >> span) | ((self.bits & low) << span)
+        )
+
+    def negate_inputs(self, beta: Sequence[int]) -> "BooleanFunction":
+        """Return ``g`` with ``g(x) = f(x xor beta)``."""
+        if len(beta) != self.arity:
+            raise InvalidInputError(
+                f"offset length {len(beta)} does not match arity {self.arity}"
+            )
+        out = self
+        for i, flip in enumerate(beta, start=1):
+            if _check_bit(flip, "offset entry"):
+                out = out.flip_input(i)
+        return out
+
+    def swap_inputs(self, i: int, j: int) -> "BooleanFunction":
+        """Exchange the roles of ``x_i`` and ``x_j``."""
+        self._check_var(i)
+        self._check_var(j)
+        if i == j:
+            return self
+        if i > j:
+            i, j = j, i
+        n = self.arity
+        mi = variable_mask(n, i)
+        mj = variable_mask(n, j)
+        delta = (1 << (j - 1)) - (1 << (i - 1))
+        stay = self.bits & (full_mask(n) ^ (mi ^ mj))
+        up = self.bits & mi & ~mj  # x_i=1, x_j=0: index gains delta
+        down = self.bits & mj & ~mi
+        return BooleanFunction(n, stay | (up << delta) | (down >> delta))
+
+    def permute_inputs(self, sigma: Sequence[int]) -> "BooleanFunction":
+        """Return ``g`` with ``g(x1, ..., xn) = f(x_sigma(1), ..., x_sigma(n))``.
+
+        ``sigma`` is given in one-line notation, 1-based: ``sigma[i-1]`` is
+        the image of ``i``.
+        """
+        n = self.arity
+        if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
+            raise InvalidInputError(f"{tuple(sigma)} is not a permutation of 1..{n}")
+        # Realize sigma as a sequence of variable swaps, one cycle at a time:
+        # the cycle (c1 c2 ... ct) is the swap chain (c1 c2), (c1 c3), ...,
+        # (c1 ct) applied in that order.
+        out = self
+        seen = [False] * (n + 1)
+        for start in range(1, n + 1):
+            if seen[start]:
+                continue
+            cycle = [start]
+            seen[start] = True
+            nxt = sigma[start - 1]
+            while nxt != start:
+                cycle.append(nxt)
+                seen[nxt] = True
+                nxt = sigma[nxt - 1]
+            for member in cycle[1:]:
+                out = out.swap_inputs(cycle[0], member)
+        return out
+
+    def transform(self, sigma: Sequence[int], beta: Sequence[int], c: int) -> "BooleanFunction":
+        """Permute variables, negate inputs, then negate the output.
+
+        Returns ``g`` with ``g(w) = f(sigma applied to (w xor beta)) xor c``,
+        where "sigma applied to v" is the word whose i-th entry is
+        ``v[sigma(i)]``.  The composition order is fixed: permute first, then
+        negate inputs, then negate the output.
+        """
+        out = self.permute_inputs(sigma).negate_inputs(beta)
+        return out.complement() if _check_bit(c, "output flip") else out
+
+
+@lru_cache(maxsize=None)
+def _hex_digits(arity: int) -> int:
+    return -(-(1 << arity) // 4)

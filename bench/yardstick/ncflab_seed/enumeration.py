@@ -1,0 +1,419 @@
+"""Exhaustive generation of nested canalizing functions and exact counts.
+
+The unique canonical form makes generation trivial and duplicate-free: every
+choice of layer structure, ordered variable partition, per-variable inputs
+and output bit yields a distinct function.  The same data indexes the
+closed-form counts, all evaluated in exact integer arithmetic:
+
+* total count: ``2**(n+1)`` times the sum of multinomials over layer
+  structures;
+* per-layer-count: the same sum restricted to ``r`` layers (equal to
+  ``n! * 2**n`` at the maximal ``r = n - 1``);
+* per-symmetry-level count ``N(n, s)``: a triple sum over layer structures
+  and per-layer class contributions, with closed forms at the edges
+  (``N(n, 1) = 4``; ``N(n, n) = n! * A(n-1)`` for the integer recurrence
+  ``A(m) = 2*A(m-1) + A(m-2)``, ``A(0) = 0``, ``A(1) = 2``).
+
+:func:`verify` cross-validates every formula against the generator and the
+brute-force analyses and reports one pass/fail entry per identity.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
+from typing import Iterator
+
+from .core import BooleanFunction, GuardExceededError, InvalidInputError, NcflabError
+from .complexity import cert_profile, ncf_cert_formula
+from .ncf import LayerDecomposition, compose, decompose
+from .symmetry import has_nontrivial_automorphism, symmetry_level
+
+#: Exhaustive enumeration feeds downstream exponential analyses.
+MAX_ENUMERATION_ARITY = 6
+#: verify() runs the full generate-and-measure loop up to here.
+MAX_VERIFY_EXHAUSTIVE_ARITY = 5
+
+
+def _check_arity(n: int) -> None:
+    if n < 2:
+        raise InvalidInputError(f"need at least two variables, got {n}")
+
+
+# ----------------------------------------------------------------------
+# Layer structures and generation
+# ----------------------------------------------------------------------
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Compositions of ``total`` into ``parts`` positive parts, last >= 2."""
+    if parts == 1:
+        if total >= 2:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def layer_structures(n: int) -> Iterator[tuple[int, ...]]:
+    """All layer structures of arity ``n``: lexicographic within each ``r``."""
+    _check_arity(n)
+    for r in range(1, n):
+        yield from _compositions(n, r)
+
+
+def _ordered_partitions(pool: tuple[int, ...], sizes: tuple[int, ...]):
+    """Ordered set partitions of ``pool`` into blocks of the given sizes.
+
+    Each block choice runs in colexicographic order, so the stream order is
+    deterministic and reproducible.
+    """
+    if not sizes:
+        yield ()
+        return
+    k = sizes[0]
+    for block in sorted(itertools.combinations(pool, k), key=lambda c: c[::-1]):
+        remaining = tuple(v for v in pool if v not in block)
+        for rest in _ordered_partitions(remaining, sizes[1:]):
+            yield (block,) + rest
+
+
+def enumerate_ncfs(
+    n: int, *, max_arity: int = MAX_ENUMERATION_ARITY, layer_count: int | None = None
+) -> Iterator[LayerDecomposition]:
+    """Every ``n``-variable nested canalizing function, exactly once.
+
+    Stream order is fully deterministic: structures as in
+    :func:`layer_structures`, variable partitions colexicographic, the
+    ``2**n`` input assignments as a counter (bit ``i-1`` of the counter is
+    the input of ``x_i``), and finally the output bit.  Uniqueness of the
+    canonical form guarantees no two emitted decompositions compose to the
+    same table.  ``layer_count`` restricts the stream to one layer count
+    without walking the rest.
+    """
+    _check_arity(n)
+    if n > max_arity:
+        raise GuardExceededError("enumeration", n, max_arity)
+    if layer_count is not None and not 1 <= layer_count <= n - 1:
+        return
+    variables = tuple(range(1, n + 1))
+    for sizes in layer_structures(n):
+        if layer_count is not None and len(sizes) != layer_count:
+            continue
+        for blocks in _ordered_partitions(variables, sizes):
+            for counter in range(1 << n):
+                layers = tuple(
+                    tuple((v, (counter >> (v - 1)) & 1) for v in block)
+                    for block in blocks
+                )
+                for b in (0, 1):
+                    yield LayerDecomposition(n, layers, b)
+
+
+# ----------------------------------------------------------------------
+# Closed-form counts
+# ----------------------------------------------------------------------
+
+
+def _multinomial(n: int, sizes: tuple[int, ...]) -> int:
+    out = factorial(n)
+    for size in sizes:
+        out //= factorial(size)
+    return out
+
+
+@lru_cache(maxsize=None)
+def count_total(n: int) -> int:
+    """Number of ``n``-variable nested canalizing functions (exact)."""
+    _check_arity(n)
+    return (1 << (n + 1)) * sum(
+        _multinomial(n, sizes) for sizes in layer_structures(n)
+    )
+
+
+def count_by_layers(n: int, r: int) -> int:
+    """Number of ``n``-variable functions with exactly ``r`` layers."""
+    _check_arity(n)
+    if not 1 <= r <= n - 1:
+        raise InvalidInputError(f"layer count {r} out of range 1..{n - 1}")
+    return (1 << (n + 1)) * sum(_multinomial(n, sizes) for sizes in _compositions(n, r))
+
+
+@lru_cache(maxsize=None)
+def pell_like(m: int) -> int:
+    """The integer sequence A(0)=0, A(1)=2, A(m) = 2*A(m-1) + A(m-2).
+
+    Term ``m`` equals ``((1 + sqrt 2)**m - (1 - sqrt 2)**m) / sqrt 2``; the
+    recurrence keeps everything in exact integers.
+    """
+    if m < 0:
+        raise InvalidInputError(f"index must be nonnegative, got {m}")
+    a, b = 0, 2
+    for _ in range(m):
+        a, b = b, 2 * b + a
+    return a
+
+
+def _class_choices(t: int, k: int) -> int:
+    """Ways a size-``k`` layer can contribute exactly ``t`` symmetric classes.
+
+    A layer has ``2**k`` input assignments; the two constant assignments
+    give one class, the remaining ``2**k - 2`` give two.
+    """
+    return 2 if t == 1 else (1 << k) - 2
+
+
+def _t_assignment_sum(sizes: tuple[int, ...], s: int) -> int:
+    """Sum over per-layer class counts ``t_i`` (1..min(2, k_i), summing to s)."""
+
+    def rec(index: int, remaining: int) -> int:
+        if index == len(sizes):
+            return 1 if remaining == 0 else 0
+        lo = len(sizes) - index  # at least one class per remaining layer
+        hi = sum(min(2, k) for k in sizes[index:])
+        if not lo <= remaining <= hi:
+            return 0
+        total = 0
+        for t in range(1, min(2, sizes[index]) + 1):
+            total += _class_choices(t, sizes[index]) * rec(index + 1, remaining - t)
+        return total
+
+    return rec(0, s)
+
+
+def s_symmetric_triple_sum(n: int, s: int) -> int:
+    """The raw triple sum for the number of s-symmetric functions.
+
+    Stated for ``2 <= s <= n - 1``; it also reproduces the edge closed forms
+    (``s = 1`` and ``s = n``), which :func:`verify` checks rather than
+    assumes.
+    """
+    _check_arity(n)
+    if not 1 <= s <= n:
+        raise InvalidInputError(f"symmetry level {s} out of range 1..{n}")
+    total = 0
+    for r in range(-(-s // 2), s + 1):
+        if r > n - 1:
+            break
+        for sizes in _compositions(n, r):
+            inner = _t_assignment_sum(sizes, s)
+            if inner:
+                total += _multinomial(n, sizes) * inner
+    return 2 * total
+
+
+def count_s_symmetric(n: int, s: int) -> int:
+    """``N(n, s)``: the number of ``n``-variable s-symmetric functions.
+
+    Uses the closed forms at the edges (4 at ``s = 1``; ``n!`` times the
+    integer recurrence at ``s = n``) and the triple sum in between.
+    """
+    _check_arity(n)
+    if not 1 <= s <= n:
+        raise InvalidInputError(f"symmetry level {s} out of range 1..{n}")
+    if s == 1:
+        return 4
+    if s == n:
+        return factorial(n) * pell_like(n - 1)
+    return s_symmetric_triple_sum(n, s)
+
+
+def strongly_asymmetric_structure_sum(n: int) -> int:
+    """``N(n, n)`` summed over its admissible structures directly.
+
+    Strong asymmetry forces every layer size to 1 or 2 with the last equal
+    to 2, each such layer having two input choices; cross-checks the
+    recurrence form of :func:`count_s_symmetric`.
+    """
+    _check_arity(n)
+    total = 0
+    for r in range(-(-n // 2), n):
+        for sizes in _compositions(n, r):
+            if sizes[-1] != 2 or any(k > 2 for k in sizes):
+                continue
+            total += _multinomial(n, sizes) << r
+    return 2 * total
+
+
+def count_strongly_asym_max_layers(n: int) -> int:
+    """Strongly asymmetric functions with the maximal ``n - 1`` layers."""
+    _check_arity(n)
+    return factorial(n) << (n - 1)
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """All counts for one arity, cross-checked at construction."""
+
+    n: int
+    total: int
+    by_layers: dict[int, int]
+    by_symmetry: dict[int, int]
+    strongly_asymmetric: int
+    strongly_asym_max_layers: int
+
+
+def count_table(n: int) -> CountTable:
+    """Evaluate every count for arity ``n`` and validate the sum identities."""
+    _check_arity(n)
+    total = count_total(n)
+    by_layers = {r: count_by_layers(n, r) for r in range(1, n)}
+    by_symmetry = {s: count_s_symmetric(n, s) for s in range(1, n + 1)}
+    if sum(by_layers.values()) != total:
+        raise NcflabError(f"per-layer counts do not sum to the total at n={n}")
+    if sum(by_symmetry.values()) != total:
+        raise NcflabError(f"per-symmetry counts do not sum to the total at n={n}")
+    return CountTable(
+        n=n,
+        total=total,
+        by_layers=by_layers,
+        by_symmetry=by_symmetry,
+        strongly_asymmetric=by_symmetry[n],
+        strongly_asym_max_layers=count_strongly_asym_max_layers(n),
+    )
+
+
+# ----------------------------------------------------------------------
+# Verification
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    passed: bool
+    expected: str
+    actual: str
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    n: int
+    functions_checked: int | None
+    checks: dict[str, CheckResult]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(check.passed for check in self.checks.values())
+
+    def to_json_dict(self) -> dict:
+        return {
+            name: {
+                "pass": check.passed,
+                "expected": check.expected,
+                "actual": check.actual,
+            }
+            for name, check in sorted(self.checks.items())
+        }
+
+
+def _result(expected, actual, note: str = "") -> CheckResult:
+    passed = expected == actual
+    actual_text = str(actual)
+    if not passed and note:
+        actual_text = f"{actual} [{note}]"
+    return CheckResult(passed, str(expected), actual_text)
+
+
+def verify(
+    n: int,
+    *,
+    exhaustive_max: int = MAX_VERIFY_EXHAUSTIVE_ARITY,
+    cert_sample_target: int = 500,
+    cert_exhaustive_max: int = 4,
+) -> VerificationReport:
+    """Cross-validate every counting identity, by generation where feasible.
+
+    Up to ``exhaustive_max`` variables the full stream is generated and
+    measured: stream length and distinctness, per-layer and per-symmetry
+    histograms, a brute-force strong-asymmetry census, decomposition round
+    trips, and certificate formula versus brute force (exhaustive up to
+    ``cert_exhaustive_max``, deterministic stride sampling of at least
+    ``cert_sample_target`` functions above that).  Larger arities run the
+    formula-level identities only.
+    """
+    _check_arity(n)
+    checks: dict[str, CheckResult] = {}
+
+    total = count_total(n)
+    by_layers = {r: count_by_layers(n, r) for r in range(1, n)}
+    by_symmetry = {s: count_s_symmetric(n, s) for s in range(1, n + 1)}
+
+    checks["sum_by_layers_equals_total"] = _result(total, sum(by_layers.values()))
+    checks["sum_by_symmetry_equals_total"] = _result(total, sum(by_symmetry.values()))
+    checks["recurrence_matches_structure_sum"] = _result(
+        by_symmetry[n], strongly_asymmetric_structure_sum(n)
+    )
+    checks["triple_sum_matches_edge_s_1"] = _result(4, s_symmetric_triple_sum(n, 1))
+    checks["triple_sum_matches_edge_s_n"] = _result(
+        by_symmetry[n], s_symmetric_triple_sum(n, n)
+    )
+    max_layer_count = count_strongly_asym_max_layers(n)
+    if n >= 4:
+        checks["strongly_asymmetric_exceeds_max_layer_count"] = CheckResult(
+            by_symmetry[n] > max_layer_count,
+            f"N(n,n) > {max_layer_count}",
+            str(by_symmetry[n]),
+        )
+    else:
+        checks["strongly_asymmetric_equals_max_layer_count"] = _result(
+            max_layer_count, by_symmetry[n]
+        )
+
+    if n > exhaustive_max:
+        return VerificationReport(n, None, checks)
+
+    stride = 1 if n <= cert_exhaustive_max else max(1, total // cert_sample_target)
+    seen_tables: set[int] = set()
+    layer_hist: dict[int, int] = {r: 0 for r in by_layers}
+    symmetry_hist: dict[int, int] = {s: 0 for s in by_symmetry}
+    strong_census = 0
+    iff_failures: list[str] = []
+    roundtrip_failures: list[str] = []
+    cert_failures: list[str] = []
+    cert_checked = 0
+    count = 0
+
+    for index, d in enumerate(enumerate_ncfs(n, max_arity=exhaustive_max)):
+        count += 1
+        f = compose(d)
+        seen_tables.add(f.bits)
+        layer_hist[len(d.layers)] += 1
+        s = symmetry_level(f)
+        symmetry_hist[s] += 1
+
+        strong = not has_nontrivial_automorphism(f)
+        if strong:
+            strong_census += 1
+        if strong != (s == n) and len(iff_failures) < 3:
+            iff_failures.append(f.to_hex())
+
+        back = decompose(f)
+        if not (back.is_ncf and back.decomposition == d) and len(roundtrip_failures) < 3:
+            roundtrip_failures.append(f.to_hex())
+
+        if index % stride == 0:
+            cert_checked += 1
+            profile = cert_profile(f)
+            formula = ncf_cert_formula(d.structure(), d.b)
+            if formula != (profile.c0, profile.c1, profile.c) and len(cert_failures) < 3:
+                cert_failures.append(f.to_hex())
+
+    checks["stream_length_equals_total"] = _result(total, count)
+    checks["composed_tables_distinct"] = _result(total, len(seen_tables))
+    checks["layer_histogram_matches_formula"] = _result(by_layers, layer_hist)
+    checks["symmetry_histogram_matches_formula"] = _result(by_symmetry, symmetry_hist)
+    checks["strongly_asymmetric_census"] = _result(by_symmetry[n], strong_census)
+    checks["strong_asymmetry_iff_n_symmetric"] = _result(
+        [], iff_failures, "counterexamples"
+    )
+    checks["decompose_roundtrip"] = _result([], roundtrip_failures, "counterexamples")
+    checks["certificate_formula_vs_bruteforce"] = CheckResult(
+        not cert_failures,
+        f"0 mismatches in {cert_checked} functions",
+        f"{len(cert_failures)} mismatches in {cert_checked} functions"
+        + (f" (first: {cert_failures[0]})" if cert_failures else ""),
+    )
+    return VerificationReport(n, count, checks)
