@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    MAX_TABLE_ARITY,
     BooleanFunction,
     InvalidInputError,
     ParseError,
@@ -64,6 +65,10 @@ class AnfPolynomial:
         Each monomial's truth table is the AND of its variables' projection
         masks; the polynomial is their XOR.
         """
+        if self.arity > MAX_TABLE_ARITY:
+            raise InvalidInputError(
+                f"arity {self.arity} is above the table cap {MAX_TABLE_ARITY}"
+            )
         bits = 0
         for monomial in self.monomials:
             term = full_mask(self.arity)

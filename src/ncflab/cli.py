@@ -26,6 +26,7 @@ from .complexity import (
     ncf_cert_formula,
 )
 from .core import (
+    MAX_TABLE_ARITY,
     BooleanFunction,
     GuardExceededError,
     InvalidInputError,
@@ -131,7 +132,9 @@ def _load_spec(spec: str) -> BooleanFunction:
     spec = spec.strip()
     if _TABLE_RE.match(spec):
         return BooleanFunction.from_hex(spec)
-    return AnfPolynomial.parse(spec, _infer_arity(spec)).to_function()
+    # Capping the arity makes an index above the table cap a parse error.
+    arity = min(_infer_arity(spec), MAX_TABLE_ARITY)
+    return AnfPolynomial.parse(spec, arity).to_function()
 
 
 def _raise_guard(default: int, override: int | None) -> int:
@@ -241,12 +244,16 @@ def _render_analysis_text(report: dict) -> list[str]:
 
 def _cmd_analyze(args) -> int:
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            specs = [
-                line.strip()
-                for line in handle
-                if line.strip() and not line.lstrip().startswith("#")
-            ]
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                specs = [
+                    line.strip()
+                    for line in handle
+                    if line.strip() and not line.lstrip().startswith("#")
+                ]
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise InvalidInputError(f"cannot read {args.file}: {reason}") from None
     else:
         specs = [args.anf if args.anf is not None else args.table]
 

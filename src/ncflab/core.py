@@ -326,16 +326,8 @@ class BooleanFunction:
         self._check_var(j)
         if i == j:
             return self
-        if i > j:
-            i, j = j, i
-        n = self.arity
-        mi = variable_mask(n, i)
-        mj = variable_mask(n, j)
-        delta = (1 << (j - 1)) - (1 << (i - 1))
-        stay = self.bits & (full_mask(n) ^ (mi ^ mj))
-        up = self.bits & mi & ~mj  # x_i=1, x_j=0: index gains delta
-        down = self.bits & mj & ~mi
-        return BooleanFunction(n, stay | (up << delta) | (down >> delta))
+        i, j = min(i, j), max(i, j)
+        return BooleanFunction(self.arity, _swap_bits(self.bits, self.arity, i, j))
 
     def permute_inputs(self, sigma: Sequence[int]) -> "BooleanFunction":
         """Return ``g`` with ``g(x1, ..., xn) = f(x_sigma(1), ..., x_sigma(n))``.
@@ -343,27 +335,13 @@ class BooleanFunction:
         ``sigma`` is given in one-line notation, 1-based: ``sigma[i-1]`` is
         the image of ``i``.
         """
-        n = self.arity
-        if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
-            raise InvalidInputError(f"{tuple(sigma)} is not a permutation of 1..{n}")
-        # Realize sigma as a sequence of variable swaps, one cycle at a time:
-        # the cycle (c1 c2 ... ct) is the swap chain (c1 c2), (c1 c3), ...,
-        # (c1 ct) applied in that order.
-        out = self
-        seen = [False] * (n + 1)
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            nxt = sigma[start - 1]
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt] = True
-                nxt = sigma[nxt - 1]
+        # The cycle (c1 c2 ... ct) is the swap chain (c1 c2), (c1 c3), ...,
+        # (c1 ct) applied in that order; c1 is the cycle's smallest member.
+        bits = self.bits
+        for cycle in permutation_cycles(sigma, self.arity):
             for member in cycle[1:]:
-                out = out.swap_inputs(cycle[0], member)
-        return out
+                bits = _swap_bits(bits, self.arity, cycle[0], member)
+        return BooleanFunction(self.arity, bits)
 
     def transform(self, sigma: Sequence[int], beta: Sequence[int], c: int) -> "BooleanFunction":
         """Permute variables, negate inputs, then negate the output.
@@ -375,6 +353,40 @@ class BooleanFunction:
         """
         out = self.permute_inputs(sigma).negate_inputs(beta)
         return out.complement() if _check_bit(c, "output flip") else out
+
+
+def permutation_cycles(sigma: Sequence[int], arity: int) -> list[list[int]]:
+    """The nontrivial cycles of a 1-based one-line permutation of ``1..arity``.
+
+    Each cycle starts at its smallest member and the cycles are listed by
+    smallest member; fixed points are omitted.
+    """
+    sigma = tuple(sigma)
+    if len(sigma) != arity or sorted(sigma) != list(range(1, arity + 1)):
+        raise InvalidInputError(f"{sigma!r} is not a permutation of 1..{arity}")
+    seen = [False] * (arity + 1)
+    cycles = []
+    for start in range(1, arity + 1):
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = sigma[i - 1]
+        if len(cycle) > 1:
+            cycles.append(cycle)
+    return cycles
+
+
+def _swap_bits(bits: int, arity: int, i: int, j: int) -> int:
+    """Exchange ``x_i`` and ``x_j`` (``i < j``) in a raw table integer."""
+    mi = variable_mask(arity, i)
+    mj = variable_mask(arity, j)
+    delta = (1 << (j - 1)) - (1 << (i - 1))
+    stay = bits & (full_mask(arity) ^ (mi ^ mj))
+    up = bits & mi & ~mj  # x_i=1, x_j=0: index gains delta
+    down = bits & mj & ~mi
+    return stay | (up << delta) | (down >> delta)
 
 
 @lru_cache(maxsize=None)

@@ -232,11 +232,6 @@ def _layer_mask(n: int, layer: LayerEntries) -> int:
     return subcube_mask(n, ((var, inp ^ 1) for var, inp in layer))
 
 
-def layer_structure(d: LayerDecomposition) -> tuple[int, ...]:
-    """The size vector ``<k1, ..., kr>`` of the layers, outermost first."""
-    return d.structure()
-
-
 # ----------------------------------------------------------------------
 # Text form: `b; [i:a, i:a | i:a | ...]`, layers separated by '|'
 # ----------------------------------------------------------------------

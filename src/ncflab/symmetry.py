@@ -24,6 +24,7 @@ from .core import (
     GuardExceededError,
     InvalidInputError,
     NcflabError,
+    permutation_cycles,
 )
 from .ncf import LayerDecomposition, decompose
 
@@ -141,26 +142,17 @@ def cycle_notation(sigma) -> str:
     fixed points are omitted.  The identity renders as ``"()"``.
     """
     sigma = tuple(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise InvalidInputError(f"{sigma!r} is not a permutation of 1..{n}")
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = sigma[start - 1]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = sigma[nxt - 1]
-        if len(cycle) > 1:
-            cycles.append(cycle)
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(i) for i in cycle) + ")" for cycle in cycles)
+    cycles = permutation_cycles(sigma, len(sigma))
+    return "".join("(" + " ".join(map(str, cycle)) + ")" for cycle in cycles) or "()"
+
+
+def _automorphisms(f: BooleanFunction):
+    """Non-identity permutations fixing ``f``, in ``itertools.permutations`` order."""
+    # The first permutation is the identity.
+    perms = itertools.permutations(range(1, f.arity + 1))
+    for sigma in itertools.islice(perms, 1, None):
+        if f.permute_inputs(sigma).bits == f.bits:
+            yield sigma
 
 
 def is_strongly_asymmetric(
@@ -178,15 +170,8 @@ def is_strongly_asymmetric(
     """
     n = f.arity
     if n <= max_arity:
-        identity = tuple(range(1, n + 1))
-        automorphisms = [
-            sigma
-            for sigma in itertools.permutations(identity)
-            if sigma != identity and f.permute_inputs(sigma) == f
-        ]
-        if not automorphisms:
-            return True, None
-        return False, min(automorphisms, key=cycle_notation)
+        witness = min(_automorphisms(f), key=cycle_notation, default=None)
+        return witness is None, witness
 
     classification = decompose(f)
     if classification.is_ncf:
@@ -203,11 +188,7 @@ def is_strongly_asymmetric(
 
 def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
     """Early-exit existence check used by bulk verification."""
-    identity = tuple(range(1, f.arity + 1))
-    for sigma in itertools.permutations(identity):
-        if sigma != identity and f.permute_inputs(sigma) == f:
-            return True
-    return False
+    return next(_automorphisms(f), None) is not None
 
 
 def symmetry_report(

@@ -1,8 +1,10 @@
 """Shared test helpers: independent oracles and hypothesis strategies."""
 
+import itertools
+
 from hypothesis import strategies as st
 
-from ncflab import BooleanFunction
+from ncflab import BooleanFunction, index_of
 from ncflab.core import full_mask, word_at
 
 
@@ -38,3 +40,44 @@ def boolean_functions(min_arity=0, max_arity=8):
 
 def permutations_of(n):
     return st.permutations(list(range(1, n + 1))).map(tuple)
+
+
+def _permute_word(word, sigma):
+    """The word ``v`` with ``v[i] = word[sigma(i)]`` (1-based one-line sigma)."""
+    return tuple(word[image - 1] for image in sigma)
+
+
+def reference_automorphisms(f):
+    """Non-identity permutations fixing ``f``, checked word by word.
+
+    Independent of the table-level permutation machinery: every word is
+    permuted as a tuple and both values are read off the table.
+    """
+    n = f.arity
+    identity = tuple(range(1, n + 1))
+    table = [word_at(idx, n) for idx in range(1 << n)]
+    return [
+        sigma
+        for sigma in itertools.permutations(identity)
+        if sigma != identity
+        and all(
+            f.bit(index_of(_permute_word(word, sigma))) == f.bit(idx)
+            for idx, word in enumerate(table)
+        )
+    ]
+
+
+@st.composite
+def planted_symmetric_functions(draw, max_arity=5):
+    """Functions fixed by a drawn permutation: one random bit per word orbit."""
+    n = draw(st.integers(1, max_arity))
+    tau = draw(permutations_of(n))
+    seed = draw(st.integers(0, full_mask(n)))
+    values = []
+    for idx in range(1 << n):
+        orbit_min, word = idx, _permute_word(word_at(idx, n), tau)
+        while (step := index_of(word)) != idx:
+            orbit_min = min(orbit_min, step)
+            word = _permute_word(word, tau)
+        values.append((seed >> orbit_min) & 1)
+    return BooleanFunction.from_values(values)

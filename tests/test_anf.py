@@ -5,7 +5,13 @@ from hypothesis import given, settings
 
 from conftest import boolean_functions, reference_table
 
-from ncflab import AnfPolynomial, BooleanFunction, ParseError
+from ncflab import (
+    MAX_TABLE_ARITY,
+    AnfPolynomial,
+    BooleanFunction,
+    InvalidInputError,
+    ParseError,
+)
 
 
 def monomials(*terms):
@@ -48,6 +54,15 @@ def test_parse_errors_carry_positions():
         AnfPolynomial.parse("", 2)
     with pytest.raises(ParseError):
         AnfPolynomial.parse("x1 x2", 2)
+
+
+def test_to_function_rejects_arity_above_table_cap():
+    wide = AnfPolynomial.from_terms(40, [{1}, {40}])
+    with pytest.raises(InvalidInputError, match="table cap"):
+        wide.to_function()
+    capped = AnfPolynomial.from_terms(MAX_TABLE_ARITY + 1, [])
+    with pytest.raises(InvalidInputError, match="table cap"):
+        capped.to_function()
 
 
 def test_format_canonical_order():

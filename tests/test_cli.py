@@ -100,6 +100,33 @@ def test_analyze_parse_error_exit_2(capsys):
     assert code == 2
 
 
+def test_analyze_index_above_table_cap_exit_2(capsys):
+    # x40 would need a 2^40-bit table; the parser rejects it first.
+    code, out, err = run(capsys, "analyze", "--anf", "x1 + x40")
+    assert code == 2
+    assert out == ""
+    assert "x40" in err and "column 6" in err
+
+    code, _, err = run(capsys, "analyze", "--anf", "x30*x2")
+    assert code == 2
+    assert "column 1" in err
+
+
+def test_analyze_unreadable_file_exit_2(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "analyze", "--file", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+    binary = tmp_path / "latin1.txt"
+    binary.write_bytes(b"x1*x2\n\xff\xfe\n")
+    code, out, err = run(capsys, "analyze", "--file", str(binary))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(binary) in err
+
+
 def test_analyze_guard_exit_3(capsys):
     # 15 variables exceeds the certificate guard
     hex_digits = (1 << 15) // 4

@@ -128,8 +128,9 @@ def test_transform_is_a_group_action(f, data):
 
 def test_transform_rejects_non_bijections():
     f = BooleanFunction.constant(3, 0)
-    with pytest.raises(InvalidInputError):
-        f.permute_inputs((1, 1, 3))
+    for sigma in ((1, 1, 3), (0, 1), (1, 2, 4)):
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            f.permute_inputs(sigma)
     with pytest.raises(InvalidInputError):
         f.transform((1, 2), (0, 0, 0), 0)
 

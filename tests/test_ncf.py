@@ -14,7 +14,6 @@ from ncflab import (
     decompose,
     enumerate_ncfs,
     format_decomposition,
-    layer_structure,
     parse_decomposition,
 )
 from ncflab.core import full_mask
@@ -112,10 +111,10 @@ def test_compose_matches_prefix_product_expansion():
 
 
 def test_layer_structure():
-    assert layer_structure(decompose(CASCADE3).decomposition) == (1, 2)
-    assert layer_structure(decompose(MONOMIAL3).decomposition) == (3,)
+    assert decompose(CASCADE3).decomposition.structure() == (1, 2)
+    assert decompose(MONOMIAL3).decomposition.structure() == (3,)
     deep = LayerDecomposition.from_pairs(4, [[(1, 0)], [(2, 0)], [(3, 0), (4, 0)]], 0)
-    assert layer_structure(deep) == (1, 1, 2)
+    assert deep.structure() == (1, 1, 2)
 
 
 def test_decomposition_validation():

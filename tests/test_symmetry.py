@@ -2,8 +2,14 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import boolean_functions, reference_table
+from conftest import (
+    boolean_functions,
+    planted_symmetric_functions,
+    reference_automorphisms,
+    reference_table,
+)
 
 from ncflab import (
     BooleanFunction,
@@ -21,6 +27,7 @@ from ncflab import (
     symmetry_level,
     symmetry_report,
 )
+from ncflab.symmetry import has_nontrivial_automorphism
 
 MIXED7 = reference_table([{1, 2, 3, 4}, {5, 6}, {7}], 7)  # x1x2x3x4 + x5x6 + x7
 PENTAGON6 = reference_table(
@@ -56,8 +63,9 @@ def test_cycle_notation():
     assert cycle_notation((2, 1, 3)) == "(1 2)"
     assert cycle_notation((1, 2, 3)) == "()"
     assert cycle_notation((2, 1, 4, 3)) == "(1 2)(3 4)"
-    with pytest.raises(InvalidInputError):
-        cycle_notation((1, 1))
+    for sigma in ((1, 1), (0, 1), (1, 2, 4)):
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            cycle_notation(sigma)
 
 
 def test_pentagon_is_n_symmetric_but_not_strongly_asymmetric():
@@ -92,6 +100,19 @@ def test_strong_asymmetry_guard_and_ncf_fast_path():
     with pytest.raises(GuardExceededError) as err:
         is_strongly_asymmetric(parity9)
     assert err.value.guard == "automorphism"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(boolean_functions(0, 5), planted_symmetric_functions(5)))
+def test_automorphism_search_matches_word_level_oracle(f):
+    expected = reference_automorphisms(f)
+    flag, witness = is_strongly_asymmetric(f)
+    assert has_nontrivial_automorphism(f) == (not flag)
+    assert flag == (not expected)
+    if expected:
+        assert cycle_notation(witness) == min(map(cycle_notation, expected))
+    else:
+        assert witness is None
 
 
 def test_strong_asymmetry_iff_n_symmetric_on_ncfs():
