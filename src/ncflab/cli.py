@@ -145,6 +145,11 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
     cert_guard = _raise_guard(MAX_CERTIFICATE_ARITY, args.max_n)
     block_guard = _raise_guard(MAX_BLOCK_SENSITIVITY_ARITY, args.max_n)
     perm_guard = _raise_guard(MAX_AUTOMORPHISM_ARITY, args.max_n)
+    # Guards first: the certificate guard here, the automorphism guard in
+    # symmetry_report, and the block-sensitivity guard at the top of
+    # cert_profile, so no input computes its certificates and then exits 3.
+    if f.arity > cert_guard:
+        raise GuardExceededError("certificate", f.arity, cert_guard)
 
     if f.arity >= 2:
         classification = decompose(f)
@@ -171,6 +176,7 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
         ncf_section = None
         formula = None
 
+    report, classes = symmetry_report(f, max_arity=perm_guard)
     profile = cert_profile(
         f,
         with_witnesses=args.witnesses,
@@ -178,7 +184,6 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
         max_arity=cert_guard,
         block_max_arity=block_guard,
     )
-    report, classes = symmetry_report(f, max_arity=perm_guard)
 
     complexity_section = profile.to_json_dict()
     complexity_section["formula"] = (

@@ -259,6 +259,8 @@ def cert_profile(
     """
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
+    if with_block_sensitivity and f.arity > block_max_arity:
+        raise GuardExceededError("block sensitivity", f.arity, block_max_arity)
     n = f.arity
     tables = _freedom_tables(f)
     c_by_value = [0, 0]

@@ -7,9 +7,14 @@ form a group), and its classes partition the variables.  A function with
 and ``s = 1`` totally symmetric.  A function is *strongly asymmetric* when
 the identity is its only variable permutation fixing the table.
 
-For nested canalizing functions strong asymmetry is equivalent to being
-n-symmetric, which gives a fast path past the factorial automorphism
-search; the equivalence genuinely fails outside that class (see the
+The automorphism search backtracks over the images of ``x1, x2, ...`` and
+maps a variable only to one with the same weight and the same pair weights
+with the variables already mapped, so a function whose variables the
+weights tell apart costs far less than n! table comparisons.  A function
+whose weights tell nothing apart, such as a totally symmetric one, still
+costs n!.  For nested canalizing functions strong asymmetry is equivalent
+to being n-symmetric, which gives a fast path past that search above its
+guard; the equivalence genuinely fails outside that class (see the
 6-variable pentagon function in the tests).
 """
 
@@ -24,11 +29,14 @@ from .core import (
     GuardExceededError,
     InvalidInputError,
     NcflabError,
+    _swap_bits,
     permutation_cycles,
+    variable_mask,
 )
 from .ncf import LayerDecomposition, decompose
 
-#: The automorphism search tries all n! permutations.
+#: The automorphism search prunes by variable weights, but a function they
+#: cannot tell apart (a totally symmetric one) still costs n! permutations.
 MAX_AUTOMORPHISM_ARITY = 8
 
 
@@ -99,11 +107,9 @@ def equivalent(f: BooleanFunction, i: int, j: int) -> bool:
 
     ``equivalent(f, i, i)`` is true by convention.
     """
-    if i == j:
-        if not 1 <= i <= f.arity:
-            raise InvalidInputError(f"variable index {i} out of range 1..{f.arity}")
-        return True
-    return f.swap_inputs(i, j) == f
+    f._check_var(i)
+    f._check_var(j)
+    return i == j or _swap_bits(f.bits, f.arity, min(i, j), max(i, j)) == f.bits
 
 
 def partition(f: BooleanFunction) -> SymmetryPartition:
@@ -147,12 +153,59 @@ def cycle_notation(sigma) -> str:
 
 
 def _automorphisms(f: BooleanFunction):
-    """Non-identity permutations fixing ``f``, in ``itertools.permutations`` order."""
-    # The first permutation is the identity.
-    perms = itertools.permutations(range(1, f.arity + 1))
-    for sigma in itertools.islice(perms, 1, None):
-        if f.permute_inputs(sigma).bits == f.bits:
+    """Non-identity permutations fixing ``f``, in ``itertools.permutations`` order.
+
+    An automorphism preserves the weight ``|f & x_i|`` of every variable and
+    ``|f & x_i & x_k|`` of every pair, so only permutations preserving both
+    are tried; every one of them except the identity still makes the full
+    table comparison.
+    """
+    n, bits = f.arity, f.bits
+    masks = [variable_mask(n, i) for i in range(1, n + 1)]
+    ones = [(bits & mask).bit_count() for mask in masks]
+    pair = [[(bits & a & b).bit_count() for b in masks] for a in masks]
+    identity = tuple(range(1, n + 1))
+    for sigma in _weight_preserving(ones, pair):
+        if sigma != identity and f.permute_inputs(sigma).bits == bits:
             yield sigma
+
+
+def _weight_preserving(ones: list[int], pair: list[list[int]]):
+    """Permutations keeping both weight tables, in lexicographic order.
+
+    ``ones[i]`` and ``pair[i][k]`` belong to the variables ``x_{i+1}`` and
+    ``x_{k+1}``.  Yields, as 1-based one-line tuples, the permutations under
+    which every variable and every pair keeps its weight.  Backtracks over
+    ``sigma(1), sigma(2), ...`` with images tried in increasing order,
+    pruning a partial map as soon as it breaks a weight.
+    """
+    n = len(ones)
+    off_diagonal = {w for a, row in enumerate(pair) for w in row[a + 1 :]}
+    if len(set(ones)) <= 1 and len(off_diagonal) <= 1:
+        # Nothing can be pruned; itertools walks the same order without the
+        # per-node checks, so the worst case costs what the n! search did.
+        return itertools.permutations(range(1, n + 1))
+
+    sigma: list[int] = []  # 0-based images of the variables mapped so far
+    used = [False] * n
+
+    def extend(i: int):
+        if i == n:
+            yield tuple(j + 1 for j in sigma)
+            return
+        target = pair[i][:i]
+        for j in range(n):
+            if used[j] or ones[j] != ones[i]:
+                continue
+            if [pair[j][m] for m in sigma] != target:
+                continue
+            used[j] = True
+            sigma.append(j)
+            yield from extend(i + 1)
+            sigma.pop()
+            used[j] = False
+
+    return extend(0)
 
 
 def is_strongly_asymmetric(

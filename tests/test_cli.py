@@ -137,6 +137,20 @@ def test_analyze_guard_exit_3(capsys):
     assert "certificate" in err
 
 
+def test_analyze_automorphism_guard_before_certificates(capsys, monkeypatch):
+    # 12 variables, not nested canalizing: within the certificate guard but
+    # above the automorphism guard, so no certificate may be computed.
+    def no_certificates(*args, **kwargs):
+        raise AssertionError("cert_profile ran before the automorphism guard")
+
+    monkeypatch.setattr("ncflab.cli.cert_profile", no_certificates)
+    anf = " + ".join(f"x{i}" for i in range(1, 12)) + " + x12*x1"
+    code, out, err = run(capsys, "analyze", "--anf", anf)
+    assert code == 3
+    assert out == ""
+    assert "automorphism" in err
+
+
 def test_enumerate_counts_and_filters(capsys):
     code, out, _ = run(capsys, "enumerate", "2")
     assert code == 0

@@ -132,6 +132,17 @@ def test_block_sensitivity_examples():
     assert err.value.guard == "block sensitivity"
 
 
+def test_profile_checks_block_guard_before_certificates(monkeypatch):
+    def no_certificates(*args, **kwargs):
+        raise AssertionError("per-word certificate scan ran before the guard")
+
+    monkeypatch.setattr("ncflab.complexity._certificate_from_tables", no_certificates)
+    f = BooleanFunction.from_predicate(7, lambda w: sum(w) >= 4)
+    with pytest.raises(GuardExceededError) as err:
+        cert_profile(f, with_block_sensitivity=True)
+    assert err.value.guard == "block sensitivity"
+
+
 def test_measures_collapse_on_ncfs_small():
     for n in (2, 3):
         for d in enumerate_ncfs(n):

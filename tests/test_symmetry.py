@@ -1,5 +1,7 @@
 """Symmetric classes, symmetry level, strong asymmetry."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,8 @@ from ncflab import (
     symmetry_level,
     symmetry_report,
 )
-from ncflab.symmetry import has_nontrivial_automorphism
+from ncflab.core import variable_mask
+from ncflab.symmetry import _automorphisms, has_nontrivial_automorphism
 
 MIXED7 = reference_table([{1, 2, 3, 4}, {5, 6}, {7}], 7)  # x1x2x3x4 + x5x6 + x7
 PENTAGON6 = reference_table(
@@ -106,6 +109,7 @@ def test_strong_asymmetry_guard_and_ncf_fast_path():
 @given(st.one_of(boolean_functions(0, 5), planted_symmetric_functions(5)))
 def test_automorphism_search_matches_word_level_oracle(f):
     expected = reference_automorphisms(f)
+    assert list(_automorphisms(f)) == expected
     flag, witness = is_strongly_asymmetric(f)
     assert has_nontrivial_automorphism(f) == (not flag)
     assert flag == (not expected)
@@ -113,6 +117,43 @@ def test_automorphism_search_matches_word_level_oracle(f):
         assert cycle_notation(witness) == min(map(cycle_notation, expected))
     else:
         assert witness is None
+
+
+@pytest.mark.parametrize(
+    "f, group_order",
+    [
+        # totally symmetric: every permutation fixes the table
+        (BooleanFunction.from_predicate(5, lambda w: sum(w) >= 3), 120),
+        (BooleanFunction.from_predicate(6, lambda w: sum(w) % 2), 720),
+        # x1 stands apart by weight; x2..x6 are totally symmetric
+        (BooleanFunction.from_predicate(6, lambda w: w[0] & (sum(w[1:]) % 2)), 120),
+        # equal weights, but pair weights keep the matching x1x2, x3x4, x5x6
+        (reference_table([{1, 2}, {3, 4}, {5, 6}], 6), 48),
+    ],
+)
+def test_automorphism_search_large_groups(f, group_order):
+    found = list(_automorphisms(f))
+    assert len(found) == group_order - 1
+    assert found == reference_automorphisms(f)
+
+
+def test_automorphism_search_prunes_by_weight(monkeypatch):
+    bits = random.Random(0).getrandbits(256)
+    f = BooleanFunction(8, bits)
+    weights = [(bits & variable_mask(8, i)).bit_count() for i in range(1, 9)]
+    assert len(set(weights)) == 8  # pairwise distinct: only the identity survives
+
+    calls = 0
+    permute = BooleanFunction.permute_inputs
+
+    def counting(self, sigma):
+        nonlocal calls
+        calls += 1
+        return permute(self, sigma)
+
+    monkeypatch.setattr(BooleanFunction, "permute_inputs", counting)
+    assert is_strongly_asymmetric(f) == (True, None)
+    assert calls <= 8
 
 
 def test_strong_asymmetry_iff_n_symmetric_on_ncfs():
