@@ -145,11 +145,13 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
     cert_guard = _raise_guard(MAX_CERTIFICATE_ARITY, args.max_n)
     block_guard = _raise_guard(MAX_BLOCK_SENSITIVITY_ARITY, args.max_n)
     perm_guard = _raise_guard(MAX_AUTOMORPHISM_ARITY, args.max_n)
-    # Guards first: the certificate guard here, the automorphism guard in
-    # symmetry_report, and the block-sensitivity guard at the top of
-    # cert_profile, so no input computes its certificates and then exits 3.
+    # Guards first: the certificate and block-sensitivity guards here, and
+    # the automorphism guard, which needs to know whether f is an NCF, in
+    # symmetry_report before any certificate is computed.
     if f.arity > cert_guard:
         raise GuardExceededError("certificate", f.arity, cert_guard)
+    if args.block_sensitivity and f.arity > block_guard:
+        raise GuardExceededError("block sensitivity", f.arity, block_guard)
 
     if f.arity >= 2:
         classification = decompose(f)

@@ -20,7 +20,6 @@ guard; the equivalence genuinely fails outside that class (see the
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import ceil
 
@@ -156,56 +155,64 @@ def _automorphisms(f: BooleanFunction):
     """Non-identity permutations fixing ``f``, in ``itertools.permutations`` order.
 
     An automorphism preserves the weight ``|f & x_i|`` of every variable and
-    ``|f & x_i & x_k|`` of every pair, so only permutations preserving both
-    are tried; every one of them except the identity still makes the full
-    table comparison.
+    ``|f & x_i & x_k|`` of every pair.  The search backtracks over
+    ``sigma(1), sigma(2), ...`` with images tried in increasing order.  For
+    every unmapped variable it keeps the images that agree with both weights
+    given the variables mapped so far, and it drops a partial map as soon as
+    one of those sets is empty.  Every surviving permutation except the
+    identity still makes the full table comparison.
     """
     n, bits = f.arity, f.bits
+    if n < 2:
+        return  # the identity is the only permutation
     masks = [variable_mask(n, i) for i in range(1, n + 1)]
     ones = [(bits & mask).bit_count() for mask in masks]
     pair = [[(bits & a & b).bit_count() for b in masks] for a in masks]
+    # Sets of variables are bitmasks in which bit c stands for x_c.
+    with_ones: dict[int, int] = {}
+    for c, w in enumerate(ones, 1):
+        with_ones[w] = with_ones.get(w, 0) | 1 << c
+    # with_pair[j][w]: the variables x_c, c != j, with |f & x_c & x_j| = w
+    with_pair: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for j, row in enumerate(pair, 1):
+        for c, w in enumerate(row, 1):
+            if c != j:
+                with_pair[j][w] = with_pair[j].get(w, 0) | 1 << c
+    # later[d]: the pair weights of x_{d+2}, ..., x_n with x_{d+1}
+    later = [[row[d] for row in pair[d + 1 :]] for d in range(n)]
+
     identity = tuple(range(1, n + 1))
-    for sigma in _weight_preserving(ones, pair):
-        if sigma != identity and f.permute_inputs(sigma).bits == bits:
-            yield sigma
-
-
-def _weight_preserving(ones: list[int], pair: list[list[int]]):
-    """Permutations keeping both weight tables, in lexicographic order.
-
-    ``ones[i]`` and ``pair[i][k]`` belong to the variables ``x_{i+1}`` and
-    ``x_{k+1}``.  Yields, as 1-based one-line tuples, the permutations under
-    which every variable and every pair keeps its weight.  Backtracks over
-    ``sigma(1), sigma(2), ...`` with images tried in increasing order,
-    pruning a partial map as soon as it breaks a weight.
-    """
-    n = len(ones)
-    off_diagonal = {w for a, row in enumerate(pair) for w in row[a + 1 :]}
-    if len(set(ones)) <= 1 and len(off_diagonal) <= 1:
-        # Nothing can be pruned; itertools walks the same order without the
-        # per-node checks, so the worst case costs what the n! search did.
-        return itertools.permutations(range(1, n + 1))
-
-    sigma: list[int] = []  # 0-based images of the variables mapped so far
-    used = [False] * n
-
-    def extend(i: int):
-        if i == n:
-            yield tuple(j + 1 for j in sigma)
-            return
-        target = pair[i][:i]
-        for j in range(n):
-            if used[j] or ones[j] != ones[i]:
-                continue
-            if [pair[j][m] for m in sigma] != target:
-                continue
-            used[j] = True
-            sigma.append(j)
-            yield from extend(i + 1)
-            sigma.pop()
-            used[j] = False
-
-    return extend(0)
+    images: list[int] = []  # sigma(1), ..., sigma(d) at depth d
+    # Stacks indexed by depth d: the images of x_{d+1} not tried yet, and the
+    # images each of x_{d+2}, ..., x_n may still take.
+    untried = [with_ones[ones[0]]]
+    allowed = [[with_ones[w] for w in ones[1:]]]
+    while untried:
+        choices = untried[-1]
+        if not choices:
+            untried.pop()
+            allowed.pop()
+            if images:
+                images.pop()
+            continue
+        low = choices & -choices
+        untried[-1] = choices ^ low
+        j = low.bit_length() - 1
+        d = len(images)
+        fits = with_pair[j].get
+        if d == n - 2:  # x_n takes the one image left, if it fits
+            image = allowed[-1][0] & fits(later[d][0], 0)
+            if image:
+                sigma = (*images, j, image.bit_length() - 1)
+                if sigma != identity and f.permute_inputs(sigma).bits == bits:
+                    yield sigma
+            continue
+        rest = [a & fits(w, 0) for a, w in zip(allowed[-1], later[d])]
+        if 0 in rest:
+            continue
+        images.append(j)
+        untried.append(rest[0])
+        allowed.append(rest[1:])
 
 
 def is_strongly_asymmetric(
@@ -248,9 +255,9 @@ def symmetry_report(
     f: BooleanFunction, *, max_arity: int = MAX_AUTOMORPHISM_ARITY
 ) -> tuple[SymmetryReport, SymmetryPartition]:
     """Full symmetry summary plus the underlying partition."""
+    strong, witness = is_strongly_asymmetric(f, max_arity=max_arity)
     classes = partition(f)
     s = classes.level
-    strong, witness = is_strongly_asymmetric(f, max_arity=max_arity)
     report = SymmetryReport(
         arity=f.arity,
         s=s,

@@ -139,16 +139,33 @@ def test_analyze_guard_exit_3(capsys):
 
 def test_analyze_automorphism_guard_before_certificates(capsys, monkeypatch):
     # 12 variables, not nested canalizing: within the certificate guard but
-    # above the automorphism guard, so no certificate may be computed.
-    def no_certificates(*args, **kwargs):
-        raise AssertionError("cert_profile ran before the automorphism guard")
+    # above the automorphism guard, so no certificate or symmetry class may
+    # be computed.
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis ran before the automorphism guard")
 
-    monkeypatch.setattr("ncflab.cli.cert_profile", no_certificates)
+    monkeypatch.setattr("ncflab.cli.cert_profile", no_analysis)
+    monkeypatch.setattr("ncflab.symmetry.partition", no_analysis)
     anf = " + ".join(f"x{i}" for i in range(1, 12)) + " + x12*x1"
     code, out, err = run(capsys, "analyze", "--anf", anf)
     assert code == 3
     assert out == ""
     assert "automorphism" in err
+
+
+def test_analyze_block_guard_before_any_analysis(capsys, monkeypatch):
+    # 7 variables: within the certificate and automorphism guards, above the
+    # block-sensitivity guard, so the input must be refused before any work.
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis ran before the block-sensitivity guard")
+
+    for name in ("decompose", "symmetry_report", "cert_profile"):
+        monkeypatch.setattr(f"ncflab.cli.{name}", no_analysis)
+    table = "7:" + "0" * 31 + "1"  # x1 x2 ... x7
+    code, out, err = run(capsys, "analyze", "--table", table, "--block-sensitivity")
+    assert code == 3
+    assert out == ""
+    assert "block sensitivity" in err
 
 
 def test_enumerate_counts_and_filters(capsys):

@@ -155,6 +155,14 @@ def test_automorphism_search_prunes_by_weight(monkeypatch):
     assert is_strongly_asymmetric(f) == (True, None)
     assert calls <= 8
 
+    # Equal variable weights: only the pair weights keep the matching
+    # x1x2, x3x4, x5x6, so every table compared is one of its 47 non-identity
+    # automorphisms, not one of the 719 non-identity permutations.
+    calls = 0
+    matching = reference_table([{1, 2}, {3, 4}, {5, 6}], 6)
+    assert len(list(_automorphisms(matching))) == 47
+    assert calls == 47
+
 
 def test_strong_asymmetry_iff_n_symmetric_on_ncfs():
     for n in (2, 3):
