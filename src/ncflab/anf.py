@@ -25,6 +25,7 @@ from .core import (
     BooleanFunction,
     InvalidInputError,
     ParseError,
+    _one_indices,
     full_mask,
     variable_mask,
 )
@@ -79,18 +80,19 @@ class AnfPolynomial:
 
     @classmethod
     def from_function(cls, f: BooleanFunction) -> "AnfPolynomial":
-        """Recover the unique ANF of a truth table (binary Moebius transform)."""
-        coeffs = list(f.values())
+        """Recover the unique ANF of a truth table (binary Moebius transform).
+
+        Step ``i`` XORs every entry with ``x_i = 0`` into its partner with
+        ``x_i = 1``, one shift of the whole table; bit ``m`` of the result
+        is the coefficient of the monomial over the variables in ``m``.
+        """
         n = f.arity
-        for p in range(n):
-            step = 1 << p
-            for base in range(0, 1 << n, step << 1):
-                for k in range(base, base + step):
-                    coeffs[k + step] ^= coeffs[k]
+        coeffs = f.bits
+        for i in range(1, n + 1):
+            coeffs ^= (coeffs << (1 << (i - 1))) & variable_mask(n, i)
         monomials = frozenset(
             frozenset(i + 1 for i in range(n) if (mask >> i) & 1)
-            for mask, coeff in enumerate(coeffs)
-            if coeff
+            for mask in _one_indices(coeffs)
         )
         return cls(n, monomials)
 

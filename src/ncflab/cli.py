@@ -34,7 +34,7 @@ from .core import (
 )
 from .enumeration import count_table, enumerate_ncfs, verify
 from .ncf import compose, decompose, format_decomposition
-from .symmetry import MAX_AUTOMORPHISM_ARITY, symmetry_level, symmetry_report
+from .symmetry import MAX_AUTOMORPHISM_ARITY, _symmetry_report, symmetry_level
 
 _TABLE_RE = re.compile(r"^\d+:[0-9A-Fa-f]+$")
 
@@ -147,7 +147,8 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
     perm_guard = _raise_guard(MAX_AUTOMORPHISM_ARITY, args.max_n)
     # Guards first: the certificate and block-sensitivity guards here, and
     # the automorphism guard, which needs to know whether f is an NCF, in
-    # symmetry_report before any certificate is computed.
+    # _symmetry_report before any certificate is computed.  The report
+    # reuses this decomposition instead of decomposing f again.
     if f.arity > cert_guard:
         raise GuardExceededError("certificate", f.arity, cert_guard)
     if args.block_sensitivity and f.arity > block_guard:
@@ -178,7 +179,7 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
         ncf_section = None
         formula = None
 
-    report, classes = symmetry_report(f, max_arity=perm_guard)
+    report, classes = _symmetry_report(f, perm_guard, classification)
     profile = cert_profile(
         f,
         with_witnesses=args.witnesses,

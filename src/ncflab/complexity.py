@@ -8,15 +8,16 @@ fixed to the word's bits, force the function constant (the constant is then
 
 For nested canalizing functions the pair ``(C0, C1)`` depends only on the
 layer structure and the output bit; :func:`ncf_cert_formula` evaluates that
-closed form, and the brute-force :func:`cert_profile` serves as its
-independent oracle in the test suite.
+closed form.  :func:`cert_profile` computes every word's certificate in one
+sweep over the truth table, and the test suite checks the formula against
+it; the per-word scans :func:`certificate_at` and :func:`sensitivity_at`
+serve as the sweep's oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     BooleanFunction,
@@ -24,13 +25,15 @@ from .core import (
     InvalidInputError,
     NcflabError,
     Word,
+    _one_indices,
     full_mask,
     index_of,
     variable_mask,
     word_at,
 )
 
-#: Certificate search walks all index subsets per word; 2^n * 2^n cost.
+#: The certificate sweep builds two freedom tables of 2^n entries of 2^n bits
+#: each (up to 64 MiB at n = 14) and makes O(2^n) big-integer operations on them.
 MAX_CERTIFICATE_ARITY = 14
 #: Block sensitivity packs disjoint sensitive blocks per word; harsher cost.
 MAX_BLOCK_SENSITIVITY_ARITY = 6
@@ -95,23 +98,23 @@ class ComplexityProfile:
 
 
 # ----------------------------------------------------------------------
-# Brute-force certificates
+# Certificates and sensitivity
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _subsets_by_cardinality(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-    """Index subsets of 1..n with their bitmasks, grouped by size, lex order."""
-    groups = []
+def _certificate_sets(n: int):
+    """Candidate certificates in (cardinality, lexicographic) order.
+
+    Yields ``(subset, free)``: the 1-based positions a certificate fixes, and
+    the bitmask of the positions it leaves free.
+    """
+    all_vars = (1 << n) - 1
     for k in range(n + 1):
-        group = []
         for subset in itertools.combinations(range(1, n + 1), k):
-            mask = 0
+            fixed = 0
             for i in subset:
-                mask |= 1 << (i - 1)
-            group.append((subset, mask))
-        groups.append(tuple(group))
-    return tuple(groups)
+                fixed |= 1 << (i - 1)
+            yield subset, all_vars ^ fixed
 
 
 def _freedom_tables(f: BooleanFunction) -> tuple[list[int], list[int]]:
@@ -128,18 +131,23 @@ def _freedom_tables(f: BooleanFunction) -> tuple[list[int], list[int]]:
     any_ = [0] * size
     all_ = [0] * size
     any_[0] = all_[0] = f.bits
-    fullm = full_mask(n)
+    full = full_mask(n)
+    # lows[p]: the entries with x_{p+1} = 0
+    lows = [full ^ variable_mask(n, i) for i in range(1, n + 1)]
     for m in range(1, size):
         low = m & -m
         prev = m ^ low
         p = low.bit_length() - 1
         span = 1 << p
-        hi = variable_mask(n, p + 1)
-        lo = ~hi & fullm
+        lo = lows[p]
+        # Collapse each pair of entries differing in x_{p+1} onto its low
+        # entry, then copy the result to the high one.
         a = any_[prev]
-        any_[m] = a | (((a & hi) >> span) | ((a & lo) << span))
+        t = (a | a >> span) & lo
+        any_[m] = t | t << span
         a = all_[prev]
-        all_[m] = a & (((a & hi) >> span) | ((a & lo) << span))
+        t = (a & a >> span) & lo
+        all_[m] = t | t << span
     return any_, all_
 
 
@@ -150,7 +158,9 @@ def certificate_at(
 
     Subsets are scanned in increasing cardinality and, within a cardinality,
     in lexicographic order of the index tuple; the first whose restriction
-    is constant wins, so the reported size is exactly ``C(f, word)``.
+    is constant wins, so the reported size is exactly ``C(f, word)``.  This
+    per-word scan is the oracle for the whole-table sweep of
+    :func:`cert_profile`.
     """
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
@@ -159,20 +169,11 @@ def certificate_at(
         raise InvalidInputError(
             f"word length {len(word)} does not match arity {f.arity}"
         )
-    tables = _freedom_tables(f)
-    return _certificate_from_tables(f, word, tables)
-
-
-def _certificate_from_tables(f, word, tables) -> CertificateWitness:
-    n = f.arity
-    any_, all_ = tables
+    any_, all_ = _freedom_tables(f)
     idx = index_of(word)
-    all_vars = (1 << n) - 1
-    for group in _subsets_by_cardinality(n):
-        for subset, mask in group:
-            free = all_vars ^ mask
-            if ((any_[free] >> idx) & 1) == ((all_[free] >> idx) & 1):
-                return CertificateWitness(word, len(subset), subset)
+    for subset, free in _certificate_sets(f.arity):
+        if not ((any_[free] ^ all_[free]) >> idx) & 1:
+            return CertificateWitness(word, len(subset), subset)
     raise NcflabError("internal error: the full variable set is always a certificate")
 
 
@@ -184,19 +185,36 @@ def sensitivity_at(f: BooleanFunction, word) -> int:
             f"word length {len(word)} does not match arity {f.arity}"
         )
     idx = index_of(word)
-    return _sensitivity_at_index(f, idx)
-
-
-def _sensitivity_at_index(f: BooleanFunction, idx: int) -> int:
     value = f.bit(idx)
     return sum(1 for p in range(f.arity) if f.bit(idx ^ (1 << p)) != value)
 
 
 def sensitivity(f: BooleanFunction) -> int:
-    """Maximum of the per-word sensitivity over all words."""
-    return max(
-        (_sensitivity_at_index(f, idx) for idx in range(1 << f.arity)), default=0
-    )
+    """Maximum of the per-word sensitivity over all words.
+
+    The per-word counts are bit-sliced: bit ``w`` of ``counter[b]`` is bit
+    ``b`` of the number of positions whose flip changes ``f`` at ``w``.  Each
+    position adds the table ``f ^ flip_i(f)`` with a ripple carry, and the
+    maximum is read off from the top counter bit down.
+    """
+    n, bits = f.arity, f.bits
+    counter: list[int] = []
+    for i in range(1, n + 1):
+        span = 1 << (i - 1)
+        hi = variable_mask(n, i)
+        carry = bits ^ (((bits & hi) >> span) | ((bits << span) & hi))
+        for b, level in enumerate(counter):
+            counter[b], carry = level ^ carry, level & carry
+            if not carry:
+                break
+        if carry:
+            counter.append(carry)
+    best, at_best = 0, full_mask(n)
+    for b in reversed(range(len(counter))):
+        higher = at_best & counter[b]
+        if higher:
+            best, at_best = best | 1 << b, higher
+    return best
 
 
 def block_sensitivity(
@@ -250,44 +268,64 @@ def cert_profile(
     max_arity: int = MAX_CERTIFICATE_ARITY,
     block_max_arity: int = MAX_BLOCK_SENSITIVITY_ARITY,
 ) -> ComplexityProfile:
-    """Brute-force complexity profile of ``f``.
+    """Exact complexity profile of ``f`` from one sweep over certificate sets.
 
-    ``c0``/``c1`` maximize the per-word certificate size over the output-0
-    and output-1 fibers; an empty fiber contributes 0 and flags the profile
-    degenerate.  Witness collection and block sensitivity are optional
-    because of their cost.
+    The sweep walks candidate certificates in the order :func:`certificate_at`
+    scans them.  A set certifies, all at once, every word at which the
+    freedom tables of its complement agree; the words it certifies first
+    have exactly its size as their ``C(f, w)``, and their first certificate
+    is the set itself, so the witnesses match :func:`certificate_at` word
+    for word.  ``c0``/``c1`` are the last sizes at which a word of the
+    output-0 or output-1 fiber is first certified; an empty fiber
+    contributes 0 and flags the profile degenerate.  The sweep stops once
+    every word is certified.  Witness collection and block sensitivity are
+    optional because of their cost.
     """
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
     if with_block_sensitivity and f.arity > block_max_arity:
         raise GuardExceededError("block sensitivity", f.arity, block_max_arity)
     n = f.arity
-    tables = _freedom_tables(f)
+    full = full_mask(n)
+    fibers = (full ^ f.bits, f.bits)
+    any_, all_ = _freedom_tables(f)
     c_by_value = [0, 0]
-    fiber_seen = [False, False]
-    witnesses = []
-    best_sensitivity = 0
-    for idx in range(1 << n):
-        witness = _certificate_from_tables(f, word_at(idx, n), tables)
-        value = f.bit(idx)
-        fiber_seen[value] = True
-        c_by_value[value] = max(c_by_value[value], witness.size)
-        best_sensitivity = max(best_sensitivity, _sensitivity_at_index(f, idx))
-        if with_witnesses:
-            witnesses.append(witness)
+    first = [()] * (1 << n) if with_witnesses else None
+    unresolved = full
+    for subset, free in _certificate_sets(n):
+        new = unresolved & ~(any_[free] ^ all_[free])
+        if not new:
+            continue
+        for value, fiber in enumerate(fibers):
+            if new & fiber:
+                c_by_value[value] = len(subset)
+        if first is not None:
+            for idx in _one_indices(new):
+                first[idx] = subset
+        unresolved ^= new
+        if not unresolved:
+            break
     bs = (
         block_sensitivity(f, max_arity=block_max_arity)
         if with_block_sensitivity
+        else None
+    )
+    witnesses = (
+        tuple(
+            CertificateWitness(word_at(idx, n), len(subset), subset)
+            for idx, subset in enumerate(first)
+        )
+        if first is not None
         else None
     )
     return ComplexityProfile(
         c0=c_by_value[0],
         c1=c_by_value[1],
         c=max(c_by_value),
-        sensitivity=best_sensitivity,
+        sensitivity=sensitivity(f),
         block_sensitivity=bs,
-        witnesses=tuple(witnesses) if with_witnesses else None,
-        degenerate=not (fiber_seen[0] and fiber_seen[1]),
+        witnesses=witnesses,
+        degenerate=not all(fibers),
     )
 
 

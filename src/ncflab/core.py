@@ -63,6 +63,15 @@ def full_mask(arity: int) -> int:
     return (1 << (1 << arity)) - 1
 
 
+def _one_indices(x: int) -> Iterator[int]:
+    """Positions of the 1 bits of ``x >= 0``, in increasing order."""
+    digits = bin(x)[:1:-1]  # least significant digit first
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
 @lru_cache(maxsize=None)
 def variable_mask(arity: int, i: int) -> int:
     """Mask of the table entries whose index has ``x_i = 1``.

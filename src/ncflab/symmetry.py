@@ -32,7 +32,7 @@ from .core import (
     permutation_cycles,
     variable_mask,
 )
-from .ncf import LayerDecomposition, decompose
+from .ncf import LayerDecomposition, NcfClassification, decompose
 
 #: The automorphism search prunes by variable weights, but a function they
 #: cannot tell apart (a totally symmetric one) still costs n! permutations.
@@ -228,22 +228,32 @@ def is_strongly_asymmetric(
     n-symmetric (witnessed by a transposition inside a symmetric class);
     anything else is a guard error.
     """
-    n = f.arity
-    if n <= max_arity:
+    if f.arity <= max_arity:
         witness = min(_automorphisms(f), key=cycle_notation, default=None)
         return witness is None, witness
+    strong, witness, _ = _ncf_symmetry(f, decompose(f), max_arity)
+    return strong, witness
 
-    classification = decompose(f)
-    if classification.is_ncf:
-        classes = partition(f)
-        if classes.level == n:
-            return True, None
-        witness_class = next(cls for cls in classes.classes if len(cls) >= 2)
-        sigma = list(range(1, n + 1))
-        a, b = witness_class[0], witness_class[1]
-        sigma[a - 1], sigma[b - 1] = b, a
-        return False, tuple(sigma)
-    raise GuardExceededError("automorphism", n, max_arity)
+
+def _ncf_symmetry(
+    f: BooleanFunction, classification: NcfClassification, max_arity: int
+) -> tuple[bool, tuple[int, ...] | None, SymmetryPartition]:
+    """Strong asymmetry, its witness and the classes above the automorphism guard.
+
+    Only nested canalizing functions pass the guard: ``classification`` is
+    ``decompose(f)``, taken from a caller that already has it.
+    """
+    if not classification.is_ncf:
+        raise GuardExceededError("automorphism", f.arity, max_arity)
+    classes = partition(f)
+    n = classes.arity
+    if classes.level == n:
+        return True, None, classes
+    witness_class = next(cls for cls in classes.classes if len(cls) >= 2)
+    sigma = list(range(1, n + 1))
+    a, b = witness_class[0], witness_class[1]
+    sigma[a - 1], sigma[b - 1] = b, a
+    return False, tuple(sigma), classes
 
 
 def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
@@ -255,8 +265,23 @@ def symmetry_report(
     f: BooleanFunction, *, max_arity: int = MAX_AUTOMORPHISM_ARITY
 ) -> tuple[SymmetryReport, SymmetryPartition]:
     """Full symmetry summary plus the underlying partition."""
-    strong, witness = is_strongly_asymmetric(f, max_arity=max_arity)
-    classes = partition(f)
+    return _symmetry_report(f, max_arity, None)
+
+
+def _symmetry_report(
+    f: BooleanFunction, max_arity: int, classification: NcfClassification | None
+) -> tuple[SymmetryReport, SymmetryPartition]:
+    """:func:`symmetry_report`, reusing ``decompose(f)`` if the caller has it.
+
+    Either way ``partition`` runs once, after the automorphism guard.
+    """
+    if f.arity <= max_arity:
+        strong, witness = is_strongly_asymmetric(f, max_arity=max_arity)
+        classes = partition(f)
+    else:
+        if classification is None:
+            classification = decompose(f)
+        strong, witness, classes = _ncf_symmetry(f, classification, max_arity)
     s = classes.level
     report = SymmetryReport(
         arity=f.arity,

@@ -67,6 +67,55 @@ def reference_automorphisms(f):
     ]
 
 
+def reference_certificate(f, word):
+    """``(size, positions)`` of the first certificate of ``f`` at ``word``.
+
+    Sets of positions are tried in (cardinality, lexicographic) order; a set
+    certifies ``word`` when every word of its subcube (the words that agree
+    with ``word`` on the set) has the value ``f(word)``.  Evaluates the
+    subcube word by word, independent of the freedom tables.
+    """
+    n = f.arity
+    value = f.evaluate(word)
+    for k in range(n + 1):
+        for fixed in itertools.combinations(range(1, n + 1), k):
+            free = [p for p in range(1, n + 1) if p not in fixed]
+            subcube = (
+                tuple(
+                    bits[free.index(p)] if p in free else word[p - 1]
+                    for p in range(1, n + 1)
+                )
+                for bits in itertools.product((0, 1), repeat=len(free))
+            )
+            if all(f.evaluate(v) == value for v in subcube):
+                return k, fixed
+    raise AssertionError("the full position set is always a certificate")
+
+
+def constant_functions(max_arity=6):
+    return st.builds(
+        BooleanFunction.constant, st.integers(0, max_arity), st.integers(0, 1)
+    )
+
+
+@st.composite
+def nested_canalizing_functions(draw, max_arity=6):
+    """``f = b_1`` if ``x_{s1} = a_1``, else ``b_2`` if ``x_{s2} = a_2``, ...,
+    else ``not b_n``: nested canalizing in every variable, by definition."""
+    n = draw(st.integers(1, max_arity))
+    order = draw(permutations_of(n))
+    inputs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    outputs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+    def value(word):
+        for var, a, b in zip(order, inputs, outputs):
+            if word[var - 1] == a:
+                return b
+        return 1 - outputs[-1]
+
+    return BooleanFunction.from_predicate(n, value)
+
+
 @st.composite
 def planted_symmetric_functions(draw, max_arity=5):
     """Functions fixed by a drawn permutation: one random bit per word orbit."""

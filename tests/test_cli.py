@@ -1,7 +1,11 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import sys
+from collections import Counter
 
+import ncflab.ncf
+import ncflab.symmetry
 from ncflab.cli import main
 
 
@@ -159,13 +163,36 @@ def test_analyze_block_guard_before_any_analysis(capsys, monkeypatch):
     def no_analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the block-sensitivity guard")
 
-    for name in ("decompose", "symmetry_report", "cert_profile"):
+    for name in ("decompose", "_symmetry_report", "cert_profile"):
         monkeypatch.setattr(f"ncflab.cli.{name}", no_analysis)
     table = "7:" + "0" * 31 + "1"  # x1 x2 ... x7
     code, out, err = run(capsys, "analyze", "--table", table, "--block-sensitivity")
     assert code == 3
     assert out == ""
     assert "block sensitivity" in err
+
+
+def test_analyze_ncf_above_guard_decomposes_and_partitions_once(capsys, monkeypatch):
+    # 10 variables, nested canalizing: above the automorphism guard, so the
+    # symmetry section comes from the decomposition and the partition, and
+    # each is computed once.
+    calls = Counter()
+    loaded = [m for key, m in sys.modules.items() if key.split(".")[0] == "ncflab"]
+    for original in (ncflab.ncf.decompose, ncflab.symmetry.partition):
+
+        def counted(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        for module in loaded:
+            for alias, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, alias, counted)
+    anf = "x1*x2*x3*x4*x5*x6*x7*x8*x9*x10 + x1*x2*x3*x4*x5*x6*x7*x8*x9 + x1"
+    code, out, err = run(capsys, "analyze", "--anf", anf)
+    assert code == 0, err
+    assert "ncf       yes" in out
+    assert calls == {"decompose": 1, "partition": 1}
 
 
 def test_enumerate_counts_and_filters(capsys):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boolean_functions, reference_table
+from conftest import (
+    boolean_functions,
+    constant_functions,
+    nested_canalizing_functions,
+    reference_certificate,
+    reference_table,
+)
 
 from ncflab import (
     BooleanFunction,
@@ -134,13 +140,38 @@ def test_block_sensitivity_examples():
 
 def test_profile_checks_block_guard_before_certificates(monkeypatch):
     def no_certificates(*args, **kwargs):
-        raise AssertionError("per-word certificate scan ran before the guard")
+        raise AssertionError("freedom tables were built before the guard")
 
-    monkeypatch.setattr("ncflab.complexity._certificate_from_tables", no_certificates)
+    monkeypatch.setattr("ncflab.complexity._freedom_tables", no_certificates)
     f = BooleanFunction.from_predicate(7, lambda w: sum(w) >= 4)
     with pytest.raises(GuardExceededError) as err:
         cert_profile(f, with_block_sensitivity=True)
     assert err.value.guard == "block sensitivity"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        boolean_functions(0, 6),
+        constant_functions(6),
+        nested_canalizing_functions(6),
+    )
+)
+def test_cert_sweep_matches_word_level_oracles(f):
+    p = cert_profile(f, with_witnesses=True)
+    oracle = [certificate_at(f, w) for w in words(f.arity)]
+    assert list(p.witnesses) == oracle
+    assert [(w.size, w.certificate) for w in oracle] == [
+        reference_certificate(f, w) for w in words(f.arity)
+    ]
+    fiber_max = [0, 0]
+    for w in oracle:
+        value = f.evaluate(w.word)
+        fiber_max[value] = max(fiber_max[value], w.size)
+    assert (p.c0, p.c1, p.c) == (fiber_max[0], fiber_max[1], max(fiber_max))
+    assert p.degenerate == f.is_constant
+    s = max(sensitivity_at(f, w) for w in words(f.arity))
+    assert p.sensitivity == sensitivity(f) == s
 
 
 def test_measures_collapse_on_ncfs_small():
