@@ -32,9 +32,9 @@ from .core import (
     InvalidInputError,
     NcflabError,
 )
-from .enumeration import count_table, enumerate_ncfs, verify
-from .ncf import compose, decompose, format_decomposition
-from .symmetry import MAX_AUTOMORPHISM_ARITY, _symmetry_report, symmetry_level
+from .enumeration import MAX_ENUMERATION_ARITY, count_table, enumerate_ncfs, verify
+from .ncf import decompose, format_decomposition
+from .symmetry import MAX_AUTOMORPHISM_ARITY, _layer_classes, _symmetry_report
 
 _TABLE_RE = re.compile(r"^\d+:[0-9A-Fa-f]+$")
 
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enumerate_.add_argument("--max-n", type=int, default=None, help="raise the guard")
     enumerate_.set_defaults(handler=_cmd_enumerate)
 
-    count = sub.add_parser("count", help="closed-form counts as CSV")
+    count = sub.add_parser("count", help="exact counts as CSV")
     count.add_argument("n", type=int)
     count.add_argument(
         "--kinds",
@@ -286,18 +286,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import MAX_ENUMERATION_ARITY
-
     guard = _raise_guard(MAX_ENUMERATION_ARITY, args.max_n)
+    # Levels asked for; on NCFs strong asymmetry is exactly n-symmetry.
+    levels = {args.symmetry, args.n if args.strongly_asymmetric else None} - {None}
     lines = []
     for d in enumerate_ncfs(args.n, max_arity=guard, layer_count=args.layers):
-        if args.symmetry is not None or args.strongly_asymmetric:
-            s = symmetry_level(compose(d))
-            if args.symmetry is not None and s != args.symmetry:
-                continue
-            # On this class, strong asymmetry is exactly n-symmetry.
-            if args.strongly_asymmetric and s != args.n:
-                continue
+        if levels and levels != {sum(_layer_classes(d))}:
+            continue
         lines.append(format_decomposition(d))
     print("\n".join(lines))
     return 0

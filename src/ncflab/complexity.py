@@ -32,8 +32,8 @@ from .core import (
     word_at,
 )
 
-#: The certificate sweep builds two freedom tables of 2^n entries of 2^n bits
-#: each (up to 64 MiB at n = 14) and makes O(2^n) big-integer operations on them.
+#: The certificate sweep builds a nonconstancy table of 2^n entries of 2^n bits
+#: (32 MiB at n = 14) and makes O(2^n) big-integer operations on it.
 MAX_CERTIFICATE_ARITY = 14
 #: Block sensitivity packs disjoint sensitive blocks per word; harsher cost.
 MAX_BLOCK_SENSITIVITY_ARITY = 6
@@ -117,38 +117,30 @@ def _certificate_sets(n: int):
             yield subset, all_vars ^ fixed
 
 
-def _freedom_tables(f: BooleanFunction) -> tuple[list[int], list[int]]:
-    """OR- and AND-collapse of ``f`` over every set of freed variables.
+def _freedom_tables(f: BooleanFunction) -> list[int]:
+    """Nonconstancy of ``f`` over every set of freed variables.
 
-    Entry ``m`` treats the variables in bitmask ``m`` as free: bit ``w`` of
-    ``any_[m]`` (resp. ``all_[m]``) is 1 iff some (resp. every) word agreeing
-    with ``w`` outside ``m`` maps to 1.  The restriction that fixes the
-    complement of ``m`` at word ``w`` is constant iff the two tables agree
-    at ``w``.
+    Entry ``m`` treats the variables in bitmask ``m`` as free: bit ``w`` is
+    1 iff ``f`` is not constant on the words agreeing with ``w`` outside
+    ``m``.  So the restriction that fixes the complement of ``m`` at word
+    ``w`` is a certificate iff bit ``w`` of entry ``m`` is 0.
     """
-    n = f.arity
+    n, bits = f.arity, f.bits
     size = 1 << n
-    any_ = [0] * size
-    all_ = [0] * size
-    any_[0] = all_[0] = f.bits
-    full = full_mask(n)
-    # lows[p]: the entries with x_{p+1} = 0
-    lows = [full ^ variable_mask(n, i) for i in range(1, n + 1)]
+    nonconstant = [0] * size
+    # lows[p]: the words with x_{p+1} = 0; flips[p]: those where flipping it changes f
+    lows = [full_mask(n) ^ variable_mask(n, i) for i in range(1, n + 1)]
+    flips = [(bits ^ bits >> (1 << p)) & lows[p] for p in range(n)]
     for m in range(1, size):
         low = m & -m
-        prev = m ^ low
         p = low.bit_length() - 1
         span = 1 << p
-        lo = lows[p]
-        # Collapse each pair of entries differing in x_{p+1} onto its low
-        # entry, then copy the result to the high one.
-        a = any_[prev]
-        t = (a | a >> span) & lo
-        any_[m] = t | t << span
-        a = all_[prev]
-        t = (a & a >> span) & lo
-        all_[m] = t | t << span
-    return any_, all_
+        # Freeing x_{p+1} joins two subcubes: nonconstant iff either half is
+        # or f differs across them.  Collapse onto the low word, copy up.
+        t = nonconstant[m ^ low]
+        t = (t | t >> span) & lows[p] | flips[p]
+        nonconstant[m] = t | t << span
+    return nonconstant
 
 
 def certificate_at(
@@ -169,10 +161,10 @@ def certificate_at(
         raise InvalidInputError(
             f"word length {len(word)} does not match arity {f.arity}"
         )
-    any_, all_ = _freedom_tables(f)
+    nonconstant = _freedom_tables(f)
     idx = index_of(word)
     for subset, free in _certificate_sets(f.arity):
-        if not ((any_[free] ^ all_[free]) >> idx) & 1:
+        if not (nonconstant[free] >> idx) & 1:
             return CertificateWitness(word, len(subset), subset)
     raise NcflabError("internal error: the full variable set is always a certificate")
 
@@ -271,8 +263,8 @@ def cert_profile(
     """Exact complexity profile of ``f`` from one sweep over certificate sets.
 
     The sweep walks candidate certificates in the order :func:`certificate_at`
-    scans them.  A set certifies, all at once, every word at which the
-    freedom tables of its complement agree; the words it certifies first
+    scans them.  A set certifies, all at once, every word at which ``f`` is
+    constant with its complement free; the words it certifies first
     have exactly its size as their ``C(f, w)``, and their first certificate
     is the set itself, so the witnesses match :func:`certificate_at` word
     for word.  ``c0``/``c1`` are the last sizes at which a word of the
@@ -288,12 +280,12 @@ def cert_profile(
     n = f.arity
     full = full_mask(n)
     fibers = (full ^ f.bits, f.bits)
-    any_, all_ = _freedom_tables(f)
+    nonconstant = _freedom_tables(f)
     c_by_value = [0, 0]
     first = [()] * (1 << n) if with_witnesses else None
     unresolved = full
     for subset, free in _certificate_sets(n):
-        new = unresolved & ~(any_[free] ^ all_[free])
+        new = unresolved & ~nonconstant[free]
         if not new:
             continue
         for value, fiber in enumerate(fibers):

@@ -341,6 +341,11 @@ class NcfSymmetryChecks:
         }
 
 
+def _layer_classes(d: LayerDecomposition) -> list[int]:
+    """Symmetric classes per layer of an NCF: its distinct stored inputs."""
+    return [len({inp for _, inp in layer}) for layer in d.layers]
+
+
 def ncf_symmetry_checks(
     d: LayerDecomposition, p: SymmetryPartition
 ) -> NcfSymmetryChecks:
@@ -371,9 +376,8 @@ def ncf_symmetry_checks(
     )
 
     r = len(d.layers)
-    distinct_inputs = [len({inp for _, inp in layer}) for layer in d.layers]
-    r1 = sum(1 for count in distinct_inputs if count == 1)
-    r2 = sum(1 for count in distinct_inputs if count == 2)
+    per_layer = _layer_classes(d)
+    r1, r2 = per_layer.count(1), per_layer.count(2)
     s = p.level
     class_count_rule = s == r1 + 2 * r2
 

@@ -1,11 +1,25 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import sys
+import tempfile
 from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncflab.ncf
 import ncflab.symmetry
+from ncflab import (
+    BooleanFunction,
+    compose,
+    enumerate_ncfs,
+    format_decomposition,
+    symmetry_level,
+)
 from ncflab.cli import main
 
 
@@ -210,6 +224,22 @@ def test_enumerate_counts_and_filters(capsys):
     assert len(out.strip().splitlines()) == 4
 
 
+def test_enumerate_symmetry_filters_match_bruteforce(capsys):
+    # The filters read s off the decomposition; the reference composes each
+    # table and partitions its variables.
+    for n in range(2, 6):
+        by_level = {s: [] for s in range(1, n + 1)}
+        for d in enumerate_ncfs(n):
+            by_level[symmetry_level(compose(d))].append(format_decomposition(d))
+        for s, expected in by_level.items():
+            code, out, _ = run(capsys, "enumerate", str(n), "--symmetry", str(s))
+            assert code == 0
+            assert out.splitlines() == expected, (n, s)
+        code, out, _ = run(capsys, "enumerate", str(n), "--strongly-asymmetric")
+        assert code == 0
+        assert out.splitlines() == by_level[n], n
+
+
 def test_enumerate_guard(capsys):
     code, _, err = run(capsys, "enumerate", "7")
     assert code == 3
@@ -261,3 +291,56 @@ def test_thread_env_is_tolerated(capsys, monkeypatch):
     code, out, err = run(capsys, "count", "2", "--kinds", "total")
     assert code == 0
     assert "NCFLAB_THREADS" in err
+
+
+# Variable indices run past the table cap (24) so the parse-time cap is hit.
+_anf_tokens = st.one_of(
+    st.integers(0, 32).map(lambda i: f"x{i}"),
+    st.sampled_from(["+", "*", "(", ")", " ", "0", "1", "x", "X", "x01", "^"]),
+    st.text(max_size=3),
+)
+_anf_text = st.lists(_anf_tokens, max_size=12).map("".join)
+_table_text = st.one_of(
+    st.integers(0, 6).flatmap(
+        lambda n: st.integers(0, (1 << (1 << n)) - 1).map(
+            lambda bits: BooleanFunction(n, bits).to_hex()
+        )
+    ),
+    st.from_regex(r"[0-9]{1,2}:[0-9A-Fa-f]{0,20}", fullmatch=True),
+    st.text(max_size=12),
+)
+
+
+def _assert_clean_exit(argv):
+    """``main(argv)`` ends in exit 0, 2 or 3 and prints no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_anf_text)
+def test_fuzz_analyze_anf(text):
+    _assert_clean_exit(["analyze", f"--anf={text}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_text)
+def test_fuzz_analyze_table(text):
+    _assert_clean_exit(["analyze", f"--table={text}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(_anf_text, _table_text, st.just("# note")), max_size=4))
+def test_fuzz_analyze_batch_file(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "specs.txt")
+        # Lone surrogates become invalid UTF-8: the unreadable-file path.
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
+            handle.write("\n".join(lines))
+        _assert_clean_exit(["analyze", "--file", path])

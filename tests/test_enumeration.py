@@ -2,9 +2,11 @@
 
 import itertools
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import ncflab.enumeration
 from ncflab import (
     GuardExceededError,
     InvalidInputError,
@@ -21,6 +23,7 @@ from ncflab import (
     strongly_asymmetric_structure_sum,
     verify,
 )
+from ncflab.cli import main
 
 
 def test_layer_structures_listings():
@@ -159,3 +162,70 @@ def test_verify_json_shape():
     for entry in data.values():
         assert set(entry) == {"pass", "expected", "actual"}
         assert entry["pass"] is True
+
+
+def reference_by_layers(n):
+    """Per-layer counts as ``2**(n+1)`` times a sum of multinomials.
+
+    A composition of ``n`` into ``r`` parts with the last at least 2 is a
+    choice of ``r - 1`` cut points in ``1..n-2``; independent of the
+    package's composition walk.
+    """
+    out = {}
+    for r in range(1, n):
+        total = 0
+        for cuts in itertools.combinations(range(1, n - 1), r - 1):
+            bounds = (0, *cuts, n)
+            multinomial = factorial(n)
+            for a, b in zip(bounds, bounds[1:]):
+                multinomial //= factorial(b - a)
+            total += multinomial
+        out[r] = total << (n + 1)
+    return out
+
+
+def test_census_matches_triple_sum_at_every_level():
+    for n in range(2, 13):
+        for s in range(1, n + 1):
+            assert count_s_symmetric(n, s) == s_symmetric_triple_sum(n, s), (n, s)
+
+
+def test_census_per_layer_counts_match_composition_sum():
+    for n in range(2, 17):
+        expected = reference_by_layers(n)
+        assert count_table(n).by_layers == expected, n
+        assert count_total(n) == sum(expected.values())
+
+
+def test_count_20_reads_only_the_census(monkeypatch, capsys):
+    # The file is ``ncflab count 20`` as the composition-walking sums printed
+    # it, in about 200 s; the census must reproduce it without them.
+    def closed_form(*args, **kwargs):
+        raise AssertionError("a closed-form walk ran")
+
+    for name in (
+        "s_symmetric_triple_sum",
+        "strongly_asymmetric_structure_sum",
+        "pell_like",
+        "_compositions",
+    ):
+        monkeypatch.setattr(ncflab.enumeration, name, closed_form)
+    ncflab.enumeration._census.cache_clear()
+    expected = (Path(__file__).parent / "data" / "count_20.csv").read_text()
+    rows = {
+        (kind, key): int(value)
+        for _, key, kind, value in (line.split(",") for line in expected.splitlines()[1:])
+    }
+    table = count_table(20)
+    assert table.total == rows["total", ""]
+    assert table.by_layers == {r: rows["layers", str(r)] for r in range(1, 20)}
+    assert table.by_symmetry == {s: rows["symmetry", str(s)] for s in range(1, 21)}
+    assert table.strongly_asymmetric == rows["strongly_asymmetric", "20"]
+    assert main(["count", "20"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_count_40_strongly_asymmetric_row(capsys):
+    assert main(["count", "40"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert f"40,40,strongly_asymmetric,{factorial(40) * pell_like(39)}" in rows
