@@ -5,16 +5,13 @@ checks or runtime faults, 2 malformed input, 3 an analysis guard was
 exceeded (the message names the guard; raise it with ``--max-n``).
 
 Output is deterministic: two runs with the same arguments produce identical
-bytes.  The ``NCFLAB_THREADS`` environment variable bounds the worker count;
-the current implementation always runs on a single worker, which trivially
-respects any bound while keeping the canonical stream order.
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -42,7 +39,6 @@ _TABLE_RE = re.compile(r"^\d+:[0-9A-Fa-f]+$")
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _ = _worker_limit()
     try:
         return args.handler(args)
     except GuardExceededError as exc:
@@ -51,17 +47,6 @@ def main(argv=None) -> int:
     except (InvalidInputError, NcflabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _worker_limit() -> int:
-    raw = os.environ.get("NCFLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring invalid NCFLAB_THREADS={raw!r}", file=sys.stderr)
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -130,3 +130,42 @@ def planted_symmetric_functions(draw, max_arity=5):
             word = _permute_word(word, tau)
         values.append((seed >> orbit_min) & 1)
     return BooleanFunction.from_values(values)
+
+
+def reference_block_sensitivity(f):
+    """Block sensitivity by packing sensitive blocks word by word.
+
+    For each word, lists every block whose joint flip changes the output and
+    packs pairwise-disjoint ones with memoized search over the remaining free
+    positions.  Independent of the whole-table dynamic program.
+    """
+    n = f.arity
+    all_vars = (1 << n) - 1
+    best_overall = 0
+    for idx in range(1 << n):
+        value = f.bit(idx)
+        blocks = [
+            block
+            for block in range(1, 1 << n)
+            if f.bit(idx ^ block) != value
+        ]
+        if not blocks:
+            continue
+        memo: dict[int, int] = {0: 0}
+
+        def pack(avail: int) -> int:
+            cached = memo.get(avail)
+            if cached is not None:
+                return cached
+            best = 0
+            for block in blocks:
+                if block & ~avail:
+                    continue
+                candidate = 1 + pack(avail & ~block)
+                if candidate > best:
+                    best = candidate
+            memo[avail] = best
+            return best
+
+        best_overall = max(best_overall, pack(all_vars))
+    return best_overall

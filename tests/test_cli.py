@@ -172,14 +172,15 @@ def test_analyze_automorphism_guard_before_certificates(capsys, monkeypatch):
 
 
 def test_analyze_block_guard_before_any_analysis(capsys, monkeypatch):
-    # 7 variables: within the certificate and automorphism guards, above the
-    # block-sensitivity guard, so the input must be refused before any work.
+    # 9 variables, nested canalizing: within the certificate guard and past the
+    # automorphism guard through the NCF fast path, above the block-sensitivity
+    # guard, so the input must be refused before any work.
     def no_analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the block-sensitivity guard")
 
     for name in ("decompose", "_symmetry_report", "cert_profile"):
         monkeypatch.setattr(f"ncflab.cli.{name}", no_analysis)
-    table = "7:" + "0" * 31 + "1"  # x1 x2 ... x7
+    table = "9:8" + "0" * 127  # x1 x2 ... x9
     code, out, err = run(capsys, "analyze", "--table", table, "--block-sensitivity")
     assert code == 3
     assert out == ""
@@ -281,16 +282,6 @@ def test_deterministic_output(capsys):
     a = run(capsys, "enumerate", "3")
     b = run(capsys, "enumerate", "3")
     assert a == b
-
-
-def test_thread_env_is_tolerated(capsys, monkeypatch):
-    monkeypatch.setenv("NCFLAB_THREADS", "4")
-    code, out, _ = run(capsys, "count", "2", "--kinds", "total")
-    assert code == 0
-    monkeypatch.setenv("NCFLAB_THREADS", "junk")
-    code, out, err = run(capsys, "count", "2", "--kinds", "total")
-    assert code == 0
-    assert "NCFLAB_THREADS" in err
 
 
 # Variable indices run past the table cap (24) so the parse-time cap is hit.

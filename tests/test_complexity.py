@@ -3,13 +3,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     boolean_functions,
     constant_functions,
     nested_canalizing_functions,
+    planted_symmetric_functions,
+    reference_block_sensitivity,
     reference_certificate,
     reference_table,
 )
@@ -134,8 +136,37 @@ def test_block_sensitivity_examples():
     assert bs >= s
     assert (s, bs) == (3, 3)
     with pytest.raises(GuardExceededError) as err:
-        block_sensitivity(BooleanFunction.constant(7, 0))
+        block_sensitivity(BooleanFunction.constant(9, 0))
     assert err.value.guard == "block sensitivity"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        boolean_functions(0, 6),
+        constant_functions(6),
+        nested_canalizing_functions(6),
+        planted_symmetric_functions(),
+    )
+)
+# A nested canalizing function whose largest packing avoids x1 at some word.
+@example(BooleanFunction.from_hex("4:2AAA"))
+def test_block_sensitivity_matches_packer_oracle(f):
+    assert block_sensitivity(f) == reference_block_sensitivity(f)
+
+
+def test_block_sensitivity_seeded_seven_variables():
+    rng = random.Random(20120)
+    for _ in range(3):
+        f = BooleanFunction(7, rng.randrange(full_mask(7) + 1))
+        assert block_sensitivity(f) == reference_block_sensitivity(f)
+    for predicate, bs in (
+        (lambda w: sum(w) % 2, 7),
+        (lambda w: sum(w) >= 4, 4),
+        (all, 7),
+    ):
+        f = BooleanFunction.from_predicate(7, predicate)
+        assert block_sensitivity(f) == reference_block_sensitivity(f) == bs
 
 
 def test_profile_checks_block_guard_before_certificates(monkeypatch):
@@ -143,7 +174,7 @@ def test_profile_checks_block_guard_before_certificates(monkeypatch):
         raise AssertionError("freedom tables were built before the guard")
 
     monkeypatch.setattr("ncflab.complexity._freedom_tables", no_certificates)
-    f = BooleanFunction.from_predicate(7, lambda w: sum(w) >= 4)
+    f = BooleanFunction.from_predicate(9, lambda w: sum(w) >= 5)
     with pytest.raises(GuardExceededError) as err:
         cert_profile(f, with_block_sensitivity=True)
     assert err.value.guard == "block sensitivity"

@@ -87,8 +87,13 @@ def test_count_by_layers_values():
 
 
 def test_count_sum_identities():
+    # Each marginal of the census against the multinomial sum over layer
+    # structures, which does not read the census.
     for n in range(2, 13):
-        total = count_total(n)
+        total = (1 << (n + 1)) * sum(
+            ncflab.enumeration._multinomial(n, k) for k in layer_structures(n)
+        )
+        assert count_total(n) == total
         assert sum(count_by_layers(n, r) for r in range(1, n)) == total
         assert sum(count_s_symmetric(n, s) for s in range(1, n + 1)) == total
 
