@@ -5,19 +5,23 @@ indices; the empty monomial is the constant 1.  Because coefficients live in
 GF(2), set semantics already encode XOR cancellation: a monomial is either
 present or absent.
 
-The text grammar (parsed by :meth:`AnfPolynomial.parse`):
+The text grammar (read by :meth:`AnfPolynomial.parse`):
 
     expression := term ('+' term)*
     term       := factor ('*' factor)*
     factor     := 'x'<digits> | '0' | '1' | '(' expression ')'
 
 '+' is XOR, '*' is AND, whitespace is ignored, variables are 1-based.
-Parenthesized products of sums are expanded into canonical ANF, and
-duplicate terms cancel in pairs.
+Text is not expanded term by term: :func:`check_anf` checks it and
+:func:`evaluate_anf` computes its truth table in one pass with an explicit
+stack, so products of sums cost one table operation per token and nesting
+depth is unbounded.  The canonical ANF, with duplicate terms cancelled in
+pairs, is read back off that table.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
@@ -25,6 +29,7 @@ from .core import (
     BooleanFunction,
     InvalidInputError,
     ParseError,
+    _decimal,
     _one_indices,
     full_mask,
     variable_mask,
@@ -61,22 +66,12 @@ class AnfPolynomial:
     # ------------------------------------------------------------------
 
     def to_function(self) -> BooleanFunction:
-        """Evaluate the polynomial into a truth table.
-
-        Each monomial's truth table is the AND of its variables' projection
-        masks; the polynomial is their XOR.
-        """
-        if self.arity > MAX_TABLE_ARITY:
-            raise InvalidInputError(
-                f"arity {self.arity} is above the table cap {MAX_TABLE_ARITY}"
-            )
-        bits = 0
+        """Evaluate the polynomial into a truth table: ``0 + 1*m1 + 1*m2 ...``
+        through :func:`evaluate_anf`."""
+        program = ["0"]
         for monomial in self.monomials:
-            term = full_mask(self.arity)
-            for i in monomial:
-                term &= variable_mask(self.arity, i)
-            bits ^= term
-        return BooleanFunction(self.arity, bits)
+            program += ["+", "1", *monomial]
+        return evaluate_anf(self.arity, program)
 
     @classmethod
     def from_function(cls, f: BooleanFunction) -> "AnfPolynomial":
@@ -117,116 +112,105 @@ class AnfPolynomial:
     def parse(cls, text: str, arity: int) -> "AnfPolynomial":
         """Parse the grammar above into canonical ANF.
 
-        Raises :class:`ParseError` (with a 1-based column) on syntax errors
-        and on variable indices outside ``1..arity``.
+        Evaluates the text on a truth table of ``arity`` variables and reads
+        the ANF back off it, so ``arity`` must be within the table cap:
+        above it :class:`InvalidInputError` names the cap.  Raises
+        :class:`ParseError` (with a 1-based column) on syntax errors and on
+        variable indices outside ``1..arity``.
         """
-        tokens = _tokenize(text)
-        parser = _Parser(tokens, arity, len(text))
-        monomials = parser.expression()
-        parser.expect_end()
-        return cls(arity, frozenset(monomials))
+        return cls.from_function(evaluate_anf(*check_anf(text, arity)))
 
 
 # ----------------------------------------------------------------------
-# Recursive-descent parser
+# Text to truth table: a check pass, then one evaluation pass
 # ----------------------------------------------------------------------
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Yield (kind, payload, 1-based column) triples."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+*()01":
-            tokens.append((ch, ch, pos + 1))
-            pos += 1
-            continue
-        if ch in "xX":
-            start = pos
-            pos += 1
-            digits = ""
-            while pos < len(text) and text[pos].isdigit():
-                digits += text[pos]
-                pos += 1
-            if not digits:
-                raise ParseError("expected digits after 'x'", start + 1)
-            tokens.append(("var", digits, start + 1))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos + 1)
-    return tokens
+# A variable with its decimal digits, or any other character but whitespace.
+_TOKEN = re.compile(r"[xX](\d*)|\S")
 
 
-class _Parser:
-    def __init__(self, tokens, arity, text_len):
-        self.tokens = tokens
-        self.arity = arity
-        self.pos = 0
-        self.end_column = text_len + 1
+def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
+    """Check ``text`` against the grammar; return its arity and the tokens
+    for :func:`evaluate_anf` (a variable as its index, the rest as text).
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _here(self) -> int:
-        tok = self._peek()
-        return tok[2] if tok else self.end_column
-
-    def expression(self) -> set[Monomial]:
-        poly = self.term()
-        while (tok := self._peek()) and tok[0] == "+":
-            self.pos += 1
-            poly ^= self.term()
-        return poly
-
-    def term(self) -> set[Monomial]:
-        poly = self.factor()
-        while (tok := self._peek()) and tok[0] == "*":
-            self.pos += 1
-            poly = _multiply(poly, self.factor())
-        return poly
-
-    def factor(self) -> set[Monomial]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("expected a factor, found end of input", self.end_column)
-        kind, payload, column = tok
-        if kind == "0":
-            self.pos += 1
-            return set()
-        if kind == "1":
-            self.pos += 1
-            return {frozenset()}
-        if kind == "var":
-            self.pos += 1
-            index = int(payload)
-            if not 1 <= index <= self.arity:
-                raise ParseError(
-                    f"variable x{index} out of range 1..{self.arity}", column
-                )
-            return {frozenset({index})}
-        if kind == "(":
-            self.pos += 1
-            poly = self.expression()
-            closing = self._peek()
-            if closing is None or closing[0] != ")":
-                raise ParseError("expected ')'", self._here())
-            self.pos += 1
-            return poly
-        raise ParseError(f"unexpected token {payload!r}", column)
-
-    def expect_end(self) -> None:
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+    With ``arity`` None it is the largest variable index in the text, capped
+    at :data:`MAX_TABLE_ARITY` so that a larger index is out of range.
+    :class:`ParseError` names the 1-based column of the first bad character
+    anywhere in the text, else of the first token that breaks the grammar or
+    names a variable outside ``1..arity``.
+    """
+    tokens = []  # (kind, payload, 1-based column); a variable has kind "x"
+    for match in _TOKEN.finditer(text):
+        kind, digits, column = match.group(), match.group(1), match.start() + 1
+        if digits == "":
+            raise ParseError("expected digits after 'x'", column)
+        if digits:
+            kind = "x"
+        elif kind not in "+*()01":
+            raise ParseError(f"unexpected character {kind!r}", column)
+        tokens.append((kind, digits or kind, column))
+    if arity is None:
+        indices = (_decimal(p, MAX_TABLE_ARITY)[1] for k, p, _ in tokens if k == "x")
+        arity = min(max(indices, default=0), MAX_TABLE_ARITY)
+    program = []
+    depth = 0  # open parentheses
+    operand = True  # whether a factor must come next
+    for kind, payload, column in tokens:
+        if operand:
+            if kind in "+*)":
+                raise ParseError(f"unexpected token {payload!r}", column)
+            if kind == "(":
+                depth += 1
+            else:
+                operand = False
+            if kind == "x":
+                name, index = _decimal(payload, arity)
+                if not 1 <= index <= arity:
+                    raise ParseError(f"variable x{name} out of range 1..{arity}", column)
+                payload = index
+        elif kind in "+*":
+            operand = True
+        elif kind == ")" and depth:
+            depth -= 1
+        elif depth:
+            raise ParseError("expected ')'", column)
+        else:
+            raise ParseError(f"unexpected token {payload!r}", column)
+        program.append(payload)
+    if operand:
+        raise ParseError("expected a factor, found end of input", len(text) + 1)
+    if depth:
+        raise ParseError("expected ')'", len(text) + 1)
+    return arity, program
 
 
-def _multiply(left: set[Monomial], right: set[Monomial]) -> set[Monomial]:
-    """GF(2) product: union of index sets, XOR cancellation on collisions."""
-    out: set[Monomial] = set()
-    for a in left:
-        for b in right:
-            out ^= {a | b}
-    return out
+def evaluate_anf(arity: int, program: list) -> BooleanFunction:
+    """The truth table of tokens from :func:`check_anf`, in one pass.
+
+    A variable is its projection mask, ``+`` is XOR, and factors side by side
+    are ANDed, so ``*`` tokens may be left out.  Each open parenthesis pushes
+    a frame ``(total, product)``: the XOR of the finished terms and the AND
+    of the current term's factors so far.  Raises :class:`InvalidInputError`
+    above the table cap.
+    """
+    if arity > MAX_TABLE_ARITY:
+        raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
+    ones = full_mask(arity)
+    frames = []
+    total, product = 0, ones
+    for token in program:
+        if token == "+":
+            total, product = total ^ product, ones
+        elif token == "(":
+            frames.append((total, product))
+            total, product = 0, ones
+        elif token == ")":
+            value = total ^ product
+            total, product = frames.pop()
+            product &= value
+        elif token == "0":
+            product = 0
+        elif isinstance(token, int):
+            product &= variable_mask(arity, token)
+    return BooleanFunction(arity, total ^ product)

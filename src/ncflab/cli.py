@@ -15,7 +15,7 @@ import json
 import re
 import sys
 
-from .anf import AnfPolynomial
+from .anf import AnfPolynomial, check_anf, evaluate_anf
 from .complexity import (
     MAX_BLOCK_SENSITIVITY_ARITY,
     MAX_CERTIFICATE_ARITY,
@@ -23,7 +23,6 @@ from .complexity import (
     ncf_cert_formula,
 )
 from .core import (
-    MAX_TABLE_ARITY,
     BooleanFunction,
     GuardExceededError,
     InvalidInputError,
@@ -108,18 +107,16 @@ def _build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _infer_arity(anf_text: str) -> int:
-    indices = [int(m.group(1)) for m in re.finditer(r"[xX](\d+)", anf_text)]
-    return max(indices, default=0)
-
-
-def _load_spec(spec: str) -> BooleanFunction:
+def _load_spec(spec: str, cert_guard: int) -> BooleanFunction:
     spec = spec.strip()
     if _TABLE_RE.match(spec):
         return BooleanFunction.from_hex(spec)
-    # Capping the arity makes an index above the table cap a parse error.
-    arity = min(_infer_arity(spec), MAX_TABLE_ARITY)
-    return AnfPolynomial.parse(spec, arity).to_function()
+    arity, program = check_anf(spec)
+    # Parse errors first, then the guard, then the table: no table is built
+    # for text over the guard.
+    if arity > cert_guard:
+        raise GuardExceededError("certificate", arity, cert_guard)
+    return evaluate_anf(arity, program)
 
 
 def _raise_guard(default: int, override: int | None) -> int:
@@ -251,9 +248,10 @@ def _cmd_analyze(args) -> int:
         specs = [args.anf if args.anf is not None else args.table]
 
     # Build every report before printing anything: no partial output on error.
+    cert_guard = _raise_guard(MAX_CERTIFICATE_ARITY, args.max_n)
     out: list[str] = []
     for spec in specs:
-        report = _analysis_report(_load_spec(spec), args)
+        report = _analysis_report(_load_spec(spec, cert_guard), args)
         if args.json:
             out.append(json.dumps(report, sort_keys=True))
         else:

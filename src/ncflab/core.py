@@ -103,6 +103,17 @@ def subcube_mask(arity: int, assignments: Iterable[tuple[int, int]]) -> int:
     return mask
 
 
+def _decimal(digits: str, cap: int) -> tuple[str, int]:
+    """A run of Unicode decimal digits as ASCII text without leading zeros,
+    and its value, or ``cap + 1`` when the text is longer than ``cap``'s.
+
+    Converts digit by digit, so unlike ``int(digits)`` it takes runs of any
+    length and never builds a number far beyond ``cap``.
+    """
+    name = "".join(str(int(d)) for d in digits).lstrip("0") or "0"
+    return name, int(name) if len(name) <= len(str(cap)) else cap + 1
+
+
 def index_of(word: Sequence[int]) -> int:
     """Encode a word (a1, ..., an) as a table index."""
     idx = 0
@@ -201,12 +212,12 @@ class BooleanFunction:
         head, sep, payload = text.strip().partition(":")
         if not sep:
             raise InvalidInputError(f"expected 'n:HEX', got {text!r}")
-        if not head.isdigit():
+        if not head.isdecimal():
             raise InvalidInputError(f"bad arity field in {text!r}")
-        arity = int(head)
+        name, arity = _decimal(head, MAX_TABLE_ARITY)
         if arity > MAX_TABLE_ARITY:
             raise InvalidInputError(
-                f"arity {arity} is above the table cap {MAX_TABLE_ARITY}"
+                f"arity {name} is above the table cap {MAX_TABLE_ARITY}"
             )
         digits = _hex_digits(arity)
         if len(payload) != digits:

@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from ncflab import BooleanFunction, index_of
+from ncflab import BooleanFunction, ParseError, index_of
 from ncflab.core import full_mask, word_at
 
 
@@ -169,3 +169,116 @@ def reference_block_sensitivity(f):
 
         best_overall = max(best_overall, pack(all_vars))
     return best_overall
+
+
+def reference_anf_parse(text, arity):
+    """Monomial set of ANF text by recursive descent, expanding every product.
+
+    Raises :class:`ParseError` like ``AnfPolynomial.parse``.  Independent of
+    the table evaluator; the set expansion is exponential in the number of
+    parenthesized sums multiplied together, so keep inputs small.
+    """
+    parser = _Parser(_tokenize(text), arity, len(text))
+    monomials = parser.expression()
+    parser.expect_end()
+    return frozenset(monomials)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Yield (kind, payload, 1-based column) triples."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in "+*()01":
+            tokens.append((ch, ch, pos + 1))
+            pos += 1
+            continue
+        if ch in "xX":
+            start = pos
+            pos += 1
+            digits = ""
+            while pos < len(text) and text[pos].isdigit():
+                digits += text[pos]
+                pos += 1
+            if not digits:
+                raise ParseError("expected digits after 'x'", start + 1)
+            tokens.append(("var", digits, start + 1))
+            continue
+        raise ParseError(f"unexpected character {ch!r}", pos + 1)
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, arity, text_len):
+        self.tokens = tokens
+        self.arity = arity
+        self.pos = 0
+        self.end_column = text_len + 1
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _here(self) -> int:
+        tok = self._peek()
+        return tok[2] if tok else self.end_column
+
+    def expression(self) -> set[frozenset[int]]:
+        poly = self.term()
+        while (tok := self._peek()) and tok[0] == "+":
+            self.pos += 1
+            poly ^= self.term()
+        return poly
+
+    def term(self) -> set[frozenset[int]]:
+        poly = self.factor()
+        while (tok := self._peek()) and tok[0] == "*":
+            self.pos += 1
+            poly = _multiply(poly, self.factor())
+        return poly
+
+    def factor(self) -> set[frozenset[int]]:
+        tok = self._peek()
+        if tok is None:
+            raise ParseError("expected a factor, found end of input", self.end_column)
+        kind, payload, column = tok
+        if kind == "0":
+            self.pos += 1
+            return set()
+        if kind == "1":
+            self.pos += 1
+            return {frozenset()}
+        if kind == "var":
+            self.pos += 1
+            index = int(payload)
+            if not 1 <= index <= self.arity:
+                raise ParseError(
+                    f"variable x{index} out of range 1..{self.arity}", column
+                )
+            return {frozenset({index})}
+        if kind == "(":
+            self.pos += 1
+            poly = self.expression()
+            closing = self._peek()
+            if closing is None or closing[0] != ")":
+                raise ParseError("expected ')'", self._here())
+            self.pos += 1
+            return poly
+        raise ParseError(f"unexpected token {payload!r}", column)
+
+    def expect_end(self) -> None:
+        tok = self._peek()
+        if tok is not None:
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+
+
+def _multiply(left: set[frozenset[int]], right: set[frozenset[int]]) -> set[frozenset[int]]:
+    """GF(2) product: union of index sets, XOR cancellation on collisions."""
+    out: set[frozenset[int]] = set()
+    for a in left:
+        for b in right:
+            out ^= {a | b}
+    return out

@@ -2,8 +2,9 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import boolean_functions, reference_table
+from conftest import boolean_functions, reference_anf_parse, reference_table
 
 from ncflab import (
     MAX_TABLE_ARITY,
@@ -12,6 +13,7 @@ from ncflab import (
     InvalidInputError,
     ParseError,
 )
+from ncflab.anf import check_anf, evaluate_anf
 
 
 def monomials(*terms):
@@ -56,6 +58,62 @@ def test_parse_errors_carry_positions():
         AnfPolynomial.parse("x1 x2", 2)
 
 
+def test_check_infers_arity_capped_at_table_cap():
+    assert check_anf("x3*x1 + x\u0663")[0] == 3
+    assert check_anf("1 + 0")[0] == 0
+    assert check_anf("x0007")[0] == 7
+    with pytest.raises(ParseError) as err:
+        check_anf("x0 + x3")
+    assert str(err.value) == "variable x0 out of range 1..3 (column 1)"
+    with pytest.raises(ParseError) as err:
+        check_anf("x1 + x" + "0" * 10 + "9" * 5000)
+    assert str(err.value) == f"variable x{'9' * 5000} out of range 1..24 (column 6)"
+
+
+def test_evaluate_long_product_and_deep_nesting():
+    product = "*".join(f"(x{i}+1)" for i in range(1, 25))
+    assert evaluate_anf(*check_anf(product)) == BooleanFunction(24, 1)
+    nested = "(" * 2000 + "x1 + x2" + ")" * 2000 + "*x3"
+    assert evaluate_anf(*check_anf(nested)) == reference_table([{1, 3}, {2, 3}], 3)
+    with pytest.raises(ParseError) as err:
+        check_anf("(" * 2000)
+    assert err.value.position == 2001
+
+
+# Decimal digits only: the reference tokenizer reads digits with str.isdigit,
+# so a superscript digit makes it fail outside ParseError.
+_digits = st.text("0123456789\u0663\uff10\uff11\u07c1", max_size=4)
+_well_formed = st.recursive(
+    st.sampled_from(["0", "1", "x1", "x2", "X3", "x4", "x01", "x\u0663", "x\uff12"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", "*"]), inner).map("".join),
+        inner.map(lambda text: f"({text})"),
+    ),
+    max_leaves=10,
+)
+_token_soup = st.lists(
+    st.one_of(
+        st.sampled_from(["+", "*", "(", ")", "0", "1", " ", "x1", "x2", "X3", "?", "2"]),
+        _digits.map(lambda digits: "x" + digits),
+        _well_formed,
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_well_formed, _token_soup), st.integers(0, 4))
+def test_parse_matches_reference_expansion(text, arity):
+    try:
+        expected = reference_anf_parse(text, arity)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            AnfPolynomial.parse(text, arity)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position)
+    else:
+        assert AnfPolynomial.parse(text, arity).monomials == expected
+
+
 def test_to_function_rejects_arity_above_table_cap():
     wide = AnfPolynomial.from_terms(40, [{1}, {40}])
     with pytest.raises(InvalidInputError, match="table cap"):
@@ -63,6 +121,11 @@ def test_to_function_rejects_arity_above_table_cap():
     capped = AnfPolynomial.from_terms(MAX_TABLE_ARITY + 1, [])
     with pytest.raises(InvalidInputError, match="table cap"):
         capped.to_function()
+    with pytest.raises(InvalidInputError, match="table cap"):
+        AnfPolynomial.parse("x1", MAX_TABLE_ARITY + 1)
+    # Parse errors come first.
+    with pytest.raises(ParseError):
+        AnfPolynomial.parse("x1 +", MAX_TABLE_ARITY + 1)
 
 
 def test_format_canonical_order():

@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from collections import Counter
 
 from hypothesis import given, settings
@@ -128,6 +129,53 @@ def test_analyze_index_above_table_cap_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "--anf", "x30*x2")
     assert code == 2
     assert "column 1" in err
+
+
+def test_analyze_long_product_guard_before_table(capsys, monkeypatch):
+    # Expanding this product term by term gives 2^24 monomials.
+    product = "*".join(f"(x{i}+1)" for i in range(1, 25))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "--anf", product)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "certificate" in err
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the certificate guard")
+
+    monkeypatch.setattr("ncflab.cli.evaluate_anf", no_table)
+    code, _, err = run(capsys, "analyze", "--anf", "x20")
+    assert code == 3
+    assert "certificate" in err
+    # A parse error wins over the guard.
+    code, _, err = run(capsys, "analyze", "--anf", "x20 + (")
+    assert code == 2
+    assert "column 8" in err
+
+
+def test_analyze_deep_nesting(capsys):
+    code, out, err = run(capsys, "analyze", "--anf", "(" * 2000 + "x1" + ")" * 2000)
+    assert code == 0, err
+    assert out.startswith("input     anf=x1  table=1:2\n")
+    code, out, err = run(capsys, "analyze", "--anf", "(" * 2000)
+    assert code == 2 and out == ""
+    assert "column 2001" in err
+
+
+def test_analyze_digit_edge_cases_exit_2(capsys):
+    cases = [
+        ("--anf", "x\u00b2", "column 1"),  # a superscript is a digit, not a decimal
+        ("--anf", "x" + "9" * 5000, "column 1"),  # past int()'s digit limit
+        ("--table", "9" * 5000 + ":0", "table cap"),
+    ]
+    for flag, spec, named in cases:
+        code, out, err = run(capsys, "analyze", flag, spec)
+        assert code == 2 and out == "", spec[:8]
+        assert err.startswith("error: ") and named in err
+    # Other decimal digits still spell indices: x\u0663 is x3.
+    code, out, _ = run(capsys, "analyze", "--anf", "x\u0663*x1")
+    assert code == 0
+    assert out.startswith("input     anf=x1*x3  table=3:A0\n")
 
 
 def test_analyze_unreadable_file_exit_2(capsys, tmp_path):
@@ -288,9 +336,21 @@ def test_deterministic_output(capsys):
 _anf_tokens = st.one_of(
     st.integers(0, 32).map(lambda i: f"x{i}"),
     st.sampled_from(["+", "*", "(", ")", " ", "0", "1", "x", "X", "x01", "^"]),
+    # Decimal digits of other scripts, a superscript, and runs past the
+    # 4,300 digits int() takes.
+    st.sampled_from(["x\u0663", "x\uff11\uff12", "x\u00b2", "x1\u00b9"]),
+    st.integers(1, 6000).map(lambda k: "x" + "9" * k),
     st.text(max_size=3),
 )
-_anf_text = st.lists(_anf_tokens, max_size=12).map("".join)
+_anf_text = st.one_of(
+    st.lists(_anf_tokens, max_size=12).map("".join),
+    # Deep nesting, balanced or not.
+    st.tuples(st.integers(0, 2500), _anf_tokens, st.integers(0, 2500)).map(
+        lambda t: "(" * t[0] + t[1] + ")" * t[2]
+    ),
+    # Long products of sums; those past 14 variables stop at the guard.
+    st.integers(1, 30).map(lambda k: "*".join(f"(x{i}+1)" for i in range(1, k + 1))),
+)
 _table_text = st.one_of(
     st.integers(0, 6).flatmap(
         lambda n: st.integers(0, (1 << (1 << n)) - 1).map(
