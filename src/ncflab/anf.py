@@ -192,8 +192,10 @@ def evaluate_anf(arity: int, program: list) -> BooleanFunction:
     are ANDed, so ``*`` tokens may be left out.  Each open parenthesis pushes
     a frame ``(total, product)``: the XOR of the finished terms and the AND
     of the current term's factors so far.  Raises :class:`InvalidInputError`
-    above the table cap.
+    for a negative arity or one above the table cap.
     """
+    if arity < 0:
+        raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity}")
     if arity > MAX_TABLE_ARITY:
         raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
     ones = full_mask(arity)

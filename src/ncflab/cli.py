@@ -1,8 +1,8 @@
 """Command-line interface: analyze, enumerate, count, verify.
 
 Exit codes: 0 success (and every verify check passed), 1 failed verify
-checks or runtime faults, 2 malformed input, 3 an analysis guard was
-exceeded (the message names the guard; raise it with ``--max-n``).
+checks or runtime faults, 2 malformed input, 3 a guard was exceeded (the
+message names it; ``--max-n`` raises the analyze and enumerate guards only).
 
 Output is deterministic: two runs with the same arguments produce identical
 bytes.
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInputError, NcflabError) as exc:
+    except NcflabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

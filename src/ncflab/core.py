@@ -44,8 +44,8 @@ class GuardExceededError(NcflabError):
     """An analysis guard was exceeded; carries the guard's name.
 
     Guards protect against accidentally launching computations whose cost is
-    exponential (or worse) in the arity.  They can be raised explicitly by
-    callers that know what they are doing.
+    exponential (or worse) in the arity.  Callers that know what they are
+    doing can raise most of them; the count and verify guards are fixed.
     """
 
     def __init__(self, guard: str, arity: int, limit: int):

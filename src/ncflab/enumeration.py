@@ -3,8 +3,8 @@
 The unique canonical form makes generation trivial and duplicate-free: every
 choice of layer structure, ordered variable partition, per-variable inputs
 and output bit yields a distinct function.  Every count is read off one
-census, exact in integers, of the functions by layer count and symmetry
-level.  The paper's closed forms stay as its independent oracles:
+census of the functions by layer count and symmetry level, each cell a
+closed form in Stirling numbers.  The paper's closed forms are its oracles:
 
 * total count: ``2**(n+1)`` times the sum of multinomials over layer
   structures;
@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .core import GuardExceededError, InvalidInputError
 from .complexity import cert_profile, ncf_cert_formula
@@ -33,8 +31,14 @@ from .symmetry import has_nontrivial_automorphism, symmetry_level
 
 #: Exhaustive enumeration feeds downstream exponential analyses.
 MAX_ENUMERATION_ARITY = 6
+#: Counts are exact; this bounds their size (n = 200 takes well under 1 s).
+MAX_COUNT_ARITY = 200
+#: verify()'s formula-level oracles walk all 2**(n-1) compositions.
+MAX_VERIFY_ARITY = 22
 #: verify() runs the full generate-and-measure loop up to here.
 MAX_VERIFY_EXHAUSTIVE_ARITY = 5
+#: verify() checks every certificate up to here, a stride sample above.
+_CERT_EXHAUSTIVE_MAX, _CERT_SAMPLE_TARGET = 4, 500
 
 
 def _check_arity(n: int) -> None:
@@ -125,28 +129,36 @@ def _multinomial(n: int, sizes: tuple[int, ...]) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _census(n: int) -> Mapping[tuple[int, int], int]:
+def _stirling_rows(n: int) -> tuple[list[int], list[int]]:
+    """Rows ``n - 1`` and ``n`` of Stirling numbers of the second kind, ``S(m, k)``."""
+    below, row = [], [1]
+    for m in range(1, n + 1):
+        below, row = row, [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+    return below, row
+
+
+def _census(n: int) -> dict[tuple[int, int], int]:
     """The ``n``-variable functions counted by ``(layers r, symmetry level s)``.
 
-    ``ways[m]`` counts layer sequences over ``m`` variables, inputs included;
-    the outermost size-``k`` layer picks its variables in ``C(m, k)`` ways and
-    adds one class (2 input assignments) or two (``2**k - 2``).  The last
-    layer has ``k >= 2``, so ``ways[1]`` is empty; the output bit doubles each.
+    Exponential generating functions over layer sequences with ``a = 2r - s``
+    one-class layers, times 2 output bits, give for ``r <= s <= min(2r, n)``::
+
+        2 * [C(r, a) 2**a s! S(n, s) - 2n C(r-1, a-1) 2**(a-1) (s-1)! S(n-1, s-1)]
+
+    The second term (zero at ``a = 0``) drops sequences ending in one variable.
     """
     _check_arity(n)
-    ways: list[dict[tuple[int, int], int]] = [{(0, 0): 1}, {}]
-    for m in range(2, n + 1):
-        here: dict[tuple[int, int], int] = {}
-        for k in range(1, m + 1):
-            weights = ((1, 2), (2, (1 << k) - 2)) if k >= 2 else ((1, 2),)
-            chosen = comb(m, k)
-            for (r, s), count in ways[m - k].items():
-                for classes, weight in weights:
-                    key = (r + 1, s + classes)
-                    here[key] = here.get(key, 0) + chosen * weight * count
-        ways.append(here)
-    return MappingProxyType({key: 2 * count for key, count in ways[n].items()})
+    if n > MAX_COUNT_ARITY:
+        raise GuardExceededError("count", n, MAX_COUNT_ARITY)
+    below, row = _stirling_rows(n)
+    census = {}
+    for r in range(1, n):
+        for s in range(r, min(2 * r, n) + 1):
+            a = 2 * r - s
+            sequences = comb(r, a) * factorial(s) * row[s]
+            tail = n * comb(r - 1, a - 1) * factorial(s - 1) * below[s - 1] if a else 0
+            census[r, s] = 2 * (sequences - tail) << a
+    return census
 
 
 def count_total(n: int) -> int:
@@ -162,7 +174,6 @@ def count_by_layers(n: int, r: int) -> int:
     return sum(count for (layers, _), count in _census(n).items() if layers == r)
 
 
-@lru_cache(maxsize=None)
 def pell_like(m: int) -> int:
     """The integer sequence A(0)=0, A(1)=2, A(m) = 2*A(m-1) + A(m-2).
 
@@ -177,15 +188,6 @@ def pell_like(m: int) -> int:
     return a
 
 
-def _class_choices(t: int, k: int) -> int:
-    """Ways a size-``k`` layer can contribute exactly ``t`` symmetric classes.
-
-    A layer has ``2**k`` input assignments; the two constant assignments
-    give one class, the remaining ``2**k - 2`` give two.
-    """
-    return 2 if t == 1 else (1 << k) - 2
-
-
 def _t_assignment_sum(sizes: tuple[int, ...], s: int) -> int:
     """Sum over per-layer class counts ``t_i`` (1..min(2, k_i), summing to s)."""
 
@@ -198,7 +200,8 @@ def _t_assignment_sum(sizes: tuple[int, ...], s: int) -> int:
             return 0
         total = 0
         for t in range(1, min(2, sizes[index]) + 1):
-            total += _class_choices(t, sizes[index]) * rec(index + 1, remaining - t)
+            ways = 2 if t == 1 else (1 << sizes[index]) - 2  # t = 1: constant inputs
+            total += ways * rec(index + 1, remaining - t)
         return total
 
     return rec(0, s)
@@ -273,12 +276,15 @@ class CountTable:
 
 def count_table(n: int) -> CountTable:
     """Every count for arity ``n``."""
-    total = count_total(n)
-    by_layers = {r: count_by_layers(n, r) for r in range(1, n)}
-    by_symmetry = {s: count_s_symmetric(n, s) for s in range(1, n + 1)}
+    census = _census(n)
+    by_layers = {r: 0 for r in range(1, n)}
+    by_symmetry = {s: 0 for s in range(1, n + 1)}
+    for (r, s), count in census.items():
+        by_layers[r] += count
+        by_symmetry[s] += count
     return CountTable(
         n=n,
-        total=total,
+        total=sum(census.values()),
         by_layers=by_layers,
         by_symmetry=by_symmetry,
         strongly_asymmetric=by_symmetry[n],
@@ -328,11 +334,7 @@ def _result(expected, actual, note: str = "") -> CheckResult:
 
 
 def verify(
-    n: int,
-    *,
-    exhaustive_max: int = MAX_VERIFY_EXHAUSTIVE_ARITY,
-    cert_sample_target: int = 500,
-    cert_exhaustive_max: int = 4,
+    n: int, *, exhaustive_max: int = MAX_VERIFY_EXHAUSTIVE_ARITY
 ) -> VerificationReport:
     """Cross-validate every counting identity, by generation where feasible.
 
@@ -341,10 +343,12 @@ def verify(
     measured: stream length and distinctness, per-layer and per-symmetry
     histograms, a brute-force strong-asymmetry census, decomposition round
     trips, and certificate formula versus brute force (exhaustive up to
-    ``cert_exhaustive_max``, deterministic stride sampling of at least
-    ``cert_sample_target`` functions above that).  Larger arities run the
-    formula-level identities only.
+    ``_CERT_EXHAUSTIVE_MAX``, deterministic stride sampling of at least
+    ``_CERT_SAMPLE_TARGET`` functions above that).  Larger arities run the
+    formula-level identities only, up to ``MAX_VERIFY_ARITY``.
     """
+    if n > MAX_VERIFY_ARITY:
+        raise GuardExceededError("verify", n, MAX_VERIFY_ARITY)
     table = count_table(n)
     total, by_layers, by_symmetry = table.total, table.by_layers, table.by_symmetry
     checks: dict[str, CheckResult] = {}
@@ -374,7 +378,7 @@ def verify(
     if n > exhaustive_max:
         return VerificationReport(n, None, checks)
 
-    stride = 1 if n <= cert_exhaustive_max else max(1, total // cert_sample_target)
+    stride = 1 if n <= _CERT_EXHAUSTIVE_MAX else max(1, total // _CERT_SAMPLE_TARGET)
     seen_tables: set[int] = set()
     layer_hist: dict[int, int] = {r: 0 for r in by_layers}
     symmetry_hist: dict[int, int] = {s: 0 for s in by_symmetry}

@@ -112,27 +112,20 @@ def equivalent(f: BooleanFunction, i: int, j: int) -> bool:
 
 
 def partition(f: BooleanFunction) -> SymmetryPartition:
-    """Symmetric classes of ``f`` via union-find over all pairwise swaps."""
-    n = f.arity
-    parent = list(range(n + 1))
+    """Symmetric classes of ``f``, each variable tested against class leaders.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if equivalent(f, i, j):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(groups[root]) for root in sorted(groups))
-    return SymmetryPartition(n, classes)
+    Symmetry of variables is an equivalence relation, so a variable joins a
+    class as soon as it is equivalent to the class's first (smallest) member.
+    """
+    classes: list[list[int]] = []
+    for i in range(1, f.arity + 1):
+        for members in classes:
+            if equivalent(f, members[0], i):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return SymmetryPartition(f.arity, tuple(map(tuple, classes)))
 
 
 def symmetry_level(f: BooleanFunction) -> int:

@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and hypothesis strategies."""
 
 import itertools
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -169,6 +170,29 @@ def reference_block_sensitivity(f):
 
         best_overall = max(best_overall, pack(all_vars))
     return best_overall
+
+
+def reference_census(n):
+    """The ``n``-variable NCFs counted by ``(layers r, symmetry level s)``.
+
+    ``ways[m]`` counts layer sequences over ``m`` variables, inputs included;
+    the outermost size-``k`` layer picks its variables in ``C(m, k)`` ways and
+    adds one class (2 input assignments) or two (``2**k - 2``).  The last
+    layer has ``k >= 2``, so ``ways[1]`` is empty; the output bit doubles each.
+    Independent of the Stirling closed form; ``O(n**4)`` big-integer steps.
+    """
+    ways: list[dict[tuple[int, int], int]] = [{(0, 0): 1}, {}]
+    for m in range(2, n + 1):
+        here: dict[tuple[int, int], int] = {}
+        for k in range(1, m + 1):
+            weights = ((1, 2), (2, (1 << k) - 2)) if k >= 2 else ((1, 2),)
+            chosen = comb(m, k)
+            for (r, s), count in ways[m - k].items():
+                for classes, weight in weights:
+                    key = (r + 1, s + classes)
+                    here[key] = here.get(key, 0) + chosen * weight * count
+        ways.append(here)
+    return {key: 2 * count for key, count in ways[n].items()}
 
 
 def reference_anf_parse(text, arity):

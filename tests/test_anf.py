@@ -128,6 +128,16 @@ def test_to_function_rejects_arity_above_table_cap():
         AnfPolynomial.parse("x1 +", MAX_TABLE_ARITY + 1)
 
 
+def test_negative_arity_is_invalid_input():
+    message = f"arity must lie in 0..{MAX_TABLE_ARITY}, got -1"
+    with pytest.raises(InvalidInputError, match=message):
+        AnfPolynomial.parse("1", -1)
+    with pytest.raises(InvalidInputError, match=message):
+        AnfPolynomial(-1, frozenset()).to_function()
+    with pytest.raises(InvalidInputError, match=message):
+        BooleanFunction(-1, 0)
+
+
 def test_format_canonical_order():
     p = AnfPolynomial.parse("x3 + x1*x2 + 1 + x1*x2*x3", 3)
     assert p.format() == "x1*x2*x3 + x1*x2 + x3 + 1"

@@ -1,10 +1,13 @@
 """Exhaustive generation and exact counting formulas."""
 
 import itertools
+import time
 from math import factorial
 from pathlib import Path
 
 import pytest
+
+from conftest import reference_census
 
 import ncflab.enumeration
 from ncflab import (
@@ -202,6 +205,33 @@ def test_census_per_layer_counts_match_composition_sum():
         assert count_total(n) == sum(expected.values())
 
 
+def test_census_matches_layer_peeling_dp():
+    for n in range(2, 41):
+        assert ncflab.enumeration._census(n) == reference_census(n), n
+
+
+def test_count_and_verify_guards_fire_before_any_work(monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("work ran above the guard")
+
+    for name in ("_stirling_rows", "layer_structures", "count_table"):
+        monkeypatch.setattr(ncflab.enumeration, name, work)
+    for argv, guard in ((["count", "201"], "count"), (["verify", "23"], "verify")):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"guard '{guard}' exceeded" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_count_200_is_fast(capsys):
+    start = time.perf_counter()
+    assert main(["count", "200"]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = capsys.readouterr().out.splitlines()
+    assert f"200,200,strongly_asymmetric,{factorial(200) * pell_like(199)}" in rows
+
+
 def test_count_20_reads_only_the_census(monkeypatch, capsys):
     # The file is ``ncflab count 20`` as the composition-walking sums printed
     # it, in about 200 s; the census must reproduce it without them.
@@ -215,7 +245,6 @@ def test_count_20_reads_only_the_census(monkeypatch, capsys):
         "_compositions",
     ):
         monkeypatch.setattr(ncflab.enumeration, name, closed_form)
-    ncflab.enumeration._census.cache_clear()
     expected = (Path(__file__).parent / "data" / "count_20.csv").read_text()
     rows = {
         (kind, key): int(value)

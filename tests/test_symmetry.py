@@ -55,6 +55,21 @@ def test_partition_examples():
     assert partition(PENTAGON6).classes == ((1,), (2,), (3,), (4,), (5,), (6,))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(boolean_functions(0, 5), planted_symmetric_functions(5)))
+def test_partition_matches_transposition_oracle(f):
+    # i and j share a class iff the transposition (i j) fixes f.
+    n = f.arity
+    fixed = set(reference_automorphisms(f))
+    classes = partition(f).classes
+    class_of = {i: cls for cls in classes for i in cls}
+    assert sorted(class_of) == list(range(1, n + 1))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            swap = tuple(j if k == i else i if k == j else k for k in range(1, n + 1))
+            assert (class_of[i] == class_of[j]) == (swap in fixed), (i, j)
+
+
 def test_symmetry_level_examples():
     assert symmetry_level(MIXED7) == 3
     assert symmetry_level(reference_table([{1, 2, 3}], 3)) == 1
