@@ -33,6 +33,7 @@ from .ncf import decompose, format_decomposition
 from .symmetry import MAX_AUTOMORPHISM_ARITY, _layer_classes, _symmetry_report
 
 _TABLE_RE = re.compile(r"^\d+:[0-9A-Fa-f]+$")
+_COUNT_KINDS = "total,layers,symmetry,strongly-asymmetric,strongly-asymmetric-max-layers"
 
 
 def main(argv=None) -> int:
@@ -91,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("n", type=int)
     count.add_argument(
         "--kinds",
-        default="total,layers,symmetry,strongly-asymmetric,strongly-asymmetric-max-layers",
+        default=_COUNT_KINDS,
         help="comma-separated subset of the row kinds",
     )
     count.set_defaults(handler=_cmd_count)
@@ -136,10 +137,8 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
     if args.block_sensitivity and f.arity > block_guard:
         raise GuardExceededError("block sensitivity", f.arity, block_guard)
 
-    if f.arity >= 2:
-        classification = decompose(f)
-    else:
-        classification = None
+    classification = decompose(f) if f.arity >= 2 else None
+    ncf_section = formula = None
     if classification is not None and classification.is_ncf:
         d = classification.decomposition
         ncf_section = {
@@ -156,10 +155,6 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
             "decomposition": None,
             "layer_structure": None,
         }
-        formula = None
-    else:
-        ncf_section = None
-        formula = None
 
     report, classes = _symmetry_report(f, perm_guard, classification)
     profile = cert_profile(
@@ -212,23 +207,20 @@ def _render_analysis_text(report: dict) -> list[str]:
         fm = cx["formula"]
         lines.append(f"formula   c0={fm['c0']} c1={fm['c1']} c={fm['c']}")
     sym = report["symmetry"]
-    flags = []
-    if sym["totally_symmetric"]:
-        flags.append("totally-symmetric")
-    if sym["partially_symmetric"]:
-        flags.append("partially-symmetric")
-    if sym["strongly_asymmetric"]:
-        flags.append("strongly-asymmetric")
+    flags = [
+        flag
+        for flag in ("totally-symmetric", "partially-symmetric", "strongly-asymmetric")
+        if sym[flag.replace("-", "_")]
+    ]
     witness = f"  witness={sym['witness']}" if sym["witness"] else ""
     lines.append(
         f"symmetry  s={sym['s']} classes={sym['classes']} "
         f"[{', '.join(flags) or 'none'}]{witness}"
     )
-    for witness_row in cx["witnesses"]:
-        lines.append(
-            f"witness   word={witness_row['word']} size={witness_row['size']} "
-            f"certificate={witness_row['certificate']}"
-        )
+    lines.extend(
+        f"witness   word={w['word']} size={w['size']} certificate={w['certificate']}"
+        for w in cx["witnesses"]
+    )
     return lines
 
 
@@ -283,14 +275,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     kinds = {kind.strip() for kind in args.kinds.split(",") if kind.strip()}
-    known = {
-        "total",
-        "layers",
-        "symmetry",
-        "strongly-asymmetric",
-        "strongly-asymmetric-max-layers",
-    }
-    unknown = kinds - known
+    unknown = kinds - set(_COUNT_KINDS.split(","))
     if unknown:
         raise InvalidInputError(f"unknown count kinds: {sorted(unknown)}")
     table = count_table(args.n)

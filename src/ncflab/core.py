@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 #: Hard cap on the arity of dense truth tables.  A table has 2**n bits, so
 #: this bounds memory, not analysis cost; expensive analyses carry their own
@@ -86,20 +86,6 @@ def variable_mask(arity: int, i: int) -> int:
     while width < size:
         mask |= mask << width
         width <<= 1
-    return mask
-
-
-def literal_mask(arity: int, i: int, value: int) -> int:
-    """Mask of the table entries whose index has ``x_i == value``."""
-    mask = variable_mask(arity, i)
-    return mask if value else full_mask(arity) & ~mask
-
-
-def subcube_mask(arity: int, assignments: Iterable[tuple[int, int]]) -> int:
-    """Mask of the entries agreeing with every ``(variable, value)`` pair."""
-    mask = full_mask(arity)
-    for i, value in assignments:
-        mask &= literal_mask(arity, i, value)
     return mask
 
 
@@ -262,10 +248,8 @@ class BooleanFunction:
     def is_essential(self, i: int) -> bool:
         """Whether the function actually depends on ``x_i``."""
         self._check_var(i)
-        span = 1 << (i - 1)
-        high = self.bits & variable_mask(self.arity, i)
-        low = self.bits & ~variable_mask(self.arity, i) & full_mask(self.arity)
-        return (high >> span) != low
+        high = variable_mask(self.arity, i)
+        return (self.bits & high) >> (1 << (i - 1)) != self.bits & ~high
 
     def essential_variables(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.arity + 1) if self.is_essential(i))
@@ -323,9 +307,8 @@ class BooleanFunction:
         self._check_var(i)
         span = 1 << (i - 1)
         high = variable_mask(self.arity, i)
-        low = ~high & full_mask(self.arity)
         return BooleanFunction(
-            self.arity, ((self.bits & high) >> span) | ((self.bits & low) << span)
+            self.arity, ((self.bits & high) >> span) | ((self.bits & ~high) << span)
         )
 
     def negate_inputs(self, beta: Sequence[int]) -> "BooleanFunction":

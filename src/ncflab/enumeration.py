@@ -33,7 +33,8 @@ from .symmetry import has_nontrivial_automorphism, symmetry_level
 MAX_ENUMERATION_ARITY = 6
 #: Counts are exact; this bounds their size (n = 200 takes well under 1 s).
 MAX_COUNT_ARITY = 200
-#: verify()'s formula-level oracles walk all 2**(n-1) compositions.
+#: verify()'s formula-level oracles walk all 2**(n-1) compositions; they and
+#: verify() refuse arities above this.
 MAX_VERIFY_ARITY = 22
 #: verify() runs the full generate-and-measure loop up to here.
 MAX_VERIFY_EXHAUSTIVE_ARITY = 5
@@ -215,6 +216,8 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
     assumes.
     """
     _check_arity(n)
+    if n > MAX_VERIFY_ARITY:
+        raise GuardExceededError("verify", n, MAX_VERIFY_ARITY)
     if not 1 <= s <= n:
         raise InvalidInputError(f"symmetry level {s} out of range 1..{n}")
     total = 0
@@ -244,6 +247,8 @@ def strongly_asymmetric_structure_sum(n: int) -> int:
     recurrence form ``n! * pell_like(n - 1)``.
     """
     _check_arity(n)
+    if n > MAX_VERIFY_ARITY:
+        raise GuardExceededError("verify", n, MAX_VERIFY_ARITY)
     total = 0
     for r in range(-(-n // 2), n):
         for sizes in _compositions(n, r):

@@ -28,8 +28,7 @@ from .core import (
     InvalidInputError,
     NcflabError,
     full_mask,
-    literal_mask,
-    subcube_mask,
+    variable_mask,
 )
 
 LayerEntries = tuple[tuple[int, int], ...]
@@ -124,28 +123,41 @@ def canalizing_pairs(f: BooleanFunction) -> list[tuple[int, int, int]]:
     """
     if f.arity < 1:
         raise InvalidInputError("canalizing pairs need at least one variable")
+    return _canalizing_scan(f.bits, full_mask(f.arity), _literals(f.arity))
+
+
+def _literals(n: int) -> list[tuple[int, int]]:
+    """``literals[i - 1][a]``: the mask of the entries with ``x_i = a``."""
+    full = full_mask(n)
+    return [(full ^ m, m) for m in (variable_mask(n, i) for i in range(1, n + 1))]
+
+
+def _canalizing_scan(bits: int, live: int, literals: list[tuple[int, int]]) -> list:
+    """Canalizing pairs of ``bits`` inside ``live``, skipping the variables it fixes."""
     pairs = []
-    for i in range(1, f.arity + 1):
-        for a in (0, 1):
-            cube = literal_mask(f.arity, i, a)
-            masked = f.bits & cube
-            if masked == 0:
+    for i, halves in enumerate(literals, 1):
+        for a, half in enumerate(halves):
+            cube = live & half
+            masked = bits & cube
+            if masked == cube:
+                if cube:
+                    pairs.append((i, a, 1))
+            elif masked == 0:
                 pairs.append((i, a, 0))
-            elif masked == cube:
-                pairs.append((i, a, 1))
     return pairs
 
 
 def decompose(f: BooleanFunction) -> NcfClassification:
     """Classify ``f`` and produce its unique canonical decomposition.
 
-    The peel loop repeatedly collects every canalizing variable of the
-    current subfunction into the next layer, then restricts those variables
-    to their non-canalizing inputs and continues on the remainder.  It stops
-    when the remainder is constant.  The output bit is fixed by requiring
-    the canonical reading to reproduce ``f``: it equals the first layer's
-    canalized output when there are two or more layers, and its complement
-    in the one-layer case (whose reading carries an extra inner complement).
+    The peel keeps the full table and the current subfunction's domain as
+    a live subcube mask.  Each round collects every canalizing variable of
+    the subfunction into the next layer and shrinks the live subcube to
+    their non-canalizing inputs, until the subfunction is constant.  The
+    output bit is fixed by requiring the canonical reading to reproduce
+    ``f``: it equals the first layer's canalized output when there are two
+    or more layers, and its complement in the one-layer case (whose reading
+    carries an extra inner complement).
 
     Functions with an inessential variable are rejected before peeling: the
     canonical form uses every variable, so such functions are not nested
@@ -154,23 +166,21 @@ def decompose(f: BooleanFunction) -> NcfClassification:
     n = f.arity
     if n < 2:
         raise InvalidInputError("decomposition requires arity >= 2")
-    if f.is_constant:
+    bits, live = f.bits, full_mask(n)
+    if bits == 0 or bits == live:
         return NcfClassification(False, reason=NotNcfReason.CONSTANT)
-    for i in range(1, n + 1):
-        if not f.is_essential(i):
+    literals = _literals(n)
+    for span, (low, high) in enumerate(literals):
+        if (bits & high) >> (1 << span) == bits & low:
             return NcfClassification(False, reason=NotNcfReason.INESSENTIAL_VARIABLE)
 
     layers: list[LayerEntries] = []
     first_out: int | None = None
-    current = f
-    remaining = list(range(1, n + 1))  # original index of each live position
-
-    while not current.is_constant:
-        pairs = canalizing_pairs(current)
+    while bits & live not in (0, live):
+        pairs = _canalizing_scan(bits, live, literals)
         if not pairs:
             return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
-        outs = {out for _, _, out in pairs}
-        if len(outs) > 1:
+        if len({out for _, _, out in pairs}) > 1:
             # Unreachable once inessential variables are ruled out (two
             # canalizing pairs on distinct variables force equal outputs,
             # and a doubly-canalizing variable leaves the rest inessential);
@@ -178,10 +188,9 @@ def decompose(f: BooleanFunction) -> NcfClassification:
             return NcfClassification(False, reason=NotNcfReason.CONFLICTING_OUTPUTS)
         if first_out is None:
             first_out = pairs[0][2]
-        layers.append(tuple((remaining[i - 1], a) for i, a, _ in pairs))
-        current = current.restrict_many([(i, a ^ 1) for i, a, _ in pairs])
-        for i, _, _ in sorted(pairs, reverse=True):
-            del remaining[i - 1]
+        layers.append(tuple((i, a) for i, a, _ in pairs))
+        for i, a, _ in pairs:
+            live &= literals[i - 1][a ^ 1]
 
     if len(layers[-1]) < 2:
         raise NcflabError("internal error: peel produced a one-variable last layer")
@@ -228,8 +237,11 @@ def compose(d: LayerDecomposition) -> BooleanFunction:
 
 def _layer_mask(n: int, layer: LayerEntries) -> int:
     """Truth table of the layer's product of ``(x + a)`` factors."""
-    # The factor (x + a) is true where x != a.
-    return subcube_mask(n, ((var, inp ^ 1) for var, inp in layer))
+    full = mask = full_mask(n)
+    for var, inp in layer:
+        m = variable_mask(n, var)
+        mask &= full ^ m if inp else m  # the factor (x + a) is true where x != a
+    return mask
 
 
 # ----------------------------------------------------------------------

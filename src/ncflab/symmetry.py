@@ -28,7 +28,6 @@ from .core import (
     GuardExceededError,
     InvalidInputError,
     NcflabError,
-    _swap_bits,
     permutation_cycles,
     variable_mask,
 )
@@ -88,17 +87,16 @@ class SymmetryReport:
             if self.nontrivial_automorphism
             else None
         )
-        out = {
+        return {
             "s": self.s,
             "partially_symmetric": self.partially_symmetric,
             "totally_symmetric": self.totally_symmetric,
             "strongly_asymmetric": self.strongly_asymmetric,
             "witness": witness,
+            "classes": (
+                [list(cls) for cls in classes.classes] if classes is not None else None
+            ),
         }
-        out["classes"] = (
-            [list(cls) for cls in classes.classes] if classes is not None else None
-        )
-        return out
 
 
 def equivalent(f: BooleanFunction, i: int, j: int) -> bool:
@@ -108,7 +106,16 @@ def equivalent(f: BooleanFunction, i: int, j: int) -> bool:
     """
     f._check_var(i)
     f._check_var(j)
-    return i == j or _swap_bits(f.bits, f.arity, min(i, j), max(i, j)) == f.bits
+    i, j = sorted((i, j))
+    mi, mj = variable_mask(f.arity, i), variable_mask(f.arity, j)
+    return i == j or _swap_fixes(f.bits, mi, mj, (1 << (j - 1)) - (1 << (i - 1)))
+
+
+def _swap_fixes(bits: int, mi: int, mj: int, delta: int) -> bool:
+    """Whether swapping ``x_i`` and ``x_j`` (``i < j``, masks ``mi``, ``mj``) fixes
+    ``bits``: the entries with ``x_i = 1, x_j = 0``, moved up by ``delta`` =
+    ``2**(j-1) - 2**(i-1)``, must equal those with ``x_i = 0, x_j = 1``."""
+    return (bits & mi & ~mj) << delta == bits & mj & ~mi
 
 
 def partition(f: BooleanFunction) -> SymmetryPartition:
@@ -116,16 +123,21 @@ def partition(f: BooleanFunction) -> SymmetryPartition:
 
     Symmetry of variables is an equivalence relation, so a variable joins a
     class as soon as it is equivalent to the class's first (smallest) member.
+    The swap test runs on the raw table with the variable masks computed
+    once per call.
     """
+    n, bits = f.arity, f.bits
+    masks = [variable_mask(n, i) for i in range(1, n + 1)]
     classes: list[list[int]] = []
-    for i in range(1, f.arity + 1):
+    for j, mj in enumerate(masks, 1):
         for members in classes:
-            if equivalent(f, members[0], i):
-                members.append(i)
+            i = members[0]
+            if _swap_fixes(bits, masks[i - 1], mj, (1 << (j - 1)) - (1 << (i - 1))):
+                members.append(j)
                 break
         else:
-            classes.append([i])
-    return SymmetryPartition(f.arity, tuple(map(tuple, classes)))
+            classes.append([j])
+    return SymmetryPartition(n, tuple(map(tuple, classes)))
 
 
 def symmetry_level(f: BooleanFunction) -> int:
@@ -159,20 +171,22 @@ def _automorphisms(f: BooleanFunction):
     if n < 2:
         return  # the identity is the only permutation
     masks = [variable_mask(n, i) for i in range(1, n + 1)]
-    ones = [(bits & mask).bit_count() for mask in masks]
-    pair = [[(bits & a & b).bit_count() for b in masks] for a in masks]
     # Sets of variables are bitmasks in which bit c stands for x_c.
+    ones: list[int] = []
     with_ones: dict[int, int] = {}
-    for c, w in enumerate(ones, 1):
-        with_ones[w] = with_ones.get(w, 0) | 1 << c
-    # with_pair[j][w]: the variables x_c, c != j, with |f & x_c & x_j| = w
+    # with_pair[j][w]: the variables x_c, c != j, with |f & x_c & x_j| = w;
+    # later[j-1]: the pair weights of x_{j+1}, ..., x_n with x_j
     with_pair: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for j, row in enumerate(pair, 1):
-        for c, w in enumerate(row, 1):
-            if c != j:
-                with_pair[j][w] = with_pair[j].get(w, 0) | 1 << c
-    # later[d]: the pair weights of x_{d+2}, ..., x_n with x_{d+1}
-    later = [[row[d] for row in pair[d + 1 :]] for d in range(n)]
+    later: list[list[int]] = []
+    for j, mj in enumerate(masks, 1):
+        high = bits & mj
+        w = high.bit_count()
+        ones.append(w)
+        with_ones[w] = with_ones.get(w, 0) | 1 << j
+        later.append([(high & mc).bit_count() for mc in masks[j:]])
+        for c, w in enumerate(later[-1], j + 1):
+            with_pair[j][w] = with_pair[j].get(w, 0) | 1 << c
+            with_pair[c][w] = with_pair[c].get(w, 0) | 1 << j
 
     identity = tuple(range(1, n + 1))
     images: list[int] = []  # sigma(1), ..., sigma(d) at depth d

@@ -6,7 +6,15 @@ from math import comb
 from hypothesis import strategies as st
 
 from ncflab import BooleanFunction, ParseError, index_of
-from ncflab.core import full_mask, word_at
+from ncflab.core import InvalidInputError, NcflabError, full_mask, word_at
+from ncflab.ncf import (
+    LayerDecomposition,
+    LayerEntries,
+    NcfClassification,
+    NotNcfReason,
+    canalizing_pairs,
+    compose,
+)
 
 
 def reference_anf_value(monomials, word) -> int:
@@ -306,3 +314,69 @@ def _multiply(left: set[frozenset[int]], right: set[frozenset[int]]) -> set[froz
         for b in right:
             out ^= {a | b}
     return out
+
+
+def reference_decompose(f: BooleanFunction) -> NcfClassification:
+    """:func:`ncflab.decompose` by peeling restricted subfunctions.
+
+    The peel loop repeatedly collects every canalizing variable of the
+    current subfunction into the next layer, then restricts those variables
+    to their non-canalizing inputs and continues on the remainder, which is
+    renumbered.  Independent of the live-subcube peel; builds one table per
+    restricted variable.
+    """
+    n = f.arity
+    if n < 2:
+        raise InvalidInputError("decomposition requires arity >= 2")
+    if f.is_constant:
+        return NcfClassification(False, reason=NotNcfReason.CONSTANT)
+    for i in range(1, n + 1):
+        if not f.is_essential(i):
+            return NcfClassification(False, reason=NotNcfReason.INESSENTIAL_VARIABLE)
+
+    layers: list[LayerEntries] = []
+    first_out: int | None = None
+    current = f
+    remaining = list(range(1, n + 1))  # original index of each live position
+
+    while not current.is_constant:
+        pairs = canalizing_pairs(current)
+        if not pairs:
+            return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
+        outs = {out for _, _, out in pairs}
+        if len(outs) > 1:
+            # Unreachable once inessential variables are ruled out (two
+            # canalizing pairs on distinct variables force equal outputs,
+            # and a doubly-canalizing variable leaves the rest inessential);
+            # kept as a defensive classification.
+            return NcfClassification(False, reason=NotNcfReason.CONFLICTING_OUTPUTS)
+        if first_out is None:
+            first_out = pairs[0][2]
+        layers.append(tuple((remaining[i - 1], a) for i, a, _ in pairs))
+        current = current.restrict_many([(i, a ^ 1) for i, a, _ in pairs])
+        for i, _, _ in sorted(pairs, reverse=True):
+            del remaining[i - 1]
+
+    if len(layers[-1]) < 2:
+        raise NcflabError("internal error: peel produced a one-variable last layer")
+    assert first_out is not None
+    b = first_out if len(layers) >= 2 else first_out ^ 1
+    result = LayerDecomposition(n, tuple(layers), b)
+    if __debug__:
+        assert compose(result) == f, "peel result failed to reproduce the input"
+    return NcfClassification(True, decomposition=result)
+
+
+@st.composite
+def planted_inessential_functions(draw, max_arity=7):
+    """A random or nested canalizing table with one dummy variable inserted."""
+    g = draw(
+        st.one_of(
+            boolean_functions(1, max_arity - 1),
+            nested_canalizing_functions(max_arity - 1),
+        )
+    )
+    k = draw(st.integers(0, g.arity))
+    return BooleanFunction.from_predicate(
+        g.arity + 1, lambda word: g.evaluate(word[:k] + word[k + 1 :])
+    )

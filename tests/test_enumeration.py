@@ -224,6 +224,27 @@ def test_count_and_verify_guards_fire_before_any_work(monkeypatch, capsys):
         assert "Traceback" not in captured.err
 
 
+def test_composition_oracles_guarded_before_any_work(monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("a composition walk ran above the guard")
+
+    monkeypatch.setattr(ncflab.enumeration, "_compositions", work)
+    for call in (
+        lambda: s_symmetric_triple_sum(23, 23),
+        lambda: strongly_asymmetric_structure_sum(23),
+    ):
+        with pytest.raises(GuardExceededError) as error:
+            call()
+        assert (error.value.guard, error.value.arity) == ("verify", 23)
+
+
+def test_verify_5_matches_golden(capsys):
+    # The file is ``ncflab verify 5`` as the restrict-based peel printed it.
+    assert main(["verify", "5"]) == 0
+    expected = (Path(__file__).parent / "data" / "verify_5.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
 def test_count_200_is_fast(capsys):
     start = time.perf_counter()
     assert main(["count", "200"]) == 0

@@ -1,8 +1,17 @@
 """Canonical layer decomposition: peel, rebuild, text form."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_table
+from conftest import (
+    boolean_functions,
+    constant_functions,
+    nested_canalizing_functions,
+    planted_inessential_functions,
+    reference_decompose,
+    reference_table,
+)
 
 from ncflab import (
     BooleanFunction,
@@ -16,7 +25,7 @@ from ncflab import (
     format_decomposition,
     parse_decomposition,
 )
-from ncflab.core import full_mask
+from ncflab.core import full_mask, words
 from ncflab.ncf import _layer_mask
 
 CASCADE3 = reference_table([{1, 2, 3}, {1, 2}, {3}], 3)
@@ -168,3 +177,55 @@ def test_peel_layers_are_maximal():
                 for i, _, _ in sorted(pairs, reverse=True):
                     del positions[i - 1]
             assert stage.is_constant
+
+
+def _classify(decomposer, f):
+    try:
+        return decomposer(f)
+    except InvalidInputError as error:
+        return str(error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        boolean_functions(2, 7),
+        constant_functions(),
+        nested_canalizing_functions(7),
+        planted_inessential_functions(7),
+    )
+)
+def test_decompose_matches_restrict_peel_oracle(f):
+    # The whole classification, reason included, or the same error message.
+    assert _classify(decompose, f) == _classify(reference_decompose, f)
+    if f.arity >= 1:
+        by_words = []
+        for i in range(1, f.arity + 1):
+            for a in (0, 1):
+                values = {f.evaluate(w) for w in words(f.arity) if w[i - 1] == a}
+                if len(values) == 1:
+                    by_words.append((i, a, values.pop()))
+        assert canalizing_pairs(f) == by_words
+
+
+def test_decompose_builds_no_restricted_tables(monkeypatch):
+    def restrict(*args, **kwargs):
+        raise AssertionError("decompose built a restricted table")
+
+    monkeypatch.setattr(BooleanFunction, "restrict", restrict)
+    monkeypatch.setattr(BooleanFunction, "restrict_many", restrict)
+    for n in (2, 3, 4):
+        for d in enumerate_ncfs(n):
+            back = decompose(compose(d))
+            assert back.is_ncf
+            assert back.decomposition == d
+
+    # The only table decompose builds is the debug check's compose.
+    f = compose(next(enumerate_ncfs(5)))
+    built = []
+    check = BooleanFunction.__post_init__
+    monkeypatch.setattr(
+        BooleanFunction, "__post_init__", lambda self: built.append(check(self))
+    )
+    assert decompose(f).is_ncf
+    assert len(built) == (1 if __debug__ else 0)
