@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     BooleanFunction,
@@ -123,25 +124,25 @@ def canalizing_pairs(f: BooleanFunction) -> list[tuple[int, int, int]]:
     """
     if f.arity < 1:
         raise InvalidInputError("canalizing pairs need at least one variable")
-    return _canalizing_scan(f.bits, full_mask(f.arity), _literals(f.arity))
+    return _canalizing_scan(f.bits, full_mask(f.arity), enumerate(_literals(f.arity), 1))
 
 
-def _literals(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _literals(n: int) -> tuple[tuple[int, int], ...]:
     """``literals[i - 1][a]``: the mask of the entries with ``x_i = a``."""
     full = full_mask(n)
-    return [(full ^ m, m) for m in (variable_mask(n, i) for i in range(1, n + 1))]
+    return tuple((full ^ m, m) for m in (variable_mask(n, i) for i in range(1, n + 1)))
 
 
-def _canalizing_scan(bits: int, live: int, literals: list[tuple[int, int]]) -> list:
-    """Canalizing pairs of ``bits`` inside ``live``, skipping the variables it fixes."""
+def _canalizing_scan(bits: int, live: int, literals) -> list:
+    """Canalizing pairs of ``bits`` in ``live``, over the ``(i, halves)`` it leaves free."""
     pairs = []
-    for i, halves in enumerate(literals, 1):
+    for i, halves in literals:
         for a, half in enumerate(halves):
             cube = live & half
             masked = bits & cube
             if masked == cube:
-                if cube:
-                    pairs.append((i, a, 1))
+                pairs.append((i, a, 1))
             elif masked == 0:
                 pairs.append((i, a, 0))
     return pairs
@@ -151,13 +152,14 @@ def decompose(f: BooleanFunction) -> NcfClassification:
     """Classify ``f`` and produce its unique canonical decomposition.
 
     The peel keeps the full table and the current subfunction's domain as
-    a live subcube mask.  Each round collects every canalizing variable of
-    the subfunction into the next layer and shrinks the live subcube to
-    their non-canalizing inputs, until the subfunction is constant.  The
-    output bit is fixed by requiring the canonical reading to reproduce
-    ``f``: it equals the first layer's canalized output when there are two
-    or more layers, and its complement in the one-layer case (whose reading
-    carries an extra inner complement).
+    a live subcube mask.  Each round scans only the variables not yet peeled
+    (the live subcube fixes the others), collects every canalizing one into
+    the next layer and shrinks the live subcube to their non-canalizing
+    inputs, until the subfunction is constant.  The output bit is fixed by
+    requiring the canonical reading to reproduce ``f``: it equals the first
+    layer's canalized output when there are two or more layers, and its
+    complement in the one-layer case (whose reading carries an extra inner
+    complement).
 
     Functions with an inessential variable are rejected before peeling: the
     canonical form uses every variable, so such functions are not nested
@@ -176,8 +178,9 @@ def decompose(f: BooleanFunction) -> NcfClassification:
 
     layers: list[LayerEntries] = []
     first_out: int | None = None
+    unpeeled = dict(enumerate(literals, 1))
     while bits & live not in (0, live):
-        pairs = _canalizing_scan(bits, live, literals)
+        pairs = _canalizing_scan(bits, live, unpeeled.items())
         if not pairs:
             return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
         if len({out for _, _, out in pairs}) > 1:
@@ -190,7 +193,7 @@ def decompose(f: BooleanFunction) -> NcfClassification:
             first_out = pairs[0][2]
         layers.append(tuple((i, a) for i, a, _ in pairs))
         for i, a, _ in pairs:
-            live &= literals[i - 1][a ^ 1]
+            live &= unpeeled.pop(i)[a ^ 1]
 
     if len(layers[-1]) < 2:
         raise NcflabError("internal error: peel produced a one-variable last layer")

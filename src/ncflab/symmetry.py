@@ -21,6 +21,7 @@ guard; the equivalence genuinely fails outside that class (see the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import ceil
 
 from .core import (
@@ -28,10 +29,11 @@ from .core import (
     GuardExceededError,
     InvalidInputError,
     NcflabError,
+    _swap_bits,
     permutation_cycles,
     variable_mask,
 )
-from .ncf import LayerDecomposition, NcfClassification, decompose
+from .ncf import LayerDecomposition, NcfClassification, _literals, decompose
 
 #: The automorphism search prunes by variable weights, but a function they
 #: cannot tell apart (a totally symmetric one) still costs n! permutations.
@@ -123,16 +125,15 @@ def partition(f: BooleanFunction) -> SymmetryPartition:
 
     Symmetry of variables is an equivalence relation, so a variable joins a
     class as soon as it is equivalent to the class's first (smallest) member.
-    The swap test runs on the raw table with the variable masks computed
-    once per call.
+    The swap test runs on the raw table with the per-arity variable masks.
     """
     n, bits = f.arity, f.bits
-    masks = [variable_mask(n, i) for i in range(1, n + 1)]
+    literals = _literals(n)
     classes: list[list[int]] = []
-    for j, mj in enumerate(masks, 1):
+    for j, (_, mj) in enumerate(literals, 1):
         for members in classes:
             i = members[0]
-            if _swap_fixes(bits, masks[i - 1], mj, (1 << (j - 1)) - (1 << (i - 1))):
+            if _swap_fixes(bits, literals[i - 1][1], mj, (1 << (j - 1)) - (1 << (i - 1))):
                 members.append(j)
                 break
         else:
@@ -170,7 +171,7 @@ def _automorphisms(f: BooleanFunction):
     n, bits = f.arity, f.bits
     if n < 2:
         return  # the identity is the only permutation
-    masks = [variable_mask(n, i) for i in range(1, n + 1)]
+    literals = _literals(n)
     # Sets of variables are bitmasks in which bit c stands for x_c.
     ones: list[int] = []
     with_ones: dict[int, int] = {}
@@ -178,12 +179,12 @@ def _automorphisms(f: BooleanFunction):
     # later[j-1]: the pair weights of x_{j+1}, ..., x_n with x_j
     with_pair: list[dict[int, int]] = [{} for _ in range(n + 1)]
     later: list[list[int]] = []
-    for j, mj in enumerate(masks, 1):
+    for j, (_, mj) in enumerate(literals, 1):
         high = bits & mj
         w = high.bit_count()
         ones.append(w)
         with_ones[w] = with_ones.get(w, 0) | 1 << j
-        later.append([(high & mc).bit_count() for mc in masks[j:]])
+        later.append([(high & mc).bit_count() for _, mc in literals[j:]])
         for c, w in enumerate(later[-1], j + 1):
             with_pair[j][w] = with_pair[j].get(w, 0) | 1 << c
             with_pair[c][w] = with_pair[c].get(w, 0) | 1 << j
@@ -264,7 +265,13 @@ def _ncf_symmetry(
 
 
 def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
-    """Early-exit existence check used by bulk verification."""
+    """Whether a non-identity permutation fixes ``f``: a transposition, tried
+    first, or else the automorphism search.  Transposed tables are built by
+    ``core._swap_bits``, the kernel of ``permute_inputs``, not ``partition``'s
+    comparison, so ``verify`` still sets two kernels against each other."""
+    n, bits = f.arity, f.bits
+    if any(_swap_bits(bits, n, i, j) == bits for i, j in combinations(range(1, n + 1), 2)):
+        return True
     return next(_automorphisms(f), None) is not None
 
 

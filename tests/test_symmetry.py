@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     boolean_functions,
+    nested_canalizing_functions,
     planted_symmetric_functions,
     reference_automorphisms,
     reference_table,
@@ -29,6 +30,7 @@ from ncflab import (
     symmetry_level,
     symmetry_report,
 )
+from ncflab import symmetry
 from ncflab.core import variable_mask
 from ncflab.symmetry import _automorphisms, has_nontrivial_automorphism
 
@@ -121,7 +123,13 @@ def test_strong_asymmetry_guard_and_ncf_fast_path():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(boolean_functions(0, 5), planted_symmetric_functions(5)))
+@given(
+    st.one_of(
+        boolean_functions(0, 5),
+        planted_symmetric_functions(5),
+        nested_canalizing_functions(5),
+    )
+)
 def test_automorphism_search_matches_word_level_oracle(f):
     expected = reference_automorphisms(f)
     assert list(_automorphisms(f)) == expected
@@ -132,6 +140,51 @@ def test_automorphism_search_matches_word_level_oracle(f):
         assert cycle_notation(witness) == min(map(cycle_notation, expected))
     else:
         assert witness is None
+
+
+def _count_search_and_permutes(monkeypatch):
+    """Patch counters in: the functions ``_automorphisms`` ran on, and the
+    number of ``permute_inputs`` calls."""
+    searched, permutes = [], [0]
+    search, permute = symmetry._automorphisms, BooleanFunction.permute_inputs
+
+    def counting_search(f):
+        searched.append(f)
+        return search(f)
+
+    def counting_permute(self, sigma):
+        permutes[0] += 1
+        return permute(self, sigma)
+
+    monkeypatch.setattr(symmetry, "_automorphisms", counting_search)
+    monkeypatch.setattr(BooleanFunction, "permute_inputs", counting_permute)
+    return searched, permutes
+
+
+def test_transpositions_short_circuit_the_search_on_ncfs(monkeypatch):
+    # An NCF with s < n has a symmetric pair, so a transposition answers
+    # before the search; only the n-symmetric ones reach it, and none of
+    # them has a non-identity automorphism to compare a permuted table for.
+    ncfs = [compose(d) for d in enumerate_ncfs(4)]
+    expected = [bool(reference_automorphisms(f)) for f in ncfs]
+    searched, permutes = _count_search_and_permutes(monkeypatch)
+    assert [has_nontrivial_automorphism(f) for f in ncfs] == expected
+    assert permutes[0] == 0
+    assert searched == [f for f in ncfs if symmetry_level(f) == 4]
+
+
+def test_search_runs_when_no_transposition_fixes_the_table(monkeypatch):
+    # x1x2x3 + x1x2x4 + x1x3 + x2x4 + x1 + x2: its one non-identity
+    # automorphism is (1 2)(3 4).  Every 3-variable function with a
+    # non-identity automorphism is fixed by a transposition, so 4 is the
+    # smallest arity where the search is needed.
+    f = BooleanFunction.from_hex("4:0246")
+    assert f == reference_table([{1, 2, 3}, {1, 2, 4}, {1, 3}, {2, 4}, {1}, {2}], 4)
+    assert reference_automorphisms(f) == [(2, 1, 4, 3)]
+    searched, permutes = _count_search_and_permutes(monkeypatch)
+    assert has_nontrivial_automorphism(f)
+    assert searched == [f]
+    assert permutes[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -158,25 +211,17 @@ def test_automorphism_search_prunes_by_weight(monkeypatch):
     weights = [(bits & variable_mask(8, i)).bit_count() for i in range(1, 9)]
     assert len(set(weights)) == 8  # pairwise distinct: only the identity survives
 
-    calls = 0
-    permute = BooleanFunction.permute_inputs
-
-    def counting(self, sigma):
-        nonlocal calls
-        calls += 1
-        return permute(self, sigma)
-
-    monkeypatch.setattr(BooleanFunction, "permute_inputs", counting)
+    _, permutes = _count_search_and_permutes(monkeypatch)
     assert is_strongly_asymmetric(f) == (True, None)
-    assert calls <= 8
+    assert permutes[0] <= 8
 
     # Equal variable weights: only the pair weights keep the matching
     # x1x2, x3x4, x5x6, so every table compared is one of its 47 non-identity
     # automorphisms, not one of the 719 non-identity permutations.
-    calls = 0
+    permutes[0] = 0
     matching = reference_table([{1, 2}, {3, 4}, {5, 6}], 6)
     assert len(list(_automorphisms(matching))) == 47
-    assert calls == 47
+    assert permutes[0] == 47
 
 
 def test_strong_asymmetry_iff_n_symmetric_on_ncfs():
