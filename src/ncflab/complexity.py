@@ -8,16 +8,18 @@ fixed to the word's bits, force the function constant (the constant is then
 
 For nested canalizing functions the pair ``(C0, C1)`` depends only on the
 layer structure and the output bit; :func:`ncf_cert_formula` evaluates that
-closed form.  :func:`cert_profile` computes every word's certificate in one
-sweep over the truth table, and the test suite checks the formula against
+closed form.  :func:`cert_profile` finds every word's certificate size in
+one depth-first walk over sets of free variables, each tested against the
+whole truth table at once, and the test suite checks the formula against
 it; the per-word scans :func:`certificate_at` and :func:`sensitivity_at`
-serve as the sweep's oracles.  :func:`block_sensitivity` is likewise one
+serve as its oracles.  :func:`block_sensitivity` is likewise one
 whole-table dynamic program over variable sets; the test suite keeps a
 per-word block packer as its oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,8 +36,9 @@ from .core import (
     word_at,
 )
 
-#: The certificate sweep builds a nonconstancy table of 2^n entries of 2^n bits
-#: (32 MiB at n = 14) and makes O(2^n) big-integer operations on it.
+#: The certificate sweep folds one table of 2^n bits for each of up to 2^n free
+#: sets, about seven big-integer operations each (40 ms on an NCF at n = 14).
+#: It keeps at most n(n + 1)/2 tables on its stack (about 210 KiB at n = 14).
 MAX_CERTIFICATE_ARITY = 14
 #: Block sensitivity keeps four lists of 2^n tables of 2^n bits (32 KiB at
 #: n = 8) and makes about bs * 3^n / 2 big-integer AND/ORs (5 ms at n = 8).
@@ -105,45 +108,74 @@ class ComplexityProfile:
 # ----------------------------------------------------------------------
 
 
-def _certificate_sets(n: int):
-    """Candidate certificates in (cardinality, lexicographic) order.
-
-    Yields ``(subset, free)``: the 1-based positions a certificate fixes, and
-    the bitmask of the positions it leaves free.
-    """
-    all_vars = (1 << n) - 1
-    for k in range(n + 1):
-        for subset in itertools.combinations(range(1, n + 1), k):
-            fixed = 0
-            for i in subset:
-                fixed |= 1 << (i - 1)
-            yield subset, all_vars ^ fixed
-
-
-def _freedom_tables(f: BooleanFunction) -> list[int]:
-    """Nonconstancy of ``f`` over every set of freed variables.
-
-    Entry ``m`` treats the variables in bitmask ``m`` as free: bit ``w`` is
-    1 iff ``f`` is not constant on the words agreeing with ``w`` outside
-    ``m``.  So the restriction that fixes the complement of ``m`` at word
-    ``w`` is a certificate iff bit ``w`` of entry ``m`` is 0.
-    """
+def _fold_steps(f: BooleanFunction) -> list[tuple[int, int, int]]:
+    """Per position ``p``, the step of :func:`_fold`: ``2^p``, the words with
+    ``x_{p+1} = 0``, and those where flipping ``x_{p+1}`` changes ``f``."""
     n, bits = f.arity, f.bits
-    size = 1 << n
-    nonconstant = [0] * size
-    # lows[p]: the words with x_{p+1} = 0; flips[p]: those where flipping it changes f
     lows = [full_mask(n) ^ variable_mask(n, i) for i in range(1, n + 1)]
-    flips = [(bits ^ bits >> (1 << p)) & lows[p] for p in range(n)]
-    for m in range(1, size):
-        low = m & -m
-        p = low.bit_length() - 1
-        span = 1 << p
-        # Freeing x_{p+1} joins two subcubes: nonconstant iff either half is
-        # or f differs across them.  Collapse onto the low word, copy up.
-        t = nonconstant[m ^ low]
-        t = (t | t >> span) & lows[p] | flips[p]
-        nonconstant[m] = t | t << span
-    return nonconstant
+    return [(1 << p, lo, (bits ^ bits >> (1 << p)) & lo) for p, lo in enumerate(lows)]
+
+
+def _fold(table: int, step: tuple[int, int, int]) -> int:
+    """Free one more variable in a nonconstancy table, whose bit ``w`` is 1
+    iff ``f`` is not constant on the words agreeing with ``w`` outside the
+    free set.  The joined subcube is nonconstant iff either half is or ``f``
+    differs across them: collapse onto the low word, copy up."""
+    span, low, flip = step
+    t = (table | table >> span) & low | flip
+    return t | t << span
+
+
+def _never_constant(f: BooleanFunction) -> list[int]:
+    """``never[j]``: the words at which ``f`` is constant on no subcube with
+    ``j`` free variables, from a depth-first walk over free sets.
+
+    A child adds one variable above its parent's top one, and its table is
+    one :func:`_fold` of the parent's; only the tables on the stack are kept.
+    Constancy is monotone, so a full table has only full descendants, which
+    change no AND: the walk prunes there.
+    """
+    n, full = f.arity, full_mask(f.arity)
+    steps = _fold_steps(f)
+    never = [0] + [full] * n
+    stack = [(0, 0, 1)]  # (table, first variable to free, size of children)
+    while stack:
+        table, start, size = stack.pop()
+        for p in range(start, n):
+            t = _fold(table, steps[p])
+            if t != full:
+                never[size] &= t
+                if p + 1 < n:
+                    stack.append((t, p + 1, size + 1))
+    return never
+
+
+def _first_certificates(f: BooleanFunction, never: list[int]) -> tuple:
+    """Each word's first certificate in (cardinality, lexicographic) order.
+
+    ``never`` gives every word's ``C(f, w)``, so for each size ``k`` only
+    the size-``k`` sets are scanned, each table built by ``n - k`` folds,
+    until every word with ``C(f, w) = k`` is certified.
+    """
+    n = f.arity
+    steps = _fold_steps(f)
+    first = [()] * (1 << n)
+    reach = never + [full_mask(n)]
+    for k in range(n + 1):
+        pending = reach[n - k + 1] & ~reach[n - k]
+        for subset in itertools.combinations(range(1, n + 1), k):
+            if not pending:
+                break
+            free = (steps[p] for p in range(n) if p + 1 not in subset)
+            table = functools.reduce(_fold, free, 0)
+            new = pending & ~table
+            for idx in _one_indices(new):
+                first[idx] = subset
+            pending ^= new
+    return tuple(
+        CertificateWitness(word_at(idx, n), len(subset), subset)
+        for idx, subset in enumerate(first)
+    )
 
 
 def certificate_at(
@@ -152,35 +184,31 @@ def certificate_at(
     """Minimum certificate of ``f`` on ``word`` with deterministic tie-break.
 
     Subsets are scanned in increasing cardinality and, within a cardinality,
-    in lexicographic order of the index tuple; the first whose restriction
-    is constant wins, so the reported size is exactly ``C(f, word)``.  This
-    per-word scan is the oracle for the whole-table sweep of
-    :func:`cert_profile`.
+    in lexicographic order of the index tuple; the first whose subcube
+    through ``word`` is constant on the table wins, so the reported size is
+    exactly ``C(f, word)``.  This per-word scan shares no kernel with the
+    sweep of :func:`cert_profile`, for which it is the oracle.
     """
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
     word = tuple(word)
-    if len(word) != f.arity:
-        raise InvalidInputError(
-            f"word length {len(word)} does not match arity {f.arity}"
-        )
-    nonconstant = _freedom_tables(f)
-    idx = index_of(word)
-    for subset, free in _certificate_sets(f.arity):
-        if not (nonconstant[free] >> idx) & 1:
-            return CertificateWitness(word, len(subset), subset)
+    value = f.evaluate(word)  # checks the word's length and bits
+    n, full = f.arity, full_mask(f.arity)
+    # agree[i - 1]: the words whose x_i equals word's
+    agree = [variable_mask(n, i) ^ (0 if b else full) for i, b in enumerate(word, 1)]
+    for k in range(n + 1):
+        for subset in itertools.combinations(range(1, n + 1), k):
+            cube = functools.reduce(int.__and__, (agree[i - 1] for i in subset), full)
+            if f.bits & cube == (cube if value else 0):
+                return CertificateWitness(word, k, subset)
     raise NcflabError("internal error: the full variable set is always a certificate")
 
 
 def sensitivity_at(f: BooleanFunction, word) -> int:
     """Number of single-bit flips of ``word`` that change the output."""
     word = tuple(word)
-    if len(word) != f.arity:
-        raise InvalidInputError(
-            f"word length {len(word)} does not match arity {f.arity}"
-        )
+    value = f.evaluate(word)  # checks the word's length and bits
     idx = index_of(word)
-    value = f.bit(idx)
     return sum(1 for p in range(f.arity) if f.bit(idx ^ (1 << p)) != value)
 
 
@@ -271,60 +299,32 @@ def cert_profile(
     max_arity: int = MAX_CERTIFICATE_ARITY,
     block_max_arity: int = MAX_BLOCK_SENSITIVITY_ARITY,
 ) -> ComplexityProfile:
-    """Exact complexity profile of ``f`` from one sweep over certificate sets.
+    """Exact complexity profile of ``f`` from one walk over free sets.
 
-    The sweep walks candidate certificates in the order :func:`certificate_at`
-    scans them.  A set certifies, all at once, every word at which ``f`` is
-    constant with its complement free; the words it certifies first
-    have exactly its size as their ``C(f, w)``, and their first certificate
-    is the set itself, so the witnesses match :func:`certificate_at` word
-    for word.  ``c0``/``c1`` are the last sizes at which a word of the
-    output-0 or output-1 fiber is first certified; an empty fiber
-    contributes 0 and flags the profile degenerate.  The sweep stops once
-    every word is certified.  Witness collection and block sensitivity are
-    optional because of their cost.
+    :func:`_never_constant` marks, for each ``j``, the words at which ``f``
+    is constant on no subcube with ``j`` free variables, so ``C(f, w) = n -
+    max{j : w not in never[j]}`` and ``c_b = n - max{j : fiber_b & never[j]
+    == 0}``.  An empty fiber gives 0 and flags the profile degenerate.
+    Witnesses come from a second pass in :func:`certificate_at`'s order, so
+    they match it word for word.  Witness collection and block sensitivity
+    are optional because of their cost.
     """
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
     if with_block_sensitivity and f.arity > block_max_arity:
         raise GuardExceededError("block sensitivity", f.arity, block_max_arity)
     n = f.arity
-    full = full_mask(n)
-    fibers = (full ^ f.bits, f.bits)
-    nonconstant = _freedom_tables(f)
-    c_by_value = [0, 0]
-    first = [()] * (1 << n) if with_witnesses else None
-    unresolved = full
-    for subset, free in _certificate_sets(n):
-        new = unresolved & ~nonconstant[free]
-        if not new:
-            continue
-        for value, fiber in enumerate(fibers):
-            if new & fiber:
-                c_by_value[value] = len(subset)
-        if first is not None:
-            for idx in _one_indices(new):
-                first[idx] = subset
-        unresolved ^= new
-        if not unresolved:
-            break
-    bs = (
-        block_sensitivity(f, max_arity=block_max_arity)
-        if with_block_sensitivity
-        else None
-    )
-    witnesses = (
-        tuple(
-            CertificateWitness(word_at(idx, n), len(subset), subset)
-            for idx, subset in enumerate(first)
-        )
-        if first is not None
-        else None
-    )
+    fibers = (full_mask(n) ^ f.bits, f.bits)
+    never = _never_constant(f)  # never[0] is 0: fixing all n variables certifies
+    c0, c1 = (n - max(j for j in range(n + 1) if not b & never[j]) for b in fibers)
+    witnesses = _first_certificates(f, never) if with_witnesses else None
+    bs = None
+    if with_block_sensitivity:
+        bs = block_sensitivity(f, max_arity=block_max_arity)
     return ComplexityProfile(
-        c0=c_by_value[0],
-        c1=c_by_value[1],
-        c=max(c_by_value),
+        c0=c0,
+        c1=c1,
+        c=max(c0, c1),
         sensitivity=sensitivity(f),
         block_sensitivity=bs,
         witnesses=witnesses,

@@ -82,7 +82,7 @@ def reference_certificate(f, word):
     Sets of positions are tried in (cardinality, lexicographic) order; a set
     certifies ``word`` when every word of its subcube (the words that agree
     with ``word`` on the set) has the value ``f(word)``.  Evaluates the
-    subcube word by word, independent of the freedom tables.
+    subcube word by word, independent of the whole-table sweep.
     """
     n = f.arity
     value = f.evaluate(word)

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,16 @@ def test_analyze_witness_flag(capsys):
     witnesses = report["complexity"]["witnesses"]
     assert witnesses[0] == {"word": "000", "size": 2, "certificate": [1, 3]}
     assert len(witnesses) == 8
+
+
+def test_analyze_witnesses_match_golden(capsys):
+    # The file is ``analyze --file witness_specs.txt --witnesses`` as the
+    # sweep over one freedom table per variable set printed it.
+    data = Path(__file__).parent / "data"
+    specs = str(data / "witness_specs.txt")
+    code, out, _ = run(capsys, "analyze", "--file", specs, "--witnesses")
+    assert code == 0
+    assert out.encode() == (data / "analyze_witnesses.txt").read_bytes()
 
 
 def test_analyze_batch_file(capsys, tmp_path):

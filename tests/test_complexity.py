@@ -1,6 +1,7 @@
 """Certificate complexity, sensitivity, block sensitivity."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,7 @@ from ncflab import (
     words,
 )
 from ncflab.core import InvalidInputError, full_mask
+from ncflab.ncf import LayerDecomposition
 
 CASCADE3 = reference_table([{1, 2, 3}, {1, 2}, {3}], 3)
 MONOMIAL3 = reference_table([{1, 2, 3}], 3)
@@ -171,9 +173,9 @@ def test_block_sensitivity_seeded_seven_variables():
 
 def test_profile_checks_block_guard_before_certificates(monkeypatch):
     def no_certificates(*args, **kwargs):
-        raise AssertionError("freedom tables were built before the guard")
+        raise AssertionError("the free-set walk ran before the guard")
 
-    monkeypatch.setattr("ncflab.complexity._freedom_tables", no_certificates)
+    monkeypatch.setattr("ncflab.complexity._never_constant", no_certificates)
     f = BooleanFunction.from_predicate(9, lambda w: sum(w) >= 5)
     with pytest.raises(GuardExceededError) as err:
         cert_profile(f, with_block_sensitivity=True)
@@ -237,3 +239,63 @@ def test_transform_invariance_seeded():
         else:
             assert (pg.c0, pg.c1) == (pf.c1, pf.c0)
         assert pg.c == max(pg.c0, pg.c1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        boolean_functions(0, 8),
+        constant_functions(8),
+        nested_canalizing_functions(8),
+    )
+)
+def test_cert_walk_matches_witness_pass_and_per_word_oracle(f):
+    plain = cert_profile(f)
+    full = cert_profile(f, with_witnesses=True)
+    assert plain.witnesses is None
+    fields = ("c0", "c1", "c", "degenerate")
+    assert [getattr(plain, k) for k in fields] == [getattr(full, k) for k in fields]
+    fiber_max = [0, 0]
+    for w in words(f.arity):
+        value = f.evaluate(w)
+        fiber_max[value] = max(fiber_max[value], certificate_at(f, w).size)
+    assert (plain.c0, plain.c1, plain.c) == (*fiber_max, max(fiber_max))
+
+
+def _random_ncf(rng, n):
+    """A random decomposition over ``n`` variables, with its composed table."""
+    sizes = []
+    while sum(sizes) < n:  # the last layer has at least two variables
+        rest = n - sum(sizes)
+        sizes.append(rng.choice([k for k in range(1, rest + 1) if rest - k != 1]))
+    order = rng.sample(range(1, n + 1), n)
+    layers, start = [], 0
+    for k in sizes:
+        chunk = sorted(order[start : start + k])
+        layers.append(tuple((var, rng.randint(0, 1)) for var in chunk))
+        start += k
+    d = LayerDecomposition(n, tuple(layers), rng.randint(0, 1))
+    return d, compose(d)
+
+
+def test_cert_walk_matches_formula_on_wide_ncfs():
+    rng = random.Random(20260311)
+    for n in range(9, 14):
+        for _ in range(3):
+            d, f = _random_ncf(rng, n)
+            p = cert_profile(f)
+            assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b), d
+
+
+def test_cert_walk_memory_at_guard():
+    # The walk keeps only the tables on its stack: at most n(n + 1)/2 tables
+    # of 2 KiB at n = 14, where one table per free set would take 32 MiB.
+    d, f = _random_ncf(random.Random(14), 14)
+    tracemalloc.start()
+    try:
+        p = cert_profile(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b)
+    assert peak < 2 * 1024 * 1024
