@@ -7,15 +7,15 @@ form a group), and its classes partition the variables.  A function with
 and ``s = 1`` totally symmetric.  A function is *strongly asymmetric* when
 the identity is its only variable permutation fixing the table.
 
-The automorphism search backtracks over the images of ``x1, x2, ...`` and
-maps a variable only to one with the same weight and the same pair weights
-with the variables already mapped, so a function whose variables the
-weights tell apart costs far less than n! table comparisons.  A function
-whose weights tell nothing apart, such as a totally symmetric one, still
-costs n!.  For nested canalizing functions strong asymmetry is equivalent
-to being n-symmetric, which gives a fast path past that search above its
-guard; the equivalence genuinely fails outside that class (see the
-6-variable pentagon function in the tests).
+The automorphism search writes cycle strings in increasing order and maps
+a variable only to one with the same weight and the same pair weights with
+the variables already mapped, so its first hit is the reported witness, and
+a totally symmetric input makes one table comparison.  Its slow case is a
+table whose weights cannot tell the variables apart while few permutations
+fix it.  For nested canalizing functions strong asymmetry is equivalent to
+being n-symmetric, which gives a path past that search above its guard; the
+equivalence genuinely fails outside that class (see the 6-variable pentagon
+function in the tests).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .core import (
 )
 from .ncf import LayerDecomposition, NcfClassification, _literals, decompose
 
-#: The automorphism search prunes by variable weights, but a function they
-#: cannot tell apart (a totally symmetric one) still costs n! permutations.
+#: Above this arity only NCFs pass, witnessed by a transposition in a
+#: symmetric class; raising it would change the witness of NCFs with n >= 9.
 MAX_AUTOMORPHISM_ARITY = 8
 
 
@@ -158,110 +158,98 @@ def cycle_notation(sigma) -> str:
 
 
 def _automorphisms(f: BooleanFunction):
-    """Non-identity permutations fixing ``f``, in ``itertools.permutations`` order.
+    """Non-identity permutations fixing ``f``, in increasing order of their
+    :func:`cycle_notation` strings: the first one is the report's witness.
 
-    An automorphism preserves the weight ``|f & x_i|`` of every variable and
-    ``|f & x_i & x_k|`` of every pair.  The search backtracks over
-    ``sigma(1), sigma(2), ...`` with images tried in increasing order.  For
-    every unmapped variable it keeps the images that agree with both weights
-    given the variables mapped so far, and it drops a partial map as soon as
-    one of those sets is empty.  Every surviving permutation except the
-    identity still makes the full table comparison.
+    The search spells the string token by token, trying choices in text
+    order, so depth-first order is string order.  After a closed cycle it
+    first ends the string (every unwritten variable fixed), then opens a
+    cycle at an unwritten ``b`` (those below ``b`` fixed); inside a cycle it
+    goes on to an unwritten ``y`` before it closes, since ``' ' < ')'``.
+    Numbers compare as text ("10" before "2"); each is followed by ``' '``
+    or ``')'``, which sort before every digit, so "1" comes before "10".
+
+    An automorphism keeps the weight ``|f & x_i|`` of every variable and
+    ``|f & x_i & x_k|`` of every pair, so a variable keeps only the images
+    that agree with both, and a partial map dies once such a set is empty.
+    Each complete map left makes one table comparison; the identity none.
     """
     n, bits = f.arity, f.bits
-    if n < 2:
-        return  # the identity is the only permutation
     literals = _literals(n)
+    weights = [(bits & mj).bit_count() for _, mj in literals]
+    if len(set(weights)) == n:
+        return  # the weights tell every variable apart
     # Sets of variables are bitmasks in which bit c stands for x_c.
-    ones: list[int] = []
+    # with_pair[j][w]: the x_c, c != j, with pair[j][c] = |f & x_j & x_c| = w
+    pair = [[0] * (n + 1) for _ in range(n + 1)]
     with_ones: dict[int, int] = {}
-    # with_pair[j][w]: the variables x_c, c != j, with |f & x_c & x_j| = w;
-    # later[j-1]: the pair weights of x_{j+1}, ..., x_n with x_j
     with_pair: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    later: list[list[int]] = []
     for j, (_, mj) in enumerate(literals, 1):
+        with_ones[weights[j - 1]] = with_ones.get(weights[j - 1], 0) | 1 << j
         high = bits & mj
-        w = high.bit_count()
-        ones.append(w)
-        with_ones[w] = with_ones.get(w, 0) | 1 << j
-        later.append([(high & mc).bit_count() for _, mc in literals[j:]])
-        for c, w in enumerate(later[-1], j + 1):
+        for c, (_, mc) in enumerate(literals[j:], j + 1):
+            pair[j][c] = pair[c][j] = w = (high & mc).bit_count()
             with_pair[j][w] = with_pair[j].get(w, 0) | 1 << c
             with_pair[c][w] = with_pair[c].get(w, 0) | 1 << j
+    text_order = sorted(range(1, n + 1), key=str)
+    image = list(range(n + 1))  # image[c] = sigma(c) of the partial map
 
-    identity = tuple(range(1, n + 1))
-    images: list[int] = []  # sigma(1), ..., sigma(d) at depth d
-    # Stacks indexed by depth d: the images of x_{d+1} not tried yet, and the
-    # images each of x_{d+2}, ..., x_n may still take.
-    untried = [with_ones[ones[0]]]
-    allowed = [[with_ones[w] for w in ones[1:]]]
-    while untried:
-        choices = untried[-1]
-        if not choices:
-            untried.pop()
-            allowed.pop()
-            if images:
-                images.pop()
-            continue
-        low = choices & -choices
-        untried[-1] = choices ^ low
-        j = low.bit_length() - 1
-        d = len(images)
-        fits = with_pair[j].get
-        if d == n - 2:  # x_n takes the one image left, if it fits
-            image = allowed[-1][0] & fits(later[d][0], 0)
-            if image:
-                sigma = (*images, j, image.bit_length() - 1)
-                if sigma != identity and f.permute_inputs(sigma).bits == bits:
+    # ``allowed`` maps each variable without an image, in increasing order,
+    # to the images it may still take.
+    def place(allowed, c, y):
+        """``allowed`` once ``sigma(c) = y``; None if a set runs empty."""
+        fits, row = with_pair[y].get, pair[c]
+        rest = {v: a & fits(row[v], 0) for v, a in allowed.items() if v != c}
+        return rest if all(rest.values()) else None
+
+    def open_cycle(allowed):
+        opened, below = {}, allowed  # below: every unwritten variable < b fixed
+        for b in allowed:
+            if below[b] != 1 << b:
+                opened[b] = below
+            below = place(below, b, b) if below[b] >> b & 1 else None
+            if below is None:
+                break
+        for b in text_order:
+            if b in opened:
+                yield from in_cycle(opened[b], b, b)
+
+    def in_cycle(allowed, b, c):
+        # The open cycle runs from b to c; b and the unwritten variables,
+        # all above b, are the images not yet taken.
+        here = allowed[c]
+        for y in text_order:
+            if y != b and here >> y & 1:
+                rest = place(allowed, c, y)
+                if rest is not None:
+                    image[c] = y
+                    yield from in_cycle(rest, b, y)
+        rest = place(allowed, c, b) if c != b and here >> b & 1 else None
+        if rest is not None:
+            image[c] = b
+            # Fixing a variable never drops another's own image from its
+            # set, so the string may end here if each one still holds it.
+            if all(a >> v & 1 for v, a in rest.items()):
+                sigma = tuple(image[1:])
+                if f.permute_inputs(sigma).bits == bits:
                     yield sigma
-            continue
-        rest = [a & fits(w, 0) for a, w in zip(allowed[-1], later[d])]
-        if 0 in rest:
-            continue
-        images.append(j)
-        untried.append(rest[0])
-        allowed.append(rest[1:])
+            yield from open_cycle(rest)
+        image[c] = c
+
+    allowed = {j: with_ones[w] for j, w in enumerate(weights, 1)}
+    for j in range(1, n + 1):
+        if allowed[j] == 1 << j:  # every automorphism fixes x_j
+            allowed = place(allowed, j, j)
+    yield from open_cycle(allowed)
 
 
 def is_strongly_asymmetric(
     f: BooleanFunction, *, max_arity: int = MAX_AUTOMORPHISM_ARITY
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether only the identity permutation fixes ``f``; witness otherwise.
-
-    Within the guard every non-identity permutation is tested; when several
-    fix the table the reported witness is the automorphism whose
-    cycle-notation string sorts first, which keeps the output deterministic
-    and matches the cycle-string form used in reports.  Above the guard a
-    nested canalizing input falls back to the equivalence with being
-    n-symmetric (witnessed by a transposition inside a symmetric class);
-    anything else is a guard error.
-    """
-    if f.arity <= max_arity:
-        witness = min(_automorphisms(f), key=cycle_notation, default=None)
-        return witness is None, witness
-    strong, witness, _ = _ncf_symmetry(f, decompose(f), max_arity)
-    return strong, witness
-
-
-def _ncf_symmetry(
-    f: BooleanFunction, classification: NcfClassification, max_arity: int
-) -> tuple[bool, tuple[int, ...] | None, SymmetryPartition]:
-    """Strong asymmetry, its witness and the classes above the automorphism guard.
-
-    Only nested canalizing functions pass the guard: ``classification`` is
-    ``decompose(f)``, taken from a caller that already has it.
-    """
-    if not classification.is_ncf:
-        raise GuardExceededError("automorphism", f.arity, max_arity)
-    classes = partition(f)
-    n = classes.arity
-    if classes.level == n:
-        return True, None, classes
-    witness_class = next(cls for cls in classes.classes if len(cls) >= 2)
-    sigma = list(range(1, n + 1))
-    a, b = witness_class[0], witness_class[1]
-    sigma[a - 1], sigma[b - 1] = b, a
-    return False, tuple(sigma), classes
+    """Whether only the identity permutation fixes ``f``, else the witness of
+    :func:`symmetry_report`."""
+    report, _ = symmetry_report(f, max_arity=max_arity)
+    return report.strongly_asymmetric, report.nontrivial_automorphism
 
 
 def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
@@ -278,31 +266,41 @@ def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
 def symmetry_report(
     f: BooleanFunction, *, max_arity: int = MAX_AUTOMORPHISM_ARITY
 ) -> tuple[SymmetryReport, SymmetryPartition]:
-    """Full symmetry summary plus the underlying partition."""
+    """Full symmetry summary plus the underlying partition.
+
+    Within the guard the witness is the automorphism search's first hit, the
+    automorphism whose cycle-notation string sorts first.  Above it only a
+    nested canalizing input passes: for an NCF, strong asymmetry is being
+    n-symmetric, and the witness otherwise swaps the first two members of
+    the first class with two or more members.
+    """
     return _symmetry_report(f, max_arity, None)
 
 
 def _symmetry_report(
     f: BooleanFunction, max_arity: int, classification: NcfClassification | None
 ) -> tuple[SymmetryReport, SymmetryPartition]:
-    """:func:`symmetry_report`, reusing ``decompose(f)`` if the caller has it.
-
-    Either way ``partition`` runs once, after the automorphism guard.
-    """
-    if f.arity <= max_arity:
-        strong, witness = is_strongly_asymmetric(f, max_arity=max_arity)
-        classes = partition(f)
+    """:func:`symmetry_report`, reusing the caller's ``decompose(f)`` if any;
+    ``partition`` runs once, after the automorphism guard."""
+    n = f.arity
+    if n > max_arity and not (classification or decompose(f)).is_ncf:
+        raise GuardExceededError("automorphism", n, max_arity)
+    classes = partition(f)
+    wide = [cls for cls in classes.classes if len(cls) >= 2]
+    if n <= max_arity:
+        witness = next(_automorphisms(f), None)
+    elif wide:
+        a, b = wide[0][:2]
+        witness = tuple(b if i == a else a if i == b else i for i in range(1, n + 1))
     else:
-        if classification is None:
-            classification = decompose(f)
-        strong, witness, classes = _ncf_symmetry(f, classification, max_arity)
+        witness = None
     s = classes.level
     report = SymmetryReport(
-        arity=f.arity,
+        arity=n,
         s=s,
-        partially_symmetric=s <= f.arity - 1,
+        partially_symmetric=s <= n - 1,
         totally_symmetric=s == 1,
-        strongly_asymmetric=strong,
+        strongly_asymmetric=witness is None,
         nontrivial_automorphism=witness,
     )
     return report, classes

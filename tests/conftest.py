@@ -56,23 +56,30 @@ def _permute_word(word, sigma):
     return tuple(word[image - 1] for image in sigma)
 
 
-def reference_automorphisms(f):
-    """Non-identity permutations fixing ``f``, checked word by word.
+def fixes_word_by_word(f, sigma, table=None):
+    """Whether the permutation ``sigma`` fixes ``f``, checked word by word.
 
     Independent of the table-level permutation machinery: every word is
-    permuted as a tuple and both values are read off the table.
+    permuted as a tuple and both values are read off the table.  ``table``
+    may hold the words of ``f``'s arity in index order.
     """
+    table = table or [word_at(idx, f.arity) for idx in range(1 << f.arity)]
+    return all(
+        f.bit(index_of(_permute_word(word, sigma))) == f.bit(idx)
+        for idx, word in enumerate(table)
+    )
+
+
+def reference_automorphisms(f):
+    """Non-identity permutations fixing ``f``, in ``itertools.permutations``
+    order, each checked word by word."""
     n = f.arity
     identity = tuple(range(1, n + 1))
     table = [word_at(idx, n) for idx in range(1 << n)]
     return [
         sigma
         for sigma in itertools.permutations(identity)
-        if sigma != identity
-        and all(
-            f.bit(index_of(_permute_word(word, sigma))) == f.bit(idx)
-            for idx, word in enumerate(table)
-        )
+        if sigma != identity and fixes_word_by_word(f, sigma, table)
     ]
 
 
@@ -130,14 +137,27 @@ def planted_symmetric_functions(draw, max_arity=5):
     """Functions fixed by a drawn permutation: one random bit per word orbit."""
     n = draw(st.integers(1, max_arity))
     tau = draw(permutations_of(n))
-    seed = draw(st.integers(0, full_mask(n)))
-    values = []
-    for idx in range(1 << n):
-        orbit_min, word = idx, _permute_word(word_at(idx, n), tau)
-        while (step := index_of(word)) != idx:
-            orbit_min = min(orbit_min, step)
-            word = _permute_word(word, tau)
-        values.append((seed >> orbit_min) & 1)
+    return planted_table(n, [tau], draw(st.integers(0, full_mask(n))))
+
+
+def planted_table(n, generators, seed):
+    """The table fixed by each permutation in ``generators`` (one-line,
+    1-based) that takes bit ``m`` of ``seed`` on each orbit of words, ``m``
+    being the orbit's smallest index."""
+    values = [None] * (1 << n)
+    for idx in range(1 << n):  # the first index of an orbit is its smallest
+        if values[idx] is not None:
+            continue
+        orbit, todo = {idx}, [idx]
+        while todo:
+            word = word_at(todo.pop(), n)
+            for sigma in generators:
+                step = index_of(_permute_word(word, sigma))
+                if step not in orbit:
+                    orbit.add(step)
+                    todo.append(step)
+        for step in orbit:
+            values[step] = (seed >> idx) & 1
     return BooleanFunction.from_values(values)
 
 

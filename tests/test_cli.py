@@ -10,6 +10,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,42 @@ def test_analyze_witnesses_match_golden(capsys):
     code, out, _ = run(capsys, "analyze", "--file", specs, "--witnesses")
     assert code == 0
     assert out.encode() == (data / "analyze_witnesses.txt").read_bytes()
+
+
+def test_analyze_symmetry_matches_golden(capsys):
+    # The file is ``analyze --file symmetry_specs.txt --json`` as the search
+    # that took the minimum cycle string over the whole group printed it.
+    data = Path(__file__).parent / "data"
+    specs = str(data / "symmetry_specs.txt")
+    code, out, _ = run(capsys, "analyze", "--file", specs, "--json")
+    assert code == 0
+    assert out.encode() == (data / "analyze_symmetry.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "anf, max_n, above, raised",
+    [
+        # classes [1], [2..9], [10]
+        (
+            "x1*x2*x3*x4*x5*x6*x7*x8*x9*x10 + x1*x2*x3*x4*x5*x6*x7*x8*x9 + x1",
+            "10",
+            "(2 3)",
+            "(2 3 4 5 6 7 8 9)",
+        ),
+        # classes [1, 2, 3], [4, 5], [6, 7, 8, 9]
+        ("x1*x2*x3*(x4*x5*(x6*x7*x8*x9 + 1) + 1)", "9", "(1 2)", "(1 2 3)"),
+    ],
+)
+def test_analyze_ncf_witness_above_and_below_the_guard(capsys, anf, max_n, above, raised):
+    # Above the automorphism guard an NCF is witnessed by the transposition
+    # of the first two members of its first class of two or more; with the
+    # guard raised, the search reports the smallest cycle string instead.
+    code, out, err = run(capsys, "analyze", "--anf", anf)
+    assert code == 0, err
+    assert f"witness={above}\n" in out
+    code, out, err = run(capsys, "analyze", "--anf", anf, "--max-n", max_n)
+    assert code == 0, err
+    assert f"witness={raised}\n" in out
 
 
 def test_analyze_batch_file(capsys, tmp_path):

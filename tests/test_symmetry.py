@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     boolean_functions,
+    fixes_word_by_word,
     nested_canalizing_functions,
     planted_symmetric_functions,
+    planted_table,
     reference_automorphisms,
     reference_table,
 )
@@ -131,8 +133,11 @@ def test_strong_asymmetry_guard_and_ncf_fast_path():
     )
 )
 def test_automorphism_search_matches_word_level_oracle(f):
+    # Same set as the oracle, and in increasing cycle-string order.
     expected = reference_automorphisms(f)
-    assert list(_automorphisms(f)) == expected
+    assert [cycle_notation(s) for s in _automorphisms(f)] == sorted(
+        map(cycle_notation, expected)
+    )
     flag, witness = is_strongly_asymmetric(f)
     assert has_nontrivial_automorphism(f) == (not flag)
     assert flag == (not expected)
@@ -200,9 +205,61 @@ def test_search_runs_when_no_transposition_fixes_the_table(monkeypatch):
     ],
 )
 def test_automorphism_search_large_groups(f, group_order):
-    found = list(_automorphisms(f))
+    found = [cycle_notation(s) for s in _automorphisms(f)]
     assert len(found) == group_order - 1
-    assert found == reference_automorphisms(f)
+    assert found == sorted(map(cycle_notation, reference_automorphisms(f)))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize(
+    "predicate",
+    [lambda w: sum(w) >= 4, lambda w: sum(w) % 2, lambda w: sum(w) % 3 == 0],
+    ids=["threshold-4", "parity", "mod-3"],
+)
+def test_totally_symmetric_input_makes_one_comparison(monkeypatch, n, predicate):
+    # Every permutation fixes the table, and the string search meets the
+    # smallest cycle string, (1 2 ... n), first: one table comparison, not
+    # one per non-identity permutation.
+    f = BooleanFunction.from_predicate(n, predicate)
+    _, permutes = _count_search_and_permutes(monkeypatch)
+    flag, witness = is_strongly_asymmetric(f)
+    assert flag is False
+    assert cycle_notation(witness) == "(" + " ".join(map(str, range(1, n + 1))) + ")"
+    assert permutes[0] == 1
+
+
+def _one_line(n, cycles):
+    sigma = list(range(1, n + 1))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            sigma[a - 1] = b
+    return tuple(sigma)
+
+
+@pytest.mark.parametrize(
+    "n, generators, seed, witness",
+    [
+        # Witnesses as the whole-group minimum over cycle strings gave them.
+        (11, [[(2, 3, 4)], [(10, 11)]], 1, "(10 11)"),
+        (10, [[(1, 10, 3)]], 2, "(1 10 3)"),
+        (11, [[(1, 2, 3, 4, 5, 6)], [(9, 10, 11)]], 3, "(1 2 3 4 5 6)"),
+        (10, [[(1, 2, 10, 3)]], 4, "(1 10)"),
+        (11, [[(1, 11, 5, 10), (3, 7)]], 5, "(1 10 5 11)(3 7)"),
+        (10, [[(2, 10, 6, 4, 9)], [(1, 7)]], 6, "(1 7)"),
+    ],
+)
+def test_search_order_at_two_digit_indices(n, generators, seed, witness):
+    # From x10 on, text order is not numeric order: "(1 10" < "(1 2".
+    planted = [_one_line(n, cycles) for cycles in generators]
+    f = planted_table(n, planted, random.Random(seed).getrandbits(1 << n))
+    found = list(_automorphisms(f))
+    strings = [cycle_notation(s) for s in found]
+    assert all(a < b for a, b in zip(strings, strings[1:]))
+    assert all(fixes_word_by_word(f, sigma) for sigma in found)
+    assert set(planted) <= set(found)
+    flag, first = is_strongly_asymmetric(f, max_arity=11)
+    assert flag is False
+    assert cycle_notation(first) == strings[0] == witness
 
 
 def test_automorphism_search_prunes_by_weight(monkeypatch):
