@@ -97,7 +97,8 @@ def enumerate_ncfs(
     the input of ``x_i``), and finally the output bit.  Uniqueness of the
     canonical form guarantees no two emitted decompositions compose to the
     same table.  ``layer_count`` restricts the stream to one layer count
-    without walking the rest.
+    without walking the rest.  Items are valid by construction and skip
+    :class:`LayerDecomposition`'s validation.
     """
     _check_arity(n)
     if n > max_arity:
@@ -115,7 +116,7 @@ def enumerate_ncfs(
                     for block in blocks
                 )
                 for b in (0, 1):
-                    yield LayerDecomposition(n, layers, b)
+                    yield LayerDecomposition._unchecked(n, layers, b)
 
 
 # ----------------------------------------------------------------------

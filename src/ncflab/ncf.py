@@ -16,6 +16,10 @@ The stored input of a variable is the value that *zeroes* its factor: the
 factor ``(x + a)`` vanishes exactly when ``x = a``.  The degenerate one-layer
 reading keeps the innermost ``(M_r + 1)`` wrapper, so a bare product such as
 ``x1*x2*x3`` is stored with ``b = 1``.
+
+A variable's influence depends only on its layer (Li, Adeyeye, Murrugarra,
+Aguilar and Laubenbacher, TCS 2013), so :func:`decompose` reads the only
+candidate off the influences and confirms it with one :func:`compose`.
 """
 
 from __future__ import annotations
@@ -24,13 +28,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (
-    BooleanFunction,
-    InvalidInputError,
-    NcflabError,
-    full_mask,
-    variable_mask,
-)
+from .core import BooleanFunction, InvalidInputError, full_mask, variable_mask
 
 LayerEntries = tuple[tuple[int, int], ...]
 
@@ -39,6 +37,7 @@ class NotNcfReason(enum.Enum):
     """Why a function failed nested-canalizing classification."""
 
     NO_CANALIZING_VARIABLE = "no canalizing variable"
+    # Never returned by decompose; kept so that callers naming it still work.
     CONFLICTING_OUTPUTS = "conflicting canalized outputs"
     INESSENTIAL_VARIABLE = "inessential variable"
     CONSTANT = "constant function"
@@ -93,6 +92,13 @@ class LayerDecomposition:
             raise InvalidInputError("the last layer must contain at least two variables")
 
     @classmethod
+    def _unchecked(cls, arity: int, layers: tuple[LayerEntries, ...], b: int):
+        """Build without validation, for layers that are valid by construction."""
+        d = object.__new__(cls)
+        d.__dict__.update(arity=arity, layers=layers, b=b)
+        return d
+
+    @classmethod
     def from_pairs(cls, arity: int, layers, b: int) -> "LayerDecomposition":
         """Build from any iterable of iterables of pairs, sorting each layer."""
         normalized = tuple(
@@ -124,7 +130,13 @@ def canalizing_pairs(f: BooleanFunction) -> list[tuple[int, int, int]]:
     """
     if f.arity < 1:
         raise InvalidInputError("canalizing pairs need at least one variable")
-    return _canalizing_scan(f.bits, full_mask(f.arity), enumerate(_literals(f.arity), 1))
+    bits = f.bits
+    return [
+        (i, a, int(bits & half == half))
+        for i, halves in enumerate(_literals(f.arity), 1)
+        for a, half in enumerate(halves)
+        if bits & half in (0, half)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -134,75 +146,64 @@ def _literals(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((full ^ m, m) for m in (variable_mask(n, i) for i in range(1, n + 1)))
 
 
-def _canalizing_scan(bits: int, live: int, literals) -> list:
-    """Canalizing pairs of ``bits`` in ``live``, over the ``(i, halves)`` it leaves free."""
-    pairs = []
-    for i, halves in literals:
-        for a, half in enumerate(halves):
-            cube = live & half
-            masked = bits & cube
-            if masked == cube:
-                pairs.append((i, a, 1))
-            elif masked == 0:
-                pairs.append((i, a, 0))
-    return pairs
-
-
 def decompose(f: BooleanFunction) -> NcfClassification:
     """Classify ``f`` and produce its unique canonical decomposition.
 
-    The peel keeps the full table and the current subfunction's domain as
-    a live subcube mask.  Each round scans only the variables not yet peeled
-    (the live subcube fixes the others), collects every canalizing one into
-    the next layer and shrinks the live subcube to their non-canalizing
-    inputs, until the subfunction is constant.  The output bit is fixed by
-    requiring the canonical reading to reproduce ``f``: it equals the first
-    layer's canalized output when there are two or more layers, and its
-    complement in the one-layer case (whose reading carries an extra inner
-    complement).
+    One pass over the variables names the only candidate and one
+    :func:`compose` confirms it.  A variable's influence is the number of
+    input pairs, differing only in it, on which ``f`` differs; zero means
+    the variable is inessential, and the canonical form uses every variable.
+    The candidate's layers are the groups of equal influence, largest first.
+    The first layer's output is ``f``'s majority value and layer outputs
+    alternate; a stored input is the half of its variable that holds more
+    of its layer's output.  ``b`` is the first layer's output, complemented
+    in the one-layer case (whose reading carries an extra inner complement).
 
-    Functions with an inessential variable are rejected before peeling: the
-    canonical form uses every variable, so such functions are not nested
-    canalizing at their declared arity.
+    Why this is exact: for a variable of layer ``t``, let ``K_t`` count the
+    variables of layers ``1..t`` and ``q_t`` be the chance that the later
+    layers give the opposite of layer ``t``'s output (1 for the last layer).
+    Its influence is ``2**(n - K_t) * q_t``, and ``q_t = 1 - 2**-k * q_{t+1}``
+    for a next layer of ``k`` variables, so ``1/2 < q_t < 1`` below the last
+    layer, which has two or more variables.  Influence is thus equal within
+    a layer and falls strictly across layers; ``f`` takes layer 1's output
+    with chance ``1 - 2**-k_1 * q_1 > 1/2``; and where no earlier layer
+    decides, the half off a stored input misses its layer's output with
+    chance ``2**(1 - k_t) * q_t > 0``, the stored half never.  So every NCF's
+    own form is its candidate.  The form is unique, so a candidate that does
+    not compose back to ``f`` shows that ``f`` is not nested canalizing.
     """
     n = f.arity
     if n < 2:
         raise InvalidInputError("decomposition requires arity >= 2")
-    bits, live = f.bits, full_mask(n)
-    if bits == 0 or bits == live:
+    bits = f.bits
+    if bits == 0 or bits == full_mask(n):
         return NcfClassification(False, reason=NotNcfReason.CONSTANT)
     literals = _literals(n)
+    by_influence: dict[int, list[tuple[int, int]]] = {}
     for span, (low, high) in enumerate(literals):
-        if (bits & high) >> (1 << span) == bits & low:
+        upper = (bits & high) >> (1 << span)
+        flips = (upper ^ (bits & low)).bit_count()
+        if not flips:
             return NcfClassification(False, reason=NotNcfReason.INESSENTIAL_VARIABLE)
+        by_influence.setdefault(flips, []).append((span + 1, upper.bit_count()))
+    if len(by_influence[min(by_influence)]) < 2:
+        return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
 
-    layers: list[LayerEntries] = []
-    first_out: int | None = None
-    unpeeled = dict(enumerate(literals, 1))
-    while bits & live not in (0, live):
-        pairs = _canalizing_scan(bits, live, unpeeled.items())
-        if not pairs:
-            return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
-        if len({out for _, _, out in pairs}) > 1:
-            # Unreachable once inessential variables are ruled out (two
-            # canalizing pairs on distinct variables force equal outputs,
-            # and a doubly-canalizing variable leaves the rest inessential);
-            # kept as a defensive classification.
-            return NcfClassification(False, reason=NotNcfReason.CONFLICTING_OUTPUTS)
-        if first_out is None:
-            first_out = pairs[0][2]
-        layers.append(tuple((i, a) for i, a, _ in pairs))
-        for i, a, _ in pairs:
-            live &= unpeeled.pop(i)[a ^ 1]
-
-    if len(layers[-1]) < 2:
-        raise NcflabError("internal error: peel produced a one-variable last layer")
-    assert first_out is not None
-    b = first_out if len(layers) >= 2 else first_out ^ 1
-    result = LayerDecomposition(n, tuple(layers), b)
-    if __debug__:
-        assert compose(result) == f, "peel result failed to reproduce the input"
-    return NcfClassification(True, decomposition=result)
+    ones = bits.bit_count()
+    first_out = out = int(2 * ones > 1 << n)
+    layers = []
+    for _, group in sorted(by_influence.items(), reverse=True):
+        # 2 |f & x_i| > |f| exactly when the half x_i = 1 holds more ones.
+        layers.append(tuple([(i, int(2 * w > ones) ^ out ^ 1) for i, w in group]))
+        out ^= 1
+    b = first_out ^ (len(layers) == 1)
+    candidate = LayerDecomposition._unchecked(n, tuple(layers), b)
+    i, a = layers[0][0]
+    half = literals[i - 1][a]
+    # A cheap test first: the first layer must canalize f.
+    if bits & half != (half if first_out else 0) or compose(candidate).bits != bits:
+        return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
+    return NcfClassification(True, decomposition=candidate)
 
 
 def compose(d: LayerDecomposition) -> BooleanFunction:
@@ -214,7 +215,13 @@ def compose(d: LayerDecomposition) -> BooleanFunction:
     """
     n = d.arity
     full = full_mask(n)
-    masks = [_layer_mask(n, layer) for layer in d.layers]
+    literals = _literals(n)
+    masks = []
+    for layer in d.layers:
+        mask = full
+        for var, inp in layer:
+            mask &= literals[var - 1][inp ^ 1]  # the factor (x + a) is true where x != a
+        masks.append(mask)
     r = len(masks)
 
     value = masks[-1] ^ full
@@ -236,15 +243,6 @@ def compose(d: LayerDecomposition) -> BooleanFunction:
             acc ^= full
         assert acc == nested.bits, "nested and expanded readings disagree"
     return nested
-
-
-def _layer_mask(n: int, layer: LayerEntries) -> int:
-    """Truth table of the layer's product of ``(x + a)`` factors."""
-    full = mask = full_mask(n)
-    for var, inp in layer:
-        m = variable_mask(n, var)
-        mask &= full ^ m if inp else m  # the factor (x + a) is true where x != a
-    return mask
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,14 @@ def nested_canalizing_functions(draw, max_arity=6):
 
 
 @st.composite
+def flipped_nested_canalizing_functions(draw, max_arity=6):
+    """A nested canalizing table with one entry flipped: a near miss."""
+    f = draw(nested_canalizing_functions(max_arity))
+    index = draw(st.integers(0, (1 << f.arity) - 1))
+    return BooleanFunction(f.arity, f.bits ^ (1 << index))
+
+
+@st.composite
 def planted_symmetric_functions(draw, max_arity=5):
     """Functions fixed by a drawn permutation: one random bit per word orbit."""
     n = draw(st.integers(1, max_arity))
@@ -342,8 +350,8 @@ def reference_decompose(f: BooleanFunction) -> NcfClassification:
     The peel loop repeatedly collects every canalizing variable of the
     current subfunction into the next layer, then restricts those variables
     to their non-canalizing inputs and continues on the remainder, which is
-    renumbered.  Independent of the live-subcube peel; builds one table per
-    restricted variable.
+    renumbered.  Independent of decompose's influence-rank guess; builds one
+    table per restricted variable.
     """
     n = f.arity
     if n < 2:

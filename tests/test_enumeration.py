@@ -13,6 +13,7 @@ import ncflab.enumeration
 from ncflab import (
     GuardExceededError,
     InvalidInputError,
+    LayerDecomposition,
     compose,
     count_by_layers,
     count_s_symmetric,
@@ -61,6 +62,14 @@ def test_stream_is_duplicate_free():
     for n in (2, 3, 4):
         tables = {compose(d).bits for d in enumerate_ncfs(n)}
         assert len(tables) == count_total(n)
+
+
+def test_stream_items_pass_public_validation():
+    # The stream skips LayerDecomposition's validation; the public
+    # constructor must accept every item and build an equal object.
+    for n in (2, 3, 4, 5):
+        for d in enumerate_ncfs(n):
+            assert LayerDecomposition(d.arity, d.layers, d.b) == d
 
 
 def test_stream_is_deterministic():

@@ -1,4 +1,4 @@
-"""Canonical layer decomposition: peel, rebuild, text form."""
+"""Canonical layer decomposition: classify, rebuild, text form."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     boolean_functions,
     constant_functions,
+    flipped_nested_canalizing_functions,
     nested_canalizing_functions,
     planted_inessential_functions,
     reference_decompose,
@@ -25,8 +26,7 @@ from ncflab import (
     format_decomposition,
     parse_decomposition,
 )
-from ncflab.core import full_mask, words
-from ncflab.ncf import _layer_mask
+from ncflab.core import full_mask, variable_mask, words
 
 CASCADE3 = reference_table([{1, 2, 3}, {1, 2}, {3}], 3)
 MONOMIAL3 = reference_table([{1, 2, 3}], 3)
@@ -108,7 +108,13 @@ def test_compose_matches_prefix_product_expansion():
     for n in (2, 3, 4):
         full = full_mask(n)
         for d in enumerate_ncfs(n):
-            masks = [_layer_mask(n, layer) for layer in d.layers]
+            masks = []
+            for layer in d.layers:
+                mask = full
+                for var, inp in layer:  # the factor (x + a) is true where x != a
+                    m = variable_mask(n, var)
+                    mask &= full ^ m if inp else m
+                masks.append(mask)
             prefix = full
             acc = 0
             for mask in masks:
@@ -192,6 +198,7 @@ def _classify(decomposer, f):
         boolean_functions(2, 7),
         constant_functions(),
         nested_canalizing_functions(7),
+        flipped_nested_canalizing_functions(7),
         planted_inessential_functions(7),
     )
 )
@@ -208,6 +215,13 @@ def test_decompose_matches_restrict_peel_oracle(f):
         assert canalizing_pairs(f) == by_words
 
 
+def test_decompose_matches_restrict_peel_oracle_on_every_small_table():
+    for n in (2, 3, 4):
+        for bits in range(1 << (1 << n)):
+            f = BooleanFunction(n, bits)
+            assert decompose(f) == reference_decompose(f), f.to_hex()
+
+
 def test_decompose_builds_no_restricted_tables(monkeypatch):
     def restrict(*args, **kwargs):
         raise AssertionError("decompose built a restricted table")
@@ -220,7 +234,8 @@ def test_decompose_builds_no_restricted_tables(monkeypatch):
             assert back.is_ncf
             assert back.decomposition == d
 
-    # The only table decompose builds is the debug check's compose.
+    # The only table decompose builds is the confirming compose, with or
+    # without asserts.
     f = compose(next(enumerate_ncfs(5)))
     built = []
     check = BooleanFunction.__post_init__
@@ -228,4 +243,4 @@ def test_decompose_builds_no_restricted_tables(monkeypatch):
         BooleanFunction, "__post_init__", lambda self: built.append(check(self))
     )
     assert decompose(f).is_ncf
-    assert len(built) == (1 if __debug__ else 0)
+    assert len(built) == 1
