@@ -16,13 +16,19 @@ Text is not expanded term by term: :func:`check_anf` checks it and
 :func:`evaluate_anf` computes its truth table in one pass with an explicit
 stack, so products of sums cost one table operation per token and nesting
 depth is unbounded.  The canonical ANF, with duplicate terms cancelled in
-pairs, is read back off that table.
+pairs, is read back off that table by the binary Moebius transform.
+
+Canonical text lists the terms by descending degree, then by index list.
+One writer, :func:`_monomial_text`, produces it from monomial masks: both
+:func:`anf_text`, which reads a truth table's coefficients straight into
+text, and :meth:`AnfPolynomial.format` go through it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 
 from .core import (
     MAX_TABLE_ARITY,
@@ -75,19 +81,11 @@ class AnfPolynomial:
 
     @classmethod
     def from_function(cls, f: BooleanFunction) -> "AnfPolynomial":
-        """Recover the unique ANF of a truth table (binary Moebius transform).
-
-        Step ``i`` XORs every entry with ``x_i = 0`` into its partner with
-        ``x_i = 1``, one shift of the whole table; bit ``m`` of the result
-        is the coefficient of the monomial over the variables in ``m``.
-        """
+        """Recover the unique ANF of a truth table from its Moebius coefficients."""
         n = f.arity
-        coeffs = f.bits
-        for i in range(1, n + 1):
-            coeffs ^= (coeffs << (1 << (i - 1))) & variable_mask(n, i)
         monomials = frozenset(
             frozenset(i + 1 for i in range(n) if (mask >> i) & 1)
-            for mask in _one_indices(coeffs)
+            for mask in _one_indices(_moebius(f))
         )
         return cls(n, monomials)
 
@@ -96,17 +94,9 @@ class AnfPolynomial:
     # ------------------------------------------------------------------
 
     def format(self) -> str:
-        """Canonical text: terms by descending degree, then by index order."""
-        if not self.monomials:
-            return "0"
-        ordered = sorted(self.monomials, key=lambda m: (-len(m), sorted(m)))
-        parts = []
-        for monomial in ordered:
-            if monomial:
-                parts.append("*".join(f"x{i}" for i in sorted(monomial)))
-            else:
-                parts.append("1")
-        return " + ".join(parts)
+        """Canonical text, written by :func:`_monomial_text`."""
+        masks = (sum(1 << (i - 1) for i in monomial) for monomial in self.monomials)
+        return _monomial_text(self.arity, masks)
 
     @classmethod
     def parse(cls, text: str, arity: int) -> "AnfPolynomial":
@@ -119,6 +109,48 @@ class AnfPolynomial:
         variable indices outside ``1..arity``.
         """
         return cls.from_function(evaluate_anf(*check_anf(text, arity)))
+
+
+# ----------------------------------------------------------------------
+# Truth table to text
+# ----------------------------------------------------------------------
+
+
+def _moebius(f: BooleanFunction) -> int:
+    """The ANF coefficients of ``f`` (binary Moebius transform): bit ``m`` is
+    the coefficient of the monomial over the variables in mask ``m``.
+
+    Step ``i`` XORs every entry with ``x_i = 0`` into its partner with
+    ``x_i = 1``, one shift of the whole table.
+    """
+    n, coeffs = f.arity, f.bits
+    for i in range(1, n + 1):
+        coeffs ^= (coeffs << (1 << (i - 1))) & variable_mask(n, i)
+    return coeffs
+
+
+def anf_text(f: BooleanFunction) -> str:
+    """The canonical ANF text of ``f``, read straight off its coefficients."""
+    return _monomial_text(f.arity, _one_indices(_moebius(f)))
+
+
+def _monomial_text(arity: int, masks) -> str:
+    """Canonical text of the monomials given as variable masks (bit ``i - 1``
+    for ``x_i``): terms by descending degree, then by index list; ``0`` for
+    none.
+
+    A mask's bits read from ``x_1`` up, with 0 and 1 swapped, sort like its
+    index list among masks of one degree: at the first position where two
+    such masks differ, the one holding that variable comes first.
+    """
+    names = [f"x{i}" for i in range(1, arity + 1)]
+    swap = str.maketrans("01", "10")
+    keys = sorted(
+        (-mask.bit_count(), bin(mask)[:1:-1].ljust(arity, "0").translate(swap))
+        for mask in masks
+    )
+    terms = ("*".join(compress(names, map("0".__eq__, key))) or "1" for _, key in keys)
+    return " + ".join(terms) or "0"
 
 
 # ----------------------------------------------------------------------

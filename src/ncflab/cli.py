@@ -1,8 +1,9 @@
 """Command-line interface: analyze, enumerate, count, verify.
 
 Exit codes: 0 success (and every verify check passed), 1 failed verify
-checks or runtime faults, 2 malformed input, 3 a guard was exceeded (the
-message names it; ``--max-n`` raises the analyze and enumerate guards only).
+checks or runtime faults (a reader that closes stdout early is one), 2
+malformed input, 3 a guard was exceeded (the message names it; ``--max-n``
+raises the analyze and enumerate guards only).
 
 Output is deterministic: two runs with the same arguments produce identical
 bytes.
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
-from .anf import AnfPolynomial, check_anf, evaluate_anf
+from .anf import anf_text, check_anf, evaluate_anf
 from .complexity import (
     MAX_BLOCK_SENSITIVITY_ARITY,
     MAX_CERTIFICATE_ARITY,
@@ -40,7 +42,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``ncflab enumerate 5 | head -1``).  As
+        # Python's signal docs advise, point stdout at devnull so that the
+        # flush at exit cannot fail again, and end as a runtime fault.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -178,7 +189,7 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
         ),
     }
     return {
-        "input": {"anf": AnfPolynomial.from_function(f).format(), "table": f.to_hex()},
+        "input": {"anf": anf_text(f), "table": f.to_hex()},
         "ncf": ncf_section,
         "complexity": complexity_section,
         "symmetry": report.to_json_dict(classes),

@@ -63,6 +63,13 @@ class SymmetryPartition:
         if len(seen) != self.arity:
             raise InvalidInputError(f"classes do not partition 1..{self.arity}")
 
+    @classmethod
+    def _unchecked(cls, arity: int, classes: tuple[tuple[int, ...], ...]):
+        """Build without validation, for classes that are valid by construction."""
+        p = object.__new__(cls)
+        p.__dict__.update(arity=arity, classes=classes)
+        return p
+
     @property
     def level(self) -> int:
         return len(self.classes)
@@ -126,6 +133,8 @@ def partition(f: BooleanFunction) -> SymmetryPartition:
     Symmetry of variables is an equivalence relation, so a variable joins a
     class as soon as it is equivalent to the class's first (smallest) member.
     The swap test runs on the raw table with the per-arity variable masks.
+    Variables join classes in increasing order, so the classes come out
+    sorted and partition ``1..n``: the result skips validation.
     """
     n, bits = f.arity, f.bits
     literals = _literals(n)
@@ -138,7 +147,7 @@ def partition(f: BooleanFunction) -> SymmetryPartition:
                 break
         else:
             classes.append([j])
-    return SymmetryPartition(n, tuple(map(tuple, classes)))
+    return SymmetryPartition._unchecked(n, tuple(map(tuple, classes)))
 
 
 def symmetry_level(f: BooleanFunction) -> int:

@@ -13,7 +13,7 @@ from ncflab import (
     InvalidInputError,
     ParseError,
 )
-from ncflab.anf import check_anf, evaluate_anf
+from ncflab.anf import anf_text, check_anf, evaluate_anf
 
 
 def monomials(*terms):
@@ -143,6 +143,10 @@ def test_format_canonical_order():
     assert p.format() == "x1*x2*x3 + x1*x2 + x3 + 1"
     assert AnfPolynomial(2, frozenset()).format() == "0"
     assert AnfPolynomial.parse("1", 1).format() == "1"
+    # Index lists sort as numbers, and formatting builds no table, so an
+    # arity above the table cap formats at once.
+    p = AnfPolynomial.from_terms(40, [[40, 1], [3], [], [2, 10], [2, 9]])
+    assert p.format() == "x1*x40 + x2*x9 + x2*x10 + x3 + 1"
 
 
 def test_parse_format_round_trip():
@@ -182,3 +186,17 @@ def test_round_trip_exhaustive_small():
 @given(boolean_functions(0, 10))
 def test_round_trip_sampled(f):
     assert AnfPolynomial.from_function(f).to_function() == f
+
+
+@settings(max_examples=150)
+@given(boolean_functions(0, 10))
+def test_anf_text_matches_sorted_monomials(f):
+    # The documented order, built from the monomial sets: descending degree,
+    # then the sorted index lists.
+    ordered = sorted(
+        AnfPolynomial.from_function(f).monomials, key=lambda m: (-len(m), sorted(m))
+    )
+    terms = ["*".join(f"x{i}" for i in sorted(m)) or "1" for m in ordered]
+    expected = " + ".join(terms) or "0"
+    assert anf_text(f) == expected
+    assert AnfPolynomial.from_function(f).format() == expected

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -119,6 +120,37 @@ def test_analyze_symmetry_matches_golden(capsys):
     code, out, _ = run(capsys, "analyze", "--file", specs, "--json")
     assert code == 0
     assert out.encode() == (data / "analyze_symmetry.txt").read_bytes()
+
+
+def test_analyze_ncf_wide_matches_golden(capsys):
+    # The file is ``analyze --file ncf_wide_specs.txt --json`` as the
+    # walk that pruned only at full tables and the formatter that sorted
+    # frozensets printed it.
+    data = Path(__file__).parent / "data"
+    specs = str(data / "ncf_wide_specs.txt")
+    code, out, _ = run(capsys, "analyze", "--file", specs, "--json")
+    assert code == 0
+    assert out.encode() == (data / "analyze_ncf_wide.txt").read_bytes()
+
+
+def test_closed_pipe_ends_without_traceback():
+    # ``ncflab enumerate 5 | head -1``: the reader leaves after one line of
+    # about 330 KB, more than a pipe buffers, so the write fails mid-stream.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncflab.cli", "enumerate", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"0; [1:0, 2:0, 3:0, 4:0, 5:0]\n"
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 @pytest.mark.parametrize(

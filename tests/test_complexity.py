@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     boolean_functions,
     constant_functions,
+    flipped_nested_canalizing_functions,
     nested_canalizing_functions,
     planted_symmetric_functions,
     reference_block_sensitivity,
@@ -30,7 +31,8 @@ from ncflab import (
     sensitivity_at,
     words,
 )
-from ncflab.core import InvalidInputError, full_mask
+from ncflab import complexity
+from ncflab.core import InvalidInputError, full_mask, variable_mask
 from ncflab.ncf import LayerDecomposition
 
 CASCADE3 = reference_table([{1, 2, 3}, {1, 2}, {3}], 3)
@@ -299,3 +301,57 @@ def test_cert_walk_memory_at_guard():
         tracemalloc.stop()
     assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b)
     assert peak < 2 * 1024 * 1024
+
+
+def reference_never_constant(f):
+    """``never[j]`` with no prune: the AND, over every free set of size ``j``,
+    of its nonconstancy table, built by spreading the table's OR and AND
+    across each free variable (bit ``w`` of the OR is 1 iff ``f`` is 1
+    somewhere on the subcube through ``w``, of the AND iff everywhere)."""
+    n, bits = f.arity, f.bits
+    full = full_mask(n)
+
+    def spread(x, i, op):
+        span, hi = 1 << (i - 1), variable_mask(n, i)
+        return op(x, ((x & hi) >> span) | ((x << span) & hi))
+
+    never = [0] + [full] * n
+    for free in range(1, 1 << n):
+        ones, alls = bits, bits
+        for i in range(1, n + 1):
+            if free >> (i - 1) & 1:
+                ones = spread(ones, i, int.__or__)
+                alls = spread(alls, i, int.__and__)
+        never[bin(free).count("1")] &= ones & ~alls
+    return never
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        boolean_functions(0, 10),
+        constant_functions(10),
+        nested_canalizing_functions(10),
+        flipped_nested_canalizing_functions(10),
+    )
+)
+def test_pruned_walk_matches_unpruned_reference(f):
+    assert complexity._never_constant(f) == reference_never_constant(f)
+
+
+def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
+    # Without any prune the walk folds all 2^14 - 1 free sets of this NCF.
+    d, f = _random_ncf(random.Random(14), 14)
+    folds = 0
+    fold = complexity._fold
+
+    def counted(table, step):
+        nonlocal folds
+        folds += 1
+        return fold(table, step)
+
+    monkeypatch.setattr(complexity, "_fold", counted)
+    never = complexity._never_constant(f)
+    assert folds < (2**14 - 1) // 3
+    monkeypatch.undo()
+    assert never == reference_never_constant(f)

@@ -21,6 +21,7 @@ from ncflab import (
     GuardExceededError,
     InvalidInputError,
     LayerDecomposition,
+    SymmetryPartition,
     compose,
     cycle_notation,
     decompose,
@@ -72,6 +73,21 @@ def test_partition_matches_transposition_oracle(f):
         for j in range(i + 1, n + 1):
             swap = tuple(j if k == i else i if k == j else k for k in range(1, n + 1))
             assert (class_of[i] == class_of[j]) == (swap in fixed), (i, j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        boolean_functions(0, 8),
+        planted_symmetric_functions(6),
+        nested_canalizing_functions(8),
+    )
+)
+def test_partition_passes_public_validation(f):
+    # partition builds its result unchecked; the public constructor, which
+    # validates, must accept the same classes and give an equal object.
+    p = partition(f)
+    assert SymmetryPartition(p.arity, p.classes) == p
 
 
 def test_symmetry_level_examples():
