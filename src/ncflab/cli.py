@@ -12,6 +12,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -35,6 +36,8 @@ from .ncf import decompose, format_decomposition
 from .symmetry import MAX_AUTOMORPHISM_ARITY, _layer_classes, _symmetry_report
 
 _TABLE_RE = re.compile(r"^\d+:[0-9A-Fa-f]+$")
+#: Lines ``enumerate`` writes at a time.
+_ENUMERATE_CHUNK = 4096
 _COUNT_KINDS = "total,layers,symmetry,strongly-asymmetric,strongly-asymmetric-max-layers"
 
 
@@ -275,12 +278,17 @@ def _cmd_enumerate(args) -> int:
     guard = _raise_guard(MAX_ENUMERATION_ARITY, args.max_n)
     # Levels asked for; on NCFs strong asymmetry is exactly n-symmetry.
     levels = {args.symmetry, args.n if args.strongly_asymmetric else None} - {None}
-    lines = []
-    for d in enumerate_ncfs(args.n, max_arity=guard, layer_count=args.layers):
-        if levels and levels != {sum(_layer_classes(d))}:
-            continue
-        lines.append(format_decomposition(d))
-    print("\n".join(lines))
+    lines = (
+        format_decomposition(d)
+        for d in enumerate_ncfs(args.n, max_arity=guard, layer_count=args.layers)
+        if not levels or levels == {sum(_layer_classes(d))}
+    )
+    # Written in chunks as generated; a lone newline when nothing matches.
+    # The guard fires on the first line asked for, before any output.
+    chunk = list(itertools.islice(lines, _ENUMERATE_CHUNK))
+    print("\n".join(chunk))
+    while chunk := list(itertools.islice(lines, _ENUMERATE_CHUNK)):
+        print("\n".join(chunk))
     return 0
 
 

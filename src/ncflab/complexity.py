@@ -36,7 +36,6 @@ from .core import (
     full_mask,
     index_of,
     variable_mask,
-    word_at,
 )
 
 #: The certificate sweep folds one table of 2^n bits for each of up to 2^n free
@@ -188,10 +187,14 @@ def _first_certificates(f: BooleanFunction, never: list[int]) -> tuple:
             for idx in _one_indices(new):
                 first[idx] = subset
             pending ^= new
-    return tuple(
-        CertificateWitness(word_at(idx, n), len(subset), subset)
-        for idx, subset in enumerate(first)
-    )
+    # Words in index order (x1 fastest); witnesses skip the frozen __setattr__.
+    words = (w[::-1] for w in itertools.product((0, 1), repeat=n))
+    witnesses = []
+    for word, subset in zip(words, first):
+        witness = object.__new__(CertificateWitness)
+        witness.__dict__.update(word=word, size=len(subset), certificate=subset)
+        witnesses.append(witness)
+    return tuple(witnesses)
 
 
 def certificate_at(

@@ -14,7 +14,11 @@ closed form in Stirling numbers.  The paper's closed forms are its oracles:
   ``A(m) = 2*A(m-1) + A(m-2)``, ``A(0) = 0``, ``A(1) = 2``).
 
 :func:`verify` holds the census to these forms, the generator and the
-brute-force analyses and reports one pass/fail entry per identity.
+brute-force analyses and reports one pass/fail entry per identity.  With
+two CPUs, no other thread and ``n >= 4`` it cuts the layer structures into
+two runs of about half the functions each and forks a child for the later
+run; the merged walk, and so the report, is the same as one walk in one
+process.
 """
 
 from __future__ import annotations
@@ -105,18 +109,20 @@ def enumerate_ncfs(
         raise GuardExceededError("enumeration", n, max_arity)
     if layer_count is not None and not 1 <= layer_count <= n - 1:
         return
-    variables = tuple(range(1, n + 1))
     for sizes in layer_structures(n):
-        if layer_count is not None and len(sizes) != layer_count:
-            continue
-        for blocks in _ordered_partitions(variables, sizes):
-            for counter in range(1 << n):
-                layers = tuple(
-                    tuple((v, (counter >> (v - 1)) & 1) for v in block)
-                    for block in blocks
-                )
-                for b in (0, 1):
-                    yield LayerDecomposition._unchecked(n, layers, b)
+        if layer_count is None or len(sizes) == layer_count:
+            yield from _structure_stream(n, sizes)
+
+
+def _structure_stream(n: int, sizes: tuple[int, ...]) -> Iterator[LayerDecomposition]:
+    """The functions of one layer structure, in stream order."""
+    for blocks in _ordered_partitions(tuple(range(1, n + 1)), sizes):
+        for counter in range(1 << n):
+            layers = tuple(
+                tuple((v, (counter >> (v - 1)) & 1) for v in block) for block in blocks
+            )
+            for b in (0, 1):
+                yield LayerDecomposition._unchecked(n, layers, b)
 
 
 # ----------------------------------------------------------------------
@@ -385,50 +391,16 @@ def verify(
         return VerificationReport(n, None, checks)
 
     stride = 1 if n <= _CERT_EXHAUSTIVE_MAX else max(1, total // _CERT_SAMPLE_TARGET)
-    seen_tables: set[int] = set()
-    layer_hist: dict[int, int] = {r: 0 for r in by_layers}
-    symmetry_hist: dict[int, int] = {s: 0 for s in by_symmetry}
-    strong_census = 0
-    iff_failures: list[str] = []
-    roundtrip_failures: list[str] = []
-    cert_failures: list[str] = []
-    cert_checked = 0
-    count = 0
-
-    for index, d in enumerate(enumerate_ncfs(n, max_arity=exhaustive_max)):
-        count += 1
-        f = compose(d)
-        seen_tables.add(f.bits)
-        layer_hist[len(d.layers)] += 1
-        s = symmetry_level(f)
-        symmetry_hist[s] += 1
-
-        strong = not has_nontrivial_automorphism(f)
-        if strong:
-            strong_census += 1
-        if strong != (s == n) and len(iff_failures) < 3:
-            iff_failures.append(f.to_hex())
-
-        back = decompose(f)
-        if not (back.is_ncf and back.decomposition == d) and len(roundtrip_failures) < 3:
-            roundtrip_failures.append(f.to_hex())
-
-        if index % stride == 0:
-            cert_checked += 1
-            profile = cert_profile(f)
-            formula = ncf_cert_formula(d.structure(), d.b)
-            if formula != (profile.c0, profile.c1, profile.c) and len(cert_failures) < 3:
-                cert_failures.append(f.to_hex())
+    walk = _split_walk(n, list(layer_structures(n)), stride)
+    count, cert_checked, cert_failures = walk["count"], walk["cert_checked"], walk["cert"]
 
     checks["stream_length_equals_total"] = _result(total, count)
-    checks["composed_tables_distinct"] = _result(total, len(seen_tables))
-    checks["layer_histogram_matches_formula"] = _result(by_layers, layer_hist)
-    checks["symmetry_histogram_matches_formula"] = _result(by_symmetry, symmetry_hist)
-    checks["strongly_asymmetric_census"] = _result(by_symmetry[n], strong_census)
-    checks["strong_asymmetry_iff_n_symmetric"] = _result(
-        [], iff_failures, "counterexamples"
-    )
-    checks["decompose_roundtrip"] = _result([], roundtrip_failures, "counterexamples")
+    checks["composed_tables_distinct"] = _result(total, len(walk["tables"]))
+    checks["layer_histogram_matches_formula"] = _result(by_layers, walk["layers"])
+    checks["symmetry_histogram_matches_formula"] = _result(by_symmetry, walk["levels"])
+    checks["strongly_asymmetric_census"] = _result(by_symmetry[n], walk["strong"])
+    checks["strong_asymmetry_iff_n_symmetric"] = _result([], walk["iff"], "counterexamples")
+    checks["decompose_roundtrip"] = _result([], walk["roundtrip"], "counterexamples")
     checks["certificate_formula_vs_bruteforce"] = CheckResult(
         not cert_failures,
         f"0 mismatches in {cert_checked} functions",
@@ -436,3 +408,103 @@ def verify(
         + (f" (first: {cert_failures[0]})" if cert_failures else ""),
     )
     return VerificationReport(n, count, checks)
+
+
+def _walk(n: int, structures: list[tuple[int, ...]], index: int, stride: int) -> dict:
+    """verify's per-function checks over a run of layer structures.
+
+    ``index`` is the stream index of the run's first function, so the
+    certificate stride samples the same functions wherever the stream is
+    cut.  The result holds only builtins, so :mod:`marshal` can carry it.
+    """
+    layers, levels = dict.fromkeys(range(1, n), 0), dict.fromkeys(range(1, n + 1), 0)
+    tables, iff, roundtrip, cert = set(), [], [], []
+    count = strong_census = cert_checked = 0
+    for sizes in structures:
+        for d in _structure_stream(n, sizes):
+            f = compose(d)
+            tables.add(f.bits)
+            layers[len(d.layers)] += 1
+            s = symmetry_level(f)
+            levels[s] += 1
+
+            strong = not has_nontrivial_automorphism(f)
+            strong_census += strong
+            if strong != (s == n) and len(iff) < 3:
+                iff.append(f.to_hex())
+
+            back = decompose(f)
+            if not (back.is_ncf and back.decomposition == d) and len(roundtrip) < 3:
+                roundtrip.append(f.to_hex())
+
+            if (index + count) % stride == 0:
+                cert_checked += 1
+                profile = cert_profile(f)
+                formula = ncf_cert_formula(d.structure(), d.b)
+                if formula != (profile.c0, profile.c1, profile.c) and len(cert) < 3:
+                    cert.append(f.to_hex())
+            count += 1
+    return dict(
+        count=count, tables=tables, layers=layers, levels=levels, strong=strong_census,
+        iff=iff, roundtrip=roundtrip, cert=cert, cert_checked=cert_checked,
+    )
+
+
+def _split_walk(n: int, structures: list[tuple[int, ...]], stride: int) -> dict:
+    """:func:`_walk` over all structures, the later ones in a forked child.
+
+    The child sends its walk through a pipe.  The parent reaps it on every
+    path, and walks the child's run itself if the child failed.
+    """
+    import marshal
+    import os
+    import signal
+    import sys
+
+    # One walk here below n = 4, where a fork costs more (about 5 ms) than it
+    # saves; without fork or a second CPU; and beside other threads, which a
+    # forked child does not get and whose locks it may find held.
+    threads = sys.modules["threading"].active_count() if "threading" in sys.modules else 1
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    if n < 4 or not hasattr(os, "fork") or len(affinity(0)) < 2 or threads > 1:
+        return _walk(n, structures, 0, stride)
+    ends = list(itertools.accumulate(_multinomial(n, k) << (n + 1) for k in structures))
+    cut = min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1])) + 1
+    tail, start = structures[cut:], ends[cut - 1]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return _walk(n, structures, 0, stride)
+    if pid == 0:  # the child: send the later run's walk, and never return
+        try:
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(_walk(n, tail, start, stride)))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            walk = _walk(n, structures[:cut], 0, stride)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    ok = os.waitstatus_to_exitcode(status) == 0  # then it sent its whole walk
+    later = marshal.loads(data) if ok else _walk(n, tail, start, stride)
+    for key, value in later.items():
+        if isinstance(value, set):  # the smaller set goes into the larger in place
+            small, walk[key] = sorted((walk[key], value), key=len)
+            walk[key] |= small
+        elif isinstance(value, dict):
+            walk[key] = {k: v + value[k] for k, v in walk[key].items()}
+        elif isinstance(value, list):
+            walk[key] = (walk[key] + value)[:3]
+        else:
+            walk[key] += value
+    return walk

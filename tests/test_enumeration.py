@@ -1,7 +1,12 @@
 """Exhaustive generation and exact counting formulas."""
 
 import itertools
+import json
+import os
+import threading
 import time
+import types
+import warnings
 from math import factorial
 from pathlib import Path
 
@@ -252,6 +257,138 @@ def test_verify_5_matches_golden(capsys):
     assert main(["verify", "5"]) == 0
     expected = (Path(__file__).parent / "data" / "verify_5.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+def _cpus(monkeypatch, count):
+    """Make ``verify`` see ``count`` CPUs: 1 walks in-process, 2 splits."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _verify_json(n, monkeypatch, cpus):
+    """``verify(n)`` as ``ncflab verify`` prints it, and the forks it made."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with monkeypatch.context() as patch:
+        _cpus(patch, cpus)
+        patch.setattr(os, "fork", fork)
+        report = verify(n)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+    return (report.functions_checked, text), len(forks)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+def test_split_verify_matches_in_process_walk(monkeypatch):
+    for n in range(2, 6):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            split, forks = _verify_json(n, monkeypatch, cpus=2)
+        assert not caught, [str(w.message) for w in caught]
+        assert forks == (n >= 4), n
+        serial, forks = _verify_json(n, monkeypatch, cpus=1)
+        assert forks == 0
+        assert split == serial, n
+        _no_child_left()
+
+
+def test_verify_beside_another_thread_walks_in_process(monkeypatch):
+    serial, _ = _verify_json(4, monkeypatch, cpus=1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    waiter.start()
+    try:
+        beside, forks = _verify_json(4, monkeypatch, cpus=2)
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert forks == 0
+    assert beside == serial
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+def test_split_verify_keeps_stream_order_of_faults(monkeypatch):
+    # Roundtrip faults on stream items 5, 6000 and 9000, certificate faults
+    # on the sampled item 6300 (stride 21) and the unsampled 6301: the first
+    # lies in the parent's run, the others in the child's.
+    stream = list(enumerate_ncfs(5))
+    bad_roundtrip = {compose(stream[i]).bits for i in (5, 6000, 9000)}
+    bad_cert = {compose(stream[i]).bits for i in (6300, 6301)}
+    real_decompose = ncflab.enumeration.decompose
+    real_cert_profile = ncflab.enumeration.cert_profile
+
+    def decompose(f):
+        if f.bits in bad_roundtrip:
+            return types.SimpleNamespace(is_ncf=False)
+        return real_decompose(f)
+
+    def cert_profile(f):
+        p = real_cert_profile(f)
+        if f.bits in bad_cert:
+            return types.SimpleNamespace(c0=p.c0 + 1, c1=p.c1, c=p.c)
+        return p
+
+    monkeypatch.setattr(ncflab.enumeration, "decompose", decompose)
+    monkeypatch.setattr(ncflab.enumeration, "cert_profile", cert_profile)
+    split, forks = _verify_json(5, monkeypatch, cpus=2)
+    assert forks == 1
+    serial, _ = _verify_json(5, monkeypatch, cpus=1)
+    assert split == serial
+    checks = json.loads(split[1])
+    assert checks["decompose_roundtrip"]["actual"] == "{} [counterexamples]".format(
+        [compose(stream[i]).to_hex() for i in (5, 6000, 9000)]
+    )
+    assert checks["certificate_formula_vs_bruteforce"]["actual"] == (
+        f"1 mismatches in 506 functions (first: {compose(stream[6300]).to_hex()})"
+    )
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+def test_split_verify_reaps_its_child_when_the_parent_raises(monkeypatch):
+    parent = os.getpid()
+    real_decompose = ncflab.enumeration.decompose
+
+    def decompose(f):
+        if os.getpid() == parent:
+            raise RuntimeError("parent run fails")
+        return real_decompose(f)
+
+    monkeypatch.setattr(ncflab.enumeration, "decompose", decompose)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="parent run fails"):
+        verify(5)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+def test_split_verify_survives_a_dead_child(monkeypatch):
+    serial, _ = _verify_json(5, monkeypatch, cpus=1)
+    parent = os.getpid()
+    real_decompose = ncflab.enumeration.decompose
+
+    def decompose(f):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_decompose(f)
+
+    monkeypatch.setattr(ncflab.enumeration, "decompose", decompose)
+    split, forks = _verify_json(5, monkeypatch, cpus=2)
+    assert forks == 1
+    assert split == serial
+    _no_child_left()
 
 
 def test_count_200_is_fast(capsys):
