@@ -122,9 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _load_spec(spec: str, cert_guard: int) -> BooleanFunction:
+def _load_spec(spec: str, cert_guard: int, table: bool | None) -> BooleanFunction:
+    """``spec`` as an ``n:HEX`` truth table (``table`` true), as ANF text
+    (false), or as whichever it looks like (None: a ``--file`` line)."""
     spec = spec.strip()
-    if _TABLE_RE.match(spec):
+    if table is None:
+        table = bool(_TABLE_RE.match(spec))
+    if table:
         return BooleanFunction.from_hex(spec)
     arity, program = check_anf(spec)
     # Parse errors first, then the guard, then the table: no table is built
@@ -252,12 +256,13 @@ def _cmd_analyze(args) -> int:
             raise InvalidInputError(f"cannot read {args.file}: {reason}") from None
     else:
         specs = [args.anf if args.anf is not None else args.table]
+    table = None if args.file else args.table is not None
 
     # Build every report before printing anything: no partial output on error.
     cert_guard = _raise_guard(MAX_CERTIFICATE_ARITY, args.max_n)
     out: list[str] = []
     for spec in specs:
-        report = _analysis_report(_load_spec(spec, cert_guard), args)
+        report = _analysis_report(_load_spec(spec, cert_guard, table), args)
         if args.json:
             out.append(json.dumps(report, sort_keys=True))
         else:

@@ -12,6 +12,7 @@ All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -22,6 +23,8 @@ from typing import Iterator, Sequence
 MAX_TABLE_ARITY = 24
 
 Word = tuple[int, ...]
+
+_HEX_RE = re.compile("[0-9A-Fa-f]*")
 
 
 class NcflabError(Exception):
@@ -87,6 +90,13 @@ def variable_mask(arity: int, i: int) -> int:
         mask |= mask << width
         width <<= 1
     return mask
+
+
+@lru_cache(maxsize=None)
+def _literals(n: int) -> tuple[tuple[int, int], ...]:
+    """``literals[i - 1][a]``: the mask of the entries with ``x_i = a``."""
+    full = full_mask(n)
+    return tuple((full ^ m, m) for m in (variable_mask(n, i) for i in range(1, n + 1)))
 
 
 def _decimal(digits: str, cap: int) -> tuple[str, int]:
@@ -191,9 +201,10 @@ class BooleanFunction:
     def from_hex(cls, text: str) -> "BooleanFunction":
         """Parse the ``"n:HEX"`` truth-table format.
 
-        HEX is the table integer in hexadecimal (bit ``j`` of the value is
-        the function at index ``j``), zero-padded to ``ceil(2**n / 4)``
-        digits; the padding is required so the format is self-delimiting.
+        HEX is the table integer in ASCII hexadecimal digits (bit ``j`` of
+        the value is the function at index ``j``), zero-padded to
+        ``ceil(2**n / 4)`` digits; the padding is required so the format is
+        self-delimiting.
         """
         head, sep, payload = text.strip().partition(":")
         if not sep:
@@ -210,10 +221,9 @@ class BooleanFunction:
             raise InvalidInputError(
                 f"expected {digits} hex digits for arity {arity}, got {len(payload)}"
             )
-        try:
-            bits = int(payload, 16)
-        except ValueError:
-            raise InvalidInputError(f"bad hex digits in {text!r}") from None
+        if not _HEX_RE.fullmatch(payload):  # int() also takes signs, "_" and spaces
+            raise InvalidInputError(f"bad hex digits in {text!r}")
+        bits = int(payload, 16)
         if bits > full_mask(arity):
             raise InvalidInputError(f"table value out of range in {text!r}")
         return cls(arity, bits)
@@ -383,13 +393,11 @@ def permutation_cycles(sigma: Sequence[int], arity: int) -> list[list[int]]:
 
 def _swap_bits(bits: int, arity: int, i: int, j: int) -> int:
     """Exchange ``x_i`` and ``x_j`` (``i < j``) in a raw table integer."""
-    mi = variable_mask(arity, i)
-    mj = variable_mask(arity, j)
+    literals = _literals(arity)
+    (low_i, high_i), (low_j, high_j) = literals[i - 1], literals[j - 1]
     delta = (1 << (j - 1)) - (1 << (i - 1))
-    stay = bits & (full_mask(arity) ^ (mi ^ mj))
-    up = bits & mi & ~mj  # x_i=1, x_j=0: index gains delta
-    down = bits & mj & ~mi
-    return stay | (up << delta) | (down >> delta)
+    up, down = bits & high_i & low_j, bits & high_j & low_i  # x_i = 1, x_j = 0 gains delta
+    return (bits ^ up ^ down) | up << delta | down >> delta
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,11 @@ closed form in Stirling numbers.  The paper's closed forms are its oracles:
 
 :func:`verify` holds the census to these forms, the generator and the
 brute-force analyses and reports one pass/fail entry per identity.  With
-two CPUs, no other thread and ``n >= 4`` it cuts the layer structures into
-two runs of about half the functions each and forks a child for the later
-run; the merged walk, and so the report, is the same as one walk in one
-process.
+two CPUs, no other thread and ``n >= 4`` it deals the ordered variable
+partitions of the stream alternately to itself and a forked child; every
+partition holds ``2**(n+1)`` functions, so both halves know each function's
+stream index, and the merged walk, and so the report, is the same as one
+walk in one process.
 """
 
 from __future__ import annotations
@@ -109,20 +110,26 @@ def enumerate_ncfs(
         raise GuardExceededError("enumeration", n, max_arity)
     if layer_count is not None and not 1 <= layer_count <= n - 1:
         return
+    for blocks in _partitions(n, layer_count):
+        yield from _partition_stream(n, blocks)
+
+
+def _partitions(n: int, layer_count: int | None = None):
+    """The ordered variable partitions of the layer structures, in stream order."""
+    pool = tuple(range(1, n + 1))
     for sizes in layer_structures(n):
         if layer_count is None or len(sizes) == layer_count:
-            yield from _structure_stream(n, sizes)
+            yield from _ordered_partitions(pool, sizes)
 
 
-def _structure_stream(n: int, sizes: tuple[int, ...]) -> Iterator[LayerDecomposition]:
-    """The functions of one layer structure, in stream order."""
-    for blocks in _ordered_partitions(tuple(range(1, n + 1)), sizes):
-        for counter in range(1 << n):
-            layers = tuple(
-                tuple((v, (counter >> (v - 1)) & 1) for v in block) for block in blocks
-            )
-            for b in (0, 1):
-                yield LayerDecomposition._unchecked(n, layers, b)
+def _partition_stream(n: int, blocks) -> Iterator[LayerDecomposition]:
+    """The ``2**(n+1)`` functions of one ordered variable partition, in stream order."""
+    for counter in range(1 << n):
+        layers = tuple(
+            tuple((v, (counter >> (v - 1)) & 1) for v in block) for block in blocks
+        )
+        for b in (0, 1):
+            yield LayerDecomposition._unchecked(n, layers, b)
 
 
 # ----------------------------------------------------------------------
@@ -391,39 +398,43 @@ def verify(
         return VerificationReport(n, None, checks)
 
     stride = 1 if n <= _CERT_EXHAUSTIVE_MAX else max(1, total // _CERT_SAMPLE_TARGET)
-    walk = _split_walk(n, list(layer_structures(n)), stride)
-    count, cert_checked, cert_failures = walk["count"], walk["cert_checked"], walk["cert"]
+    walk = _split_walk(n, stride)
+    count, cert_checked = walk["count"], walk["cert_checked"]
+    iff, roundtrip, cert = ([t for _, t in walk[k]] for k in ("iff", "roundtrip", "cert"))
 
     checks["stream_length_equals_total"] = _result(total, count)
-    checks["composed_tables_distinct"] = _result(total, len(walk["tables"]))
+    checks["composed_tables_distinct"] = _result(total, len(set(walk["tables"])))
     checks["layer_histogram_matches_formula"] = _result(by_layers, walk["layers"])
     checks["symmetry_histogram_matches_formula"] = _result(by_symmetry, walk["levels"])
     checks["strongly_asymmetric_census"] = _result(by_symmetry[n], walk["strong"])
-    checks["strong_asymmetry_iff_n_symmetric"] = _result([], walk["iff"], "counterexamples")
-    checks["decompose_roundtrip"] = _result([], walk["roundtrip"], "counterexamples")
+    checks["strong_asymmetry_iff_n_symmetric"] = _result([], iff, "counterexamples")
+    checks["decompose_roundtrip"] = _result([], roundtrip, "counterexamples")
     checks["certificate_formula_vs_bruteforce"] = CheckResult(
-        not cert_failures,
+        not cert,
         f"0 mismatches in {cert_checked} functions",
-        f"{len(cert_failures)} mismatches in {cert_checked} functions"
-        + (f" (first: {cert_failures[0]})" if cert_failures else ""),
+        f"{len(cert)} mismatches in {cert_checked} functions"
+        + (f" (first: {cert[0]})" if cert else ""),
     )
     return VerificationReport(n, count, checks)
 
 
-def _walk(n: int, structures: list[tuple[int, ...]], index: int, stride: int) -> dict:
-    """verify's per-function checks over a run of layer structures.
+def _walk(n: int, stride: int, first: int = 0, step: int = 1) -> dict:
+    """verify's per-function checks over every ``step``-th ordered variable
+    partition of the stream, from partition ``first``.
 
-    ``index`` is the stream index of the run's first function, so the
-    certificate stride samples the same functions wherever the stream is
-    cut.  The result holds only builtins, so :mod:`marshal` can carry it.
+    Partition ``k`` starts at stream index ``k * 2**(n+1)``, so the
+    certificate stride samples the same functions however the partitions
+    are dealt; counterexamples carry their stream index.  The result holds
+    only builtins, so :mod:`marshal` can carry it.
     """
     layers, levels = dict.fromkeys(range(1, n), 0), dict.fromkeys(range(1, n + 1), 0)
-    tables, iff, roundtrip, cert = set(), [], [], []
+    tables, iff, roundtrip, cert = [], [], [], []
     count = strong_census = cert_checked = 0
-    for sizes in structures:
-        for d in _structure_stream(n, sizes):
+    for k, blocks in itertools.islice(enumerate(_partitions(n)), first, None, step):
+        index = k << (n + 1)
+        for d in _partition_stream(n, blocks):
             f = compose(d)
-            tables.add(f.bits)
+            tables.append(f.bits)
             layers[len(d.layers)] += 1
             s = symmetry_level(f)
             levels[s] += 1
@@ -431,18 +442,19 @@ def _walk(n: int, structures: list[tuple[int, ...]], index: int, stride: int) ->
             strong = not has_nontrivial_automorphism(f)
             strong_census += strong
             if strong != (s == n) and len(iff) < 3:
-                iff.append(f.to_hex())
+                iff.append((index, f.to_hex()))
 
             back = decompose(f)
             if not (back.is_ncf and back.decomposition == d) and len(roundtrip) < 3:
-                roundtrip.append(f.to_hex())
+                roundtrip.append((index, f.to_hex()))
 
-            if (index + count) % stride == 0:
+            if index % stride == 0:
                 cert_checked += 1
                 profile = cert_profile(f)
                 formula = ncf_cert_formula(d.structure(), d.b)
                 if formula != (profile.c0, profile.c1, profile.c) and len(cert) < 3:
-                    cert.append(f.to_hex())
+                    cert.append((index, f.to_hex()))
+            index += 1
             count += 1
     return dict(
         count=count, tables=tables, layers=layers, levels=levels, strong=strong_census,
@@ -450,11 +462,11 @@ def _walk(n: int, structures: list[tuple[int, ...]], index: int, stride: int) ->
     )
 
 
-def _split_walk(n: int, structures: list[tuple[int, ...]], stride: int) -> dict:
-    """:func:`_walk` over all structures, the later ones in a forked child.
+def _split_walk(n: int, stride: int) -> dict:
+    """:func:`_walk` over the whole stream, the odd partitions in a forked child.
 
     The child sends its walk through a pipe.  The parent reaps it on every
-    path, and walks the child's run itself if the child failed.
+    path, and walks the child's partitions itself if the child failed.
     """
     import marshal
     import os
@@ -467,28 +479,25 @@ def _split_walk(n: int, structures: list[tuple[int, ...]], stride: int) -> dict:
     threads = sys.modules["threading"].active_count() if "threading" in sys.modules else 1
     affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
     if n < 4 or not hasattr(os, "fork") or len(affinity(0)) < 2 or threads > 1:
-        return _walk(n, structures, 0, stride)
-    ends = list(itertools.accumulate(_multinomial(n, k) << (n + 1) for k in structures))
-    cut = min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1])) + 1
-    tail, start = structures[cut:], ends[cut - 1]
+        return _walk(n, stride)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _walk(n, structures, 0, stride)
-    if pid == 0:  # the child: send the later run's walk, and never return
+        return _walk(n, stride)
+    if pid == 0:  # the child: send the odd partitions' walk, and never return
         try:
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(_walk(n, tail, start, stride)))
+                pipe.write(marshal.dumps(_walk(n, stride, 1, 2)))
             os._exit(0)
         finally:
             os._exit(1)
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
-            walk = _walk(n, structures[:cut], 0, stride)
+            walk = _walk(n, stride, 0, 2)
             data = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -496,15 +505,11 @@ def _split_walk(n: int, structures: list[tuple[int, ...]], stride: int) -> dict:
         finally:
             status = os.waitpid(pid, 0)[1]
     ok = os.waitstatus_to_exitcode(status) == 0  # then it sent its whole walk
-    later = marshal.loads(data) if ok else _walk(n, tail, start, stride)
-    for key, value in later.items():
-        if isinstance(value, set):  # the smaller set goes into the larger in place
-            small, walk[key] = sorted((walk[key], value), key=len)
-            walk[key] |= small
-        elif isinstance(value, dict):
-            walk[key] = {k: v + value[k] for k, v in walk[key].items()}
-        elif isinstance(value, list):
-            walk[key] = (walk[key] + value)[:3]
-        else:
-            walk[key] += value
+    odd = marshal.loads(data) if ok else _walk(n, stride, 1, 2)
+    for key in ("count", "strong", "cert_checked", "tables"):
+        walk[key] += odd[key]
+    for key in ("layers", "levels"):
+        walk[key] = {k: v + odd[key][k] for k, v in walk[key].items()}
+    for key in ("iff", "roundtrip", "cert"):  # the first three in stream order
+        walk[key] = sorted(walk[key] + odd[key])[:3]
     return walk

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import BooleanFunction, InvalidInputError, full_mask, variable_mask
+from .core import BooleanFunction, InvalidInputError, _literals, full_mask
 
 LayerEntries = tuple[tuple[int, int], ...]
 
@@ -137,13 +136,6 @@ def canalizing_pairs(f: BooleanFunction) -> list[tuple[int, int, int]]:
         for a, half in enumerate(halves)
         if bits & half in (0, half)
     ]
-
-
-@lru_cache(maxsize=None)
-def _literals(n: int) -> tuple[tuple[int, int], ...]:
-    """``literals[i - 1][a]``: the mask of the entries with ``x_i = a``."""
-    full = full_mask(n)
-    return tuple((full ^ m, m) for m in (variable_mask(n, i) for i in range(1, n + 1)))
 
 
 def decompose(f: BooleanFunction) -> NcfClassification:

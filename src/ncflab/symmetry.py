@@ -29,11 +29,11 @@ from .core import (
     GuardExceededError,
     InvalidInputError,
     NcflabError,
+    _literals,
     _swap_bits,
     permutation_cycles,
-    variable_mask,
 )
-from .ncf import LayerDecomposition, NcfClassification, _literals, decompose
+from .ncf import LayerDecomposition, NcfClassification, decompose
 
 #: Above this arity only NCFs pass, witnessed by a transposition in a
 #: symmetric class; raising it would change the witness of NCFs with n >= 9.
@@ -113,41 +113,32 @@ def equivalent(f: BooleanFunction, i: int, j: int) -> bool:
 
     ``equivalent(f, i, i)`` is true by convention.
     """
-    f._check_var(i)
-    f._check_var(j)
-    i, j = sorted((i, j))
-    mi, mj = variable_mask(f.arity, i), variable_mask(f.arity, j)
-    return i == j or _swap_fixes(f.bits, mi, mj, (1 << (j - 1)) - (1 << (i - 1)))
-
-
-def _swap_fixes(bits: int, mi: int, mj: int, delta: int) -> bool:
-    """Whether swapping ``x_i`` and ``x_j`` (``i < j``, masks ``mi``, ``mj``) fixes
-    ``bits``: the entries with ``x_i = 1, x_j = 0``, moved up by ``delta`` =
-    ``2**(j-1) - 2**(i-1)``, must equal those with ``x_i = 0, x_j = 1``."""
-    return (bits & mi & ~mj) << delta == bits & mj & ~mi
+    return f.swap_inputs(i, j).bits == f.bits
 
 
 def partition(f: BooleanFunction) -> SymmetryPartition:
     """Symmetric classes of ``f``, each variable tested against class leaders.
 
     Symmetry of variables is an equivalence relation, so a variable joins a
-    class as soon as it is equivalent to the class's first (smallest) member.
-    The swap test runs on the raw table with the per-arity variable masks.
+    class as soon as it is equivalent to the class's first (smallest) member
+    ``x_i``: the entries with ``x_i = 1, x_j = 0``, moved up by
+    ``2**(j-1) - 2**(i-1)``, must equal those with ``x_i = 0, x_j = 1``.  The
+    test runs inline on the raw table with the per-arity literal masks.
     Variables join classes in increasing order, so the classes come out
     sorted and partition ``1..n``: the result skips validation.
     """
     n, bits = f.arity, f.bits
-    literals = _literals(n)
-    classes: list[list[int]] = []
-    for j, (_, mj) in enumerate(literals, 1):
-        for members in classes:
-            i = members[0]
-            if _swap_fixes(bits, literals[i - 1][1], mj, (1 << (j - 1)) - (1 << (i - 1))):
+    # Each class: its leader's masks for x_i = 1 and x_i = 0, 2**(i-1), members.
+    classes: list[tuple[int, int, int, list[int]]] = []
+    for j, (low, high) in enumerate(_literals(n), 1):
+        off, on, span = bits & low, bits & high, 1 << (j - 1)
+        for high_i, low_i, span_i, members in classes:
+            if (off & high_i) << (span - span_i) == on & low_i:
                 members.append(j)
                 break
         else:
-            classes.append([j])
-    return SymmetryPartition._unchecked(n, tuple(map(tuple, classes)))
+            classes.append((high, low, span, [j]))
+    return SymmetryPartition._unchecked(n, tuple(tuple(c[3]) for c in classes))
 
 
 def symmetry_level(f: BooleanFunction) -> int:
@@ -263,12 +254,15 @@ def is_strongly_asymmetric(
 
 def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
     """Whether a non-identity permutation fixes ``f``: a transposition, tried
-    first, or else the automorphism search.  Transposed tables are built by
-    ``core._swap_bits``, the kernel of ``permute_inputs``, not ``partition``'s
-    comparison, so ``verify`` still sets two kernels against each other."""
+    first, or else the automorphism search.  Transposed tables are rebuilt
+    whole by ``core._swap_bits``, the kernel of ``permute_inputs``, while
+    ``partition`` compares two quarters of the table in place; both read
+    the per-arity literal masks, and ``verify`` still sets them against
+    each other."""
     n, bits = f.arity, f.bits
-    if any(_swap_bits(bits, n, i, j) == bits for i, j in combinations(range(1, n + 1), 2)):
-        return True
+    for i, j in combinations(range(1, n + 1), 2):
+        if _swap_bits(bits, n, i, j) == bits:
+            return True
     return next(_automorphisms(f), None) is not None
 
 

@@ -199,6 +199,21 @@ def test_analyze_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, spec, message",
+    [
+        ("--table", "x1*x2", "expected 'n:HEX', got 'x1*x2'"),
+        ("--anf", "2:8", "unexpected character '2' (column 1)"),
+        ("--table", "3:G0", "bad hex digits in '3:G0'"),
+    ],
+)
+def test_analyze_flag_takes_only_its_own_format(capsys, flag, spec, message):
+    # --table reads only n:HEX and --anf only ANF text; --file guesses per line.
+    code, out, err = run(capsys, "analyze", flag, spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_analyze_index_above_table_cap_exit_2(capsys):
     # x40 would need a 2^40-bit table; the parser rejects it first.
     code, out, err = run(capsys, "analyze", "--anf", "x1 + x40")

@@ -1,6 +1,7 @@
 """Truth-table representation: evaluation, restriction, transforms."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import boolean_functions, reference_table
 
 from ncflab import BooleanFunction, InvalidInputError, index_of, word_at, words
-from ncflab.core import full_mask
+from ncflab.core import _swap_bits, full_mask
 
 CASCADE3 = [{1, 2, 3}, {1, 2}, {3}]  # x1*x2*x3 + x1*x2 + x3
 
@@ -52,6 +53,13 @@ def test_hex_round_trip_and_padding():
         BooleanFunction.from_hex("3:G0")
     with pytest.raises(InvalidInputError):
         BooleanFunction.from_hex("80")
+
+
+@pytest.mark.parametrize("text", ["4:+100", "4:1_00", "4: 100", "4:-000", "2:\uff18"])
+def test_from_hex_takes_only_ascii_hex_digits(text):
+    # int(payload, 16) alone would read each of these payloads.
+    with pytest.raises(InvalidInputError, match="bad hex digits"):
+        BooleanFunction.from_hex(text)
 
 
 def test_restrict_cascade():
@@ -140,6 +148,20 @@ def test_swap_and_flip_primitives():
     assert f.swap_inputs(1, 3) == BooleanFunction.projection(3, 3)
     assert f.flip_input(1) == f.complement()
     assert f.flip_input(2) == f
+
+
+def test_swap_bits_matches_word_level_swap():
+    # Every pair at n = 1..8: entry w of the result is f at w with bits i, j exchanged.
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for bits in (rng.getrandbits(1 << n), full_mask(n) // 3, 0):
+            f = BooleanFunction(n, bits)
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                swap = tuple(j if k == i else i if k == j else k for k in range(1, n + 1))
+                expected = BooleanFunction.from_predicate(
+                    n, lambda word: f.evaluate(tuple(word[k - 1] for k in swap))
+                )
+                assert _swap_bits(bits, n, i, j) == expected.bits, (n, i, j)
 
 
 def test_essential_variables():

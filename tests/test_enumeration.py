@@ -320,12 +320,14 @@ def test_verify_beside_another_thread_walks_in_process(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
 def test_split_verify_keeps_stream_order_of_faults(monkeypatch):
-    # Roundtrip faults on stream items 5, 6000 and 9000, certificate faults
-    # on the sampled item 6300 (stride 21) and the unsampled 6301: the first
-    # lies in the parent's run, the others in the child's.
+    # Each variable partition holds 64 stream items at n = 5, and the child
+    # walks the odd partitions.  Roundtrip faults on items 5 and 130 (parent)
+    # and 70 and 200 (child): the report keeps the first three in stream
+    # order.  Certificate faults on the sampled items 84 (child) and 147
+    # (parent), stride 21, and the unsampled 85: the child's comes first.
     stream = list(enumerate_ncfs(5))
-    bad_roundtrip = {compose(stream[i]).bits for i in (5, 6000, 9000)}
-    bad_cert = {compose(stream[i]).bits for i in (6300, 6301)}
+    bad_roundtrip = {compose(stream[i]).bits for i in (5, 70, 130, 200)}
+    bad_cert = {compose(stream[i]).bits for i in (84, 85, 147)}
     real_decompose = ncflab.enumeration.decompose
     real_cert_profile = ncflab.enumeration.cert_profile
 
@@ -348,12 +350,47 @@ def test_split_verify_keeps_stream_order_of_faults(monkeypatch):
     assert split == serial
     checks = json.loads(split[1])
     assert checks["decompose_roundtrip"]["actual"] == "{} [counterexamples]".format(
-        [compose(stream[i]).to_hex() for i in (5, 6000, 9000)]
+        [compose(stream[i]).to_hex() for i in (5, 70, 130)]
     )
     assert checks["certificate_formula_vs_bruteforce"]["actual"] == (
-        f"1 mismatches in 506 functions (first: {compose(stream[6300]).to_hex()})"
+        f"2 mismatches in 506 functions (first: {compose(stream[84]).to_hex()})"
     )
     _no_child_left()
+
+
+def test_dealt_halves_walk_the_stream_once(monkeypatch):
+    # The even and the odd variable partitions together visit every stream
+    # index once, and sample the certificates that one walk samples.
+    stride = 21
+    real_cert_profile = ncflab.enumeration.cert_profile
+    for n in range(2, 6):
+        stream = list(enumerate_ncfs(n))
+        index = {(d.layers, d.b): i for i, d in enumerate(stream)}
+        index_of_table = {compose(d).bits: i for i, d in enumerate(stream)}
+
+        def walk(*deal):
+            """The stream indices composed and certificate-checked, in walk order."""
+            visited, sampled = [], []
+
+            def compose_(d):
+                visited.append(index[d.layers, d.b])
+                return compose(d)
+
+            def cert_profile(f):
+                sampled.append(index_of_table[f.bits])
+                return real_cert_profile(f)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ncflab.enumeration, "compose", compose_)
+                patch.setattr(ncflab.enumeration, "cert_profile", cert_profile)
+                ncflab.enumeration._walk(n, stride, *deal)
+            return visited, sampled
+
+        even, odd, one = walk(0, 2), walk(1, 2), walk()
+        assert one[0] == list(range(len(stream))), n
+        assert sorted(even[0] + odd[0]) == one[0], n
+        assert sorted(even[1] + odd[1]) == one[1] == one[0][::stride], n
+        assert abs(len(even[0]) - len(odd[0])) <= 1 << (n + 1), n
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")

@@ -1,6 +1,9 @@
 """Symmetric classes, symmetry level, strong asymmetry."""
 
 import random
+import sys
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +37,7 @@ from ncflab import (
     symmetry_report,
 )
 from ncflab import symmetry
-from ncflab.core import variable_mask
+from ncflab.core import variable_mask, word_at
 from ncflab.symmetry import _automorphisms, has_nontrivial_automorphism
 
 MIXED7 = reference_table([{1, 2, 3, 4}, {5, 6}, {7}], 7)  # x1x2x3x4 + x5x6 + x7
@@ -61,18 +64,19 @@ def test_partition_examples():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(boolean_functions(0, 5), planted_symmetric_functions(5)))
+@given(st.one_of(boolean_functions(0, 8), planted_symmetric_functions(8)))
 def test_partition_matches_transposition_oracle(f):
-    # i and j share a class iff the transposition (i j) fixes f.
+    # i and j share a class iff the transposition (i j) fixes f, word by word.
     n = f.arity
-    fixed = set(reference_automorphisms(f))
+    table = [word_at(idx, n) for idx in range(1 << n)]
     classes = partition(f).classes
     class_of = {i: cls for cls in classes for i in cls}
     assert sorted(class_of) == list(range(1, n + 1))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             swap = tuple(j if k == i else i if k == j else k for k in range(1, n + 1))
-            assert (class_of[i] == class_of[j]) == (swap in fixed), (i, j)
+            fixed = fixes_word_by_word(f, swap, table)
+            assert (class_of[i] == class_of[j]) == fixed == equivalent(f, i, j), (i, j)
 
 
 @settings(max_examples=80, deadline=None)
@@ -383,3 +387,23 @@ def test_ncf_symmetry_checks_all_enumerated():
         for d in enumerate_ncfs(n):
             f = compose(d)
             assert ncf_symmetry_checks(d, partition(f)).all_pass
+
+
+def test_pair_kernels_keep_no_per_pair_masks():
+    # Both pair kernels read the per-arity literal table, O(n 2**n) bits; masks
+    # cached per pair would hold O(n**2 2**n), about 73 MB here at n = 20.
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "ncflab":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    f = BooleanFunction(20, random.Random(20).getrandbits(1 << 20))
+    tracemalloc.start()
+    try:
+        assert partition(f).level == 20
+        for i, j in combinations(range(1, 21), 2):
+            assert f.swap_inputs(i, j) != f
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024
