@@ -7,6 +7,14 @@ raises the analyze and enumerate guards only).
 
 Output is deterministic: two runs with the same arguments produce identical
 bytes.
+
+Each command is parsed by a parser of its own arguments alone, about 0.2
+against 1 ms for the full four-command tree.  Only what the top level
+answers (no arguments, ``ncflab -h``, ``ncflab foo``, tokens a command
+leaves over) goes to the full tree, so its help and errors read as before;
+``_COMMANDS`` builds both.  No parser is kept between ``main()`` calls or
+built at import: a one-shot ``ncflab`` process pays for what it builds
+either way, so that would only hide the cost from in-process callers.
 """
 
 from __future__ import annotations
@@ -42,8 +50,7 @@ _COUNT_KINDS = "total,layers,symmetry,strongly-asymmetric,strongly-asymmetric-ma
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader gone early shows here, not at exit
@@ -63,6 +70,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` as ``ncflab`` parses it, with the full tree only where needed."""
+    if argv and argv[0] in _COMMANDS:
+        _, add_arguments = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"ncflab {argv[0]}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncflab",
@@ -72,8 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_))
+    return parser
 
-    analyze = sub.add_parser("analyze", help="full report for one function")
+
+def _analyze_arguments(analyze: argparse.ArgumentParser) -> None:
     source = analyze.add_mutually_exclusive_group(required=True)
     source.add_argument("--anf", help="polynomial text, e.g. 'x1*x2 + x3'")
     source.add_argument("--table", help="truth table as n:HEX")
@@ -90,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--max-n", type=int, default=None, help="raise analysis guards")
     analyze.set_defaults(handler=_cmd_analyze)
 
-    enumerate_ = sub.add_parser("enumerate", help="stream all functions of arity n")
+
+def _enumerate_arguments(enumerate_: argparse.ArgumentParser) -> None:
     enumerate_.add_argument("n", type=int)
     enumerate_.add_argument("--layers", type=int, default=None, help="keep r layers only")
     enumerate_.add_argument(
@@ -102,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     enumerate_.add_argument("--max-n", type=int, default=None, help="raise the guard")
     enumerate_.set_defaults(handler=_cmd_enumerate)
 
-    count = sub.add_parser("count", help="exact counts as CSV")
+
+def _count_arguments(count: argparse.ArgumentParser) -> None:
     count.add_argument("n", type=int)
     count.add_argument(
         "--kinds",
@@ -111,10 +136,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     count.set_defaults(handler=_cmd_count)
 
-    verify_ = sub.add_parser("verify", help="cross-validate formulas against generation")
+
+def _verify_arguments(verify_: argparse.ArgumentParser) -> None:
     verify_.add_argument("n", type=int)
     verify_.set_defaults(handler=_cmd_verify)
-    return parser
+
+
+#: Each command's help line in the full tree and the function that adds its
+#: arguments, in the order ``ncflab -h`` lists them.
+_COMMANDS = {
+    "analyze": ("full report for one function", _analyze_arguments),
+    "enumerate": ("stream all functions of arity n", _enumerate_arguments),
+    "count": ("exact counts as CSV", _count_arguments),
+    "verify": ("cross-validate formulas against generation", _verify_arguments),
+}
 
 
 # ----------------------------------------------------------------------

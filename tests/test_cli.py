@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncflab.cli as cli
 import ncflab.ncf
 import ncflab.symmetry
 from ncflab import (
@@ -425,6 +427,74 @@ def test_deterministic_output(capsys):
     a = run(capsys, "enumerate", "3")
     b = run(capsys, "enumerate", "3")
     assert a == b
+
+
+
+def _command_flags() -> list[str]:
+    flags = set()
+    for _, add_arguments in cli._COMMANDS.values():
+        parser = argparse.ArgumentParser()
+        add_arguments(parser)
+        flags.update(s for action in parser._actions for s in action.option_strings)
+    return sorted(flags)
+
+
+# Command names, help and end-of-options tokens, every flag of every
+# command, abbreviated and ``--flag=value`` forms, and values of each kind.
+_argv_tokens = st.sampled_from(
+    sorted(cli._COMMANDS)
+    + ["foo", "-h", "--help", "--he", "--", "--an", "--str", "--kinds=total", "--x=v"]
+    + _command_flags()
+    + ["3", "-1", "abc", "x1*x2", "2:8"]
+)
+_argv = st.one_of(
+    st.lists(_argv_tokens, max_size=6),
+    st.builds(
+        lambda name, rest: [name, *rest],
+        st.sampled_from(sorted(cli._COMMANDS)),
+        st.lists(_argv_tokens, max_size=6),
+    ),
+)
+
+
+def _parse_outcome(parse, argv):
+    """The fields ``parse(argv)`` returns but the full tree's ``command``,
+    which no handler reads, or the code it exits with; and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {k: v for k, v in vars(parse(argv)).items() if k != "command"}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv)
+def test_command_parser_parses_as_the_full_tree(argv):
+    full = _parse_outcome(lambda a: cli._build_parser().parse_args(a), list(argv))
+    assert _parse_outcome(cli._parse, list(argv)) == full
+
+
+def test_main_builds_only_the_command_parser_on_each_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):  # nothing built by one call serves the next
+        before = len(built)
+        assert main(["count", "3"]) == 0
+        assert built[before:] == ["ncflab count"]
+    before = len(built)
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert len(built) - before == 1 + len(cli._COMMANDS)  # the full tree
+    assert "analyze" in capsys.readouterr().out
 
 
 # Variable indices run past the table cap (24) so the parse-time cap is hit.
