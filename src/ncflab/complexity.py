@@ -14,10 +14,17 @@ whole truth table at once, and the test suite checks the formula against
 it.  The walk skips every subtree that can no longer change an answer:
 freeing more variables never makes a nonconstant subcube constant, so a
 subtree's tables contain its root's, and the per-size masks of words found
-nowhere constant only shrink.  The per-word scans :func:`certificate_at`
-and :func:`sensitivity_at` serve as its oracles.  :func:`block_sensitivity`
-is likewise one whole-table dynamic program over variable sets; the test
-suite keeps a per-word block packer as its oracle.
+nowhere constant only shrink.  It is also bounded by sensitivity: every
+certificate of a word holds all of the word's sensitive positions, so
+``C_b >= s_b`` for any function, and the walk only has to look for
+``C_b`` at or above the largest sensitivity on fiber ``b``, stopping once
+both fibers are certified.  On NCFs ``s = C``, so it confirms a bound it
+already knows; the bound is read off the table, not the formula, so the
+walk stays a brute-force check of the formula and of ``s = C``.  The
+per-word scans :func:`certificate_at` and :func:`sensitivity_at` serve as
+its oracles.  :func:`block_sensitivity` is likewise one whole-table dynamic
+program over variable sets; the test suite keeps a per-word block packer as
+its oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .core import (
     InvalidInputError,
     NcflabError,
     Word,
+    _literals,
     _one_indices,
     full_mask,
     index_of,
@@ -39,8 +47,9 @@ from .core import (
 )
 
 #: The certificate sweep folds one table of 2^n bits for each of up to 2^n free
-#: sets, about seven big-integer operations each.  At n = 14 its prune leaves
-#: an NCF 600-2,000 folds (5-10 ms) and threshold-7 12,440 (30-50 ms).
+#: sets, about seven big-integer operations each.  At n = 14 its prune and its
+#: sensitivity bound leave an NCF 280-470 folds (1-2 ms) and threshold-7 9,437
+#: (about 30 ms).
 #: It keeps at most n(n + 1)/2 tables on its stack (about 210 KiB at n = 14).
 MAX_CERTIFICATE_ARITY = 14
 #: Block sensitivity keeps four lists of 2^n tables of 2^n bits (32 KiB at
@@ -114,9 +123,11 @@ class ComplexityProfile:
 def _fold_steps(f: BooleanFunction) -> list[tuple[int, int, int]]:
     """Per position ``p``, the step of :func:`_fold`: ``2^p``, the words with
     ``x_{p+1} = 0``, and those where flipping ``x_{p+1}`` changes ``f``."""
-    n, bits = f.arity, f.bits
-    lows = [full_mask(n) ^ variable_mask(n, i) for i in range(1, n + 1)]
-    return [(1 << p, lo, (bits ^ bits >> (1 << p)) & lo) for p, lo in enumerate(lows)]
+    bits = f.bits
+    return [
+        (1 << p, lo, (bits ^ bits >> (1 << p)) & lo)
+        for p, (lo, _) in enumerate(_literals(f.arity))
+    ]
 
 
 def _fold(table: int, step: tuple[int, int, int]) -> int:
@@ -129,7 +140,9 @@ def _fold(table: int, step: tuple[int, int, int]) -> int:
     return t | t << span
 
 
-def _never_constant(f: BooleanFunction) -> list[int]:
+def _never_constant(
+    f: BooleanFunction, heights: tuple[int, int] | None = None
+) -> list[int]:
     """``never[j]``: the words at which ``f`` is constant on no subcube with
     ``j`` free variables, from a depth-first walk over free sets.
 
@@ -146,22 +159,46 @@ def _never_constant(f: BooleanFunction) -> list[int]:
     word from ``never[top]``.  Nor from any ``never[k]`` below it, because
     the masks grow with ``k`` throughout the walk: a node's prefixes are
     folded before it, and their tables lie inside its own.
+
+    ``heights = (h0, h1)`` bounds the walk: the words of fiber ``b`` are
+    tracked only at levels ``j <= h_b``, so levels up to the lower height
+    track every word, levels up to the higher one track that height's
+    fiber, and no level above is folded.  Folds still update whole tables,
+    so the masks grow with ``k`` as before, and the tracked set is constant
+    within each range: a node is pruned once its table holds the tracked
+    words of ``never`` at both ``min(top, lower)`` and ``min(top, higher)``.
+    The walk stops as soon as ``never[h_b]`` holds no word of fiber ``b``
+    for both ``b``, since every level below then holds none either.  Only
+    the tracked words of the returned table are exact; with no bound, the
+    heights are ``(n, n)`` and all of them are.
     """
     n, full = f.arity, full_mask(f.arity)
     steps = _fold_steps(f)
     never = [0] + [full] * n
+    fibers = (full ^ f.bits, f.bits)
+    (lower, near), (higher, far) = sorted(zip(heights or (n, n), fibers))
     stack = [(0, 0, 0)]  # (table, first variable to free, size of its free set)
     while stack:
         table, start, size = stack.pop()
-        if never[size + n - start] | table == table:
+        top = size + n - start
+        if never[min(top, lower)] | table == table and (
+            never[min(top, higher)] & far | table == table
+        ):
             continue
         size += 1
+        # A child at the higher height, or with no variable above it, has no
+        # tracked descendant: it is folded but not pushed.
+        last = n - 1 if size < higher else 0
         for p in range(n - 1, start - 1, -1):
             t = _fold(table, steps[p])
             if t != full:
                 never[size] &= t
-                if p + 1 < n:
+                if p < last:
                     stack.append((t, p + 1, size))
+        if (size == lower or size == higher) and not (
+            never[lower] & near or never[higher] & far
+        ):
+            break
     return never
 
 
@@ -231,32 +268,40 @@ def sensitivity_at(f: BooleanFunction, word) -> int:
     return sum(1 for p in range(f.arity) if f.bit(idx ^ (1 << p)) != value)
 
 
-def sensitivity(f: BooleanFunction) -> int:
-    """Maximum of the per-word sensitivity over all words.
+def _sensitivity_counts(f: BooleanFunction) -> list[int]:
+    """Bit-sliced per-word sensitivities: bit ``w`` of ``counts[b]`` is bit
+    ``b`` of the number of positions whose flip changes ``f`` at ``w``.
 
-    The per-word counts are bit-sliced: bit ``w`` of ``counter[b]`` is bit
-    ``b`` of the number of positions whose flip changes ``f`` at ``w``.  Each
-    position adds the table ``f ^ flip_i(f)`` with a ripple carry, and the
-    maximum is read off from the top counter bit down.
+    Each position adds the table ``f ^ flip_i(f)`` with a ripple carry.
     """
     n, bits = f.arity, f.bits
-    counter: list[int] = []
-    for i in range(1, n + 1):
-        span = 1 << (i - 1)
-        hi = variable_mask(n, i)
+    counts: list[int] = []
+    for i, (_, hi) in enumerate(_literals(n)):
+        span = 1 << i
         carry = bits ^ (((bits & hi) >> span) | ((bits << span) & hi))
-        for b, level in enumerate(counter):
-            counter[b], carry = level ^ carry, level & carry
+        for b, level in enumerate(counts):
+            counts[b], carry = level ^ carry, level & carry
             if not carry:
                 break
         if carry:
-            counter.append(carry)
-    best, at_best = 0, full_mask(n)
-    for b in reversed(range(len(counter))):
-        higher = at_best & counter[b]
+            counts.append(carry)
+    return counts
+
+
+def _max_count(counts: list[int], words: int) -> int:
+    """The largest count over the words in the mask ``words`` (0 if none),
+    read from the top counter bit down."""
+    best = 0
+    for b in reversed(range(len(counts))):
+        higher = words & counts[b]
         if higher:
-            best, at_best = best | 1 << b, higher
+            best, words = best | 1 << b, higher
     return best
+
+
+def sensitivity(f: BooleanFunction) -> int:
+    """Maximum of the per-word sensitivity over all words."""
+    return _max_count(_sensitivity_counts(f), full_mask(f.arity))
 
 
 def block_sensitivity(
@@ -324,9 +369,22 @@ def cert_profile(
     is constant on no subcube with ``j`` free variables, so ``C(f, w) = n -
     max{j : w not in never[j]}`` and ``c_b = n - max{j : fiber_b & never[j]
     == 0}``.  An empty fiber gives 0 and flags the profile degenerate.
+
+    Every certificate of a word holds all of its sensitive positions, so
+    ``C_b >= s_b``, the largest sensitivity on fiber ``b``, for every
+    function: the maximum above lies at or below ``h_b = n - s_b``.  The
+    walk is told these heights, tracks fiber ``b`` only up to ``h_b`` and
+    stops once both ``never[h_b]`` are clear of their fibers, which on an
+    NCF (where ``s = C``) it confirms early.  The same maximum reads the
+    answer: the walk clears only words it has seen certified, and fiber
+    ``b`` meets every level above ``h_b``.  The heights come from the table
+    alone, so the result stays a brute-force answer, and a function with
+    ``C_b > s_b`` still gets its larger ``c_b``.
+
     Witnesses come from a second pass in :func:`certificate_at`'s order, so
-    they match it word for word.  Witness collection and block sensitivity
-    are optional because of their cost.
+    they match it word for word; they need every word's size, so that path
+    walks unbounded.  Witness collection and block sensitivity are optional
+    because of their cost.
     """
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
@@ -334,7 +392,11 @@ def cert_profile(
         raise GuardExceededError("block sensitivity", f.arity, block_max_arity)
     n = f.arity
     fibers = (full_mask(n) ^ f.bits, f.bits)
-    never = _never_constant(f)  # never[0] is 0: fixing all n variables certifies
+    counts = _sensitivity_counts(f)
+    s0, s1 = (_max_count(counts, fiber) for fiber in fibers)
+    # Witnesses need every word's size.  Bound or not, fiber b meets every
+    # level above n - s_b, and never[0] is 0: fixing all n variables certifies.
+    never = _never_constant(f, None if with_witnesses else (n - s0, n - s1))
     c0, c1 = (n - max(j for j in range(n + 1) if not b & never[j]) for b in fibers)
     witnesses = _first_certificates(f, never) if with_witnesses else None
     bs = None
@@ -344,7 +406,7 @@ def cert_profile(
         c0=c0,
         c1=c1,
         c=max(c0, c1),
-        sensitivity=sensitivity(f),
+        sensitivity=max(s0, s1),
         block_sensitivity=bs,
         witnesses=witnesses,
         degenerate=not all(fibers),

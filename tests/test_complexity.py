@@ -281,11 +281,13 @@ def _random_ncf(rng, n):
 
 
 def test_cert_walk_matches_formula_on_wide_ncfs():
+    # The sensitivity bound lets the walk past the guard at n = 16 in about
+    # 10 ms a call.
     rng = random.Random(20260311)
-    for n in range(9, 14):
+    for n in range(9, 17):
         for _ in range(3):
             d, f = _random_ncf(rng, n)
-            p = cert_profile(f)
+            p = cert_profile(f, max_arity=n)
             assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b), d
 
 
@@ -326,6 +328,16 @@ def reference_never_constant(f):
     return never
 
 
+def _fiber_heights(f):
+    """``n - s_b`` per fiber ``b``, from the per-word sensitivity oracle
+    (``n`` for an empty fiber)."""
+    s = [0, 0]
+    for w in words(f.arity):
+        value = f.evaluate(w)
+        s[value] = max(s[value], sensitivity_at(f, w))
+    return f.arity - s[0], f.arity - s[1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.one_of(
@@ -333,14 +345,28 @@ def reference_never_constant(f):
         constant_functions(10),
         nested_canalizing_functions(10),
         flipped_nested_canalizing_functions(10),
-    )
+    ),
+    st.tuples(st.integers(0, 10), st.integers(0, 10)),
 )
-def test_pruned_walk_matches_unpruned_reference(f):
-    assert complexity._never_constant(f) == reference_never_constant(f)
+@example(BooleanFunction(0, 0), (0, 0))
+@example(BooleanFunction(1, 0b10), (1, 0))
+def test_pruned_walk_matches_unpruned_reference(f, drawn):
+    reference = reference_never_constant(f)
+    assert complexity._never_constant(f) == reference
+    # Bounded by any heights, the walk is exact on every tracked word: those
+    # of fiber b at the levels j <= h_b.  cert_profile passes n - s_b.
+    n = f.arity
+    fibers = (full_mask(n) ^ f.bits, f.bits)
+    for heights in (_fiber_heights(f), tuple(min(h, n) for h in drawn)):
+        never = complexity._never_constant(f, heights)
+        for fiber, h in zip(fibers, heights):
+            for j in range(h + 1):
+                assert never[j] & fiber == reference[j] & fiber, (heights, j)
 
 
 def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
-    # Without any prune the walk folds all 2^14 - 1 free sets of this NCF.
+    # Without any prune the walk folds all 2^14 - 1 free sets of this NCF;
+    # the sensitivity bound of cert_profile leaves fewer than the prune alone.
     d, f = _random_ncf(random.Random(14), 14)
     folds = 0
     fold = complexity._fold
@@ -352,6 +378,10 @@ def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
 
     monkeypatch.setattr(complexity, "_fold", counted)
     never = complexity._never_constant(f)
-    assert folds < (2**14 - 1) // 3
+    unbounded, folds = folds, 0
+    p = cert_profile(f)
+    assert unbounded < (2**14 - 1) // 3
+    assert folds < unbounded
     monkeypatch.undo()
     assert never == reference_never_constant(f)
+    assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b)
