@@ -19,7 +19,8 @@ reading keeps the innermost ``(M_r + 1)`` wrapper, so a bare product such as
 
 A variable's influence depends only on its layer (Li, Adeyeye, Murrugarra,
 Aguilar and Laubenbacher, TCS 2013), so :func:`decompose` reads the only
-candidate off the influences and confirms it with one :func:`compose`.
+candidate off the influences and confirms it on the raw table through
+:func:`compose`'s kernel, building no table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import BooleanFunction, InvalidInputError, _literals, full_mask
+from .core import BooleanFunction, InvalidInputError, _decimal, _literals, full_mask
 
 LayerEntries = tuple[tuple[int, int], ...]
 
@@ -141,15 +142,16 @@ def canalizing_pairs(f: BooleanFunction) -> list[tuple[int, int, int]]:
 def decompose(f: BooleanFunction) -> NcfClassification:
     """Classify ``f`` and produce its unique canonical decomposition.
 
-    One pass over the variables names the only candidate and one
-    :func:`compose` confirms it.  A variable's influence is the number of
-    input pairs, differing only in it, on which ``f`` differs; zero means
-    the variable is inessential, and the canonical form uses every variable.
-    The candidate's layers are the groups of equal influence, largest first.
-    The first layer's output is ``f``'s majority value and layer outputs
-    alternate; a stored input is the half of its variable that holds more
-    of its layer's output.  ``b`` is the first layer's output, complemented
-    in the one-layer case (whose reading carries an extra inner complement).
+    One pass over the variables names the only candidate, which
+    :func:`compose`'s kernel confirms on the raw table: no table is built.
+    A variable's influence is the number of input pairs, differing only in
+    it, on which ``f`` differs; zero means it is inessential, and the
+    canonical form uses every variable.  The candidate's layers are the
+    groups of equal influence, largest first.  The first layer's output is
+    ``f``'s majority value and layer outputs alternate; a stored input is
+    the half of its variable that holds more of its layer's output.  ``b``
+    is the first layer's output, complemented in the one-layer case (whose
+    reading carries an extra inner complement).
 
     Why this is exact: for a variable of layer ``t``, let ``K_t`` count the
     variables of layers ``1..t`` and ``q_t`` be the chance that the later
@@ -171,70 +173,66 @@ def decompose(f: BooleanFunction) -> NcfClassification:
     if bits == 0 or bits == full_mask(n):
         return NcfClassification(False, reason=NotNcfReason.CONSTANT)
     literals = _literals(n)
-    by_influence: dict[int, list[tuple[int, int]]] = {}
+    ranked = []  # (-influence, variable, weight of its x_i = 1 half)
     for span, (low, high) in enumerate(literals):
         upper = (bits & high) >> (1 << span)
         flips = (upper ^ (bits & low)).bit_count()
         if not flips:
             return NcfClassification(False, reason=NotNcfReason.INESSENTIAL_VARIABLE)
-        by_influence.setdefault(flips, []).append((span + 1, upper.bit_count()))
-    if len(by_influence[min(by_influence)]) < 2:
+        ranked.append((-flips, span + 1, upper.bit_count()))
+    ranked.sort()
+    if ranked[-1][0] != ranked[-2][0]:  # the last layer has two or more variables
         return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
-
     ones = bits.bit_count()
-    first_out = out = int(2 * ones > 1 << n)
-    layers = []
-    for _, group in sorted(by_influence.items(), reverse=True):
+    first_out = flip = int(2 * ones > 1 << n)
+    layers, previous = [], 0  # ranks are negative, so the first opens a layer
+    for rank, i, w in ranked:
+        if rank != previous:  # a new layer, whose output is the last one's complement
+            previous, flip, layer = rank, flip ^ 1, []
+            layers.append(layer)
         # 2 |f & x_i| > |f| exactly when the half x_i = 1 holds more ones.
-        layers.append(tuple([(i, int(2 * w > ones) ^ out ^ 1) for i, w in group]))
-        out ^= 1
+        layer.append((i, int(2 * w > ones) ^ flip))
     b = first_out ^ (len(layers) == 1)
-    candidate = LayerDecomposition._unchecked(n, tuple(layers), b)
     i, a = layers[0][0]
     half = literals[i - 1][a]
     # A cheap test first: the first layer must canalize f.
-    if bits & half != (half if first_out else 0) or compose(candidate).bits != bits:
+    if bits & half != (half if first_out else 0) or _nested_bits(n, layers, b) != bits:
         return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
-    return NcfClassification(True, decomposition=candidate)
+    return NcfClassification(True, LayerDecomposition._unchecked(n, tuple(map(tuple, layers)), b))
 
 
 def compose(d: LayerDecomposition) -> BooleanFunction:
-    """Rebuild the truth table from a decomposition (the nested reading).
+    """Rebuild the truth table from a decomposition (the nested reading), by the
+    kernel that also confirms :func:`decompose`'s candidate on its raw bits."""
+    return BooleanFunction(d.arity, _nested_bits(d.arity, d.layers, d.b))
 
-    In debug runs the result is cross-checked against the expanded reading,
-    the XOR of the prefix products M1, M1*M2, ..., M1*...*Mr (complemented
-    once more in the one-layer case).
-    """
-    n = d.arity
-    full = full_mask(n)
-    literals = _literals(n)
+
+def _nested_bits(n: int, layers, b: int) -> int:
+    """The table bits of the nested reading of ``(variable, input)`` layers
+    and ``b``.  In debug runs they are cross-checked against the expanded
+    reading, the XOR of the prefix products M1, M1*M2, ..., M1*...*Mr
+    (complemented once more in the one-layer case)."""
+    full, literals = full_mask(n), _literals(n)
     masks = []
-    for layer in d.layers:
+    for layer in layers:
         mask = full
         for var, inp in layer:
             mask &= literals[var - 1][inp ^ 1]  # the factor (x + a) is true where x != a
         masks.append(mask)
-    r = len(masks)
-
     value = masks[-1] ^ full
-    if r >= 2:
-        value &= masks[-2]
-        for j in range(r - 3, -1, -1):
-            value = masks[j] & (value ^ full)
-    if d.b:
+    for mask in reversed(masks[:-1]):
+        value = (mask & value) ^ full
+    if b ^ (len(masks) > 1):
         value ^= full
-    nested = BooleanFunction(n, value)
-
     if __debug__:
-        prefix = full
-        acc = 0
+        prefix, acc = full, 0
         for mask in masks:
             prefix &= mask
             acc ^= prefix
-        if (d.b ^ (1 if r == 1 else 0)):
+        if b ^ (len(masks) == 1):
             acc ^= full
-        assert acc == nested.bits, "nested and expanded readings disagree"
-    return nested
+        assert acc == value, "nested and expanded readings disagree"
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -264,16 +262,18 @@ def parse_decomposition(text: str) -> LayerDecomposition:
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise InvalidInputError("layer list must be enclosed in [ ]")
+    chunks = [[item.strip() for item in chunk.split(",")] for chunk in body[1:-1].split("|")]
+    total = sum(map(len, chunks))
     layers = []
-    total = 0
-    for chunk in body[1:-1].split("|"):
+    for chunk in chunks:
         entries = []
-        for item in chunk.split(","):
-            item = item.strip()
+        for item in chunk:
             var_text, sep, inp_text = item.partition(":")
-            if not sep or not var_text.strip().isdigit() or inp_text.strip() not in ("0", "1"):
+            if not sep or not var_text.strip().isdecimal() or inp_text.strip() not in ("0", "1"):
                 raise InvalidInputError(f"bad layer entry {item!r}")
-            entries.append((int(var_text), int(inp_text)))
-            total += 1
+            name, var = _decimal(var_text.strip(), total)  # any length, unlike int()
+            if var > total:
+                raise InvalidInputError(f"variable index {name} out of range 1..{total}")
+            entries.append((var, int(inp_text)))
         layers.append(entries)
     return LayerDecomposition.from_pairs(total, layers, int(head))

@@ -104,8 +104,9 @@ def test_compose_examples():
 
 def test_compose_matches_prefix_product_expansion():
     # Independent expansion oracle: XOR of prefix products of the layer
-    # masks, with one extra complement in the single-layer convention.
-    for n in (2, 3, 4):
+    # masks, with one extra complement in the single-layer convention.  It
+    # does not depend on compose's own cross-check, which -O compiles out.
+    for n in (2, 3, 4, 5):
         full = full_mask(n)
         for d in enumerate_ncfs(n):
             masks = []
@@ -158,6 +159,18 @@ def test_text_form_round_trip():
         parse_decomposition("1; 1:0, 2:0")
     with pytest.raises(InvalidInputError):
         parse_decomposition("1; [1:0 | 2:0]")  # one-variable last layer
+    # Indices are decimal digits of any script, read as int() reads them.
+    assert parse_decomposition("1; [\u0661:0, \u0662:1]") == parse_decomposition("1; [1:0, 2:1]")
+    assert parse_decomposition("0; [2:1 | 001:0, 3:0]").layers == (((2, 1),), ((1, 0), (3, 0)))
+    with pytest.raises(InvalidInputError, match="bad layer entry"):
+        parse_decomposition("1; [1:0, \u00b2:1]")  # str.isdigit takes it, int() does not
+    # An index past Python's int-string limit is out of range, not a ValueError.
+    with pytest.raises(InvalidInputError, match="out of range 1..2"):
+        parse_decomposition("1; [1:0, " + "9" * 5000 + ":1]")
+    with pytest.raises(InvalidInputError, match="variable index 3 out of range 1..2"):
+        parse_decomposition("1; [1:0, 0003:1]")
+    with pytest.raises(InvalidInputError, match="variable index 0 out of range 1..2"):
+        parse_decomposition("1; [1:0, 0:1]")
 
 
 def test_round_trip_all_enumerated_small():
@@ -234,8 +247,8 @@ def test_decompose_builds_no_restricted_tables(monkeypatch):
             assert back.is_ncf
             assert back.decomposition == d
 
-    # The only table decompose builds is the confirming compose, with or
-    # without asserts.
+    # decompose confirms its candidate on the raw table bits, so it builds
+    # no table at all, with or without asserts.
     f = compose(next(enumerate_ncfs(5)))
     built = []
     check = BooleanFunction.__post_init__
@@ -243,4 +256,4 @@ def test_decompose_builds_no_restricted_tables(monkeypatch):
         BooleanFunction, "__post_init__", lambda self: built.append(check(self))
     )
     assert decompose(f).is_ncf
-    assert len(built) == 1
+    assert built == []
