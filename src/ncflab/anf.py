@@ -27,7 +27,7 @@ text, and :meth:`AnfPolynomial.format` go through it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from .core import (
@@ -44,20 +44,17 @@ from .core import (
 Monomial = frozenset[int]
 
 
-@dataclass(frozen=True)
-class AnfPolynomial:
+class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
     """Canonical ANF: ``arity`` plus the set of monomials present."""
 
-    arity: int
-    monomials: frozenset[Monomial]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for monomial in self.monomials:
+    def __new__(cls, arity: int, monomials: frozenset[Monomial]):
+        for monomial in monomials:
             for i in monomial:
-                if not 1 <= i <= self.arity:
-                    raise InvalidInputError(
-                        f"variable index {i} out of range 1..{self.arity}"
-                    )
+                if not 1 <= i <= arity:
+                    raise InvalidInputError(f"variable index {i} out of range 1..{arity}")
+        return tuple.__new__(cls, (arity, monomials))
 
     @classmethod
     def from_terms(cls, arity: int, terms) -> "AnfPolynomial":

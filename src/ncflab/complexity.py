@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     BooleanFunction,
@@ -57,8 +57,7 @@ MAX_CERTIFICATE_ARITY = 14
 MAX_BLOCK_SENSITIVITY_ARITY = 8
 
 
-@dataclass(frozen=True)
-class CertificateWitness:
+class CertificateWitness(namedtuple("CertificateWitness", "word size certificate")):
     """A minimum certificate found for one word.
 
     ``certificate`` is the first subset in (cardinality, lexicographic)
@@ -68,33 +67,34 @@ class CertificateWitness:
     cardinality.
     """
 
+    __slots__ = ()
     word: Word
     size: int
     certificate: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(namedtuple(
+    "ComplexityProfile", "c0 c1 c sensitivity block_sensitivity witnesses degenerate"
+)):
     """Exact complexity measures of one function.
 
     ``degenerate`` marks constant functions, whose empty output fiber makes
     the corresponding maximum 0 by convention.
     """
 
-    c0: int
-    c1: int
-    c: int
-    sensitivity: int
-    block_sensitivity: int | None = None
-    witnesses: tuple[CertificateWitness, ...] | None = None
-    degenerate: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c != max(self.c0, self.c1):
+    def __new__(
+        cls, c0: int, c1: int, c: int, sensitivity: int, block_sensitivity: int | None = None,
+        witnesses: tuple[CertificateWitness, ...] | None = None, degenerate: bool = False,
+    ):
+        if c != max(c0, c1):
             raise NcflabError("profile invariant violated: c != max(c0, c1)")
-        if self.block_sensitivity is not None:
-            if not self.sensitivity <= self.block_sensitivity <= self.c:
+        if block_sensitivity is not None:
+            if not sensitivity <= block_sensitivity <= c:
                 raise NcflabError("profile invariant violated: s <= bs <= c")
+        fields = c0, c1, c, sensitivity, block_sensitivity, witnesses, degenerate
+        return tuple.__new__(cls, fields)
 
     def to_json_dict(self) -> dict:
         witnesses = [
@@ -224,14 +224,12 @@ def _first_certificates(f: BooleanFunction, never: list[int]) -> tuple:
             for idx in _one_indices(new):
                 first[idx] = subset
             pending ^= new
-    # Words in index order (x1 fastest); witnesses skip the frozen __setattr__.
+    # Words in index order (x1 fastest).
     words = (w[::-1] for w in itertools.product((0, 1), repeat=n))
-    witnesses = []
-    for word, subset in zip(words, first):
-        witness = object.__new__(CertificateWitness)
-        witness.__dict__.update(word=word, size=len(subset), certificate=subset)
-        witnesses.append(witness)
-    return tuple(witnesses)
+    return tuple(
+        tuple.__new__(CertificateWitness, (word, len(subset), subset))
+        for word, subset in zip(words, first)
+    )
 
 
 def certificate_at(

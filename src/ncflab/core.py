@@ -7,15 +7,17 @@ by ``w``.  The encoding is fixed once and for all: variable ``x_i``
 significant index bit.  This makes variable restriction, input negation and
 variable swaps cheap mask/shift operations on the table integer.
 
-All values are immutable; every operation returns a new value.
+All values are immutable; every operation returns a new value.  The package's
+records are ``collections.namedtuple`` subclasses with empty ``__slots__``:
+assigning a field raises :class:`AttributeError`, and ``__new__`` validates.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 #: Hard cap on the arity of dense truth tables.  A table has 2**n bits, so
 #: this bounds memory, not analysis cost; expensive analyses carry their own
@@ -137,16 +139,19 @@ def _check_bit(value: int, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class BooleanFunction:
+class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     """An ``arity``-variable Boolean function as a packed truth table.
 
     ``bits`` holds the full table: bit ``w`` of ``bits`` is the function
     value at the word encoded by index ``w`` (``x_i`` = index bit ``i-1``).
     """
 
-    arity: int
-    bits: int
+    __slots__ = ()
+
+    def __new__(cls, arity: int, bits: int):
+        self = tuple.__new__(cls, (arity, bits))
+        self.__post_init__()  # a class attribute: bench/tracer.py wraps it to count tables
+        return self
 
     def __post_init__(self):
         if not 0 <= self.arity <= MAX_TABLE_ARITY:

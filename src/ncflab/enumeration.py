@@ -25,9 +25,9 @@ walk in one process.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from math import comb, factorial
-from typing import Iterator
 
 from .core import GuardExceededError, InvalidInputError
 from .complexity import cert_profile, ncf_cert_formula
@@ -278,13 +278,15 @@ def count_strongly_asym_max_layers(n: int) -> int:
     return factorial(n) << (n - 1)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple(
+    "CountTable", "n total by_layers by_symmetry strongly_asymmetric strongly_asym_max_layers"
+)):
     """All counts for one arity, read off the census.
 
     :func:`verify` holds them to the paper's closed forms.
     """
 
+    __slots__ = ()
     n: int
     total: int
     by_layers: dict[int, int]
@@ -316,15 +318,15 @@ def count_table(n: int) -> CountTable:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "passed expected actual")):
+    __slots__ = ()
     passed: bool
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "n functions_checked checks")):
+    __slots__ = ()
     n: int
     functions_checked: int | None
     checks: dict[str, CheckResult]

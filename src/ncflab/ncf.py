@@ -26,7 +26,7 @@ candidate off the influences and confirms it on the raw table through
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import BooleanFunction, InvalidInputError, _decimal, _literals, full_mask
 
@@ -43,8 +43,7 @@ class NotNcfReason(enum.Enum):
     CONSTANT = "constant function"
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
+class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
     """The unique canonical form: ordered layers plus the output bit.
 
     ``layers[k]`` is a tuple of ``(variable, input)`` pairs sorted by
@@ -54,17 +53,15 @@ class LayerDecomposition:
     ``b`` are bits.
     """
 
-    arity: int
-    layers: tuple[LayerEntries, ...]
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b not in (0, 1):
-            raise InvalidInputError(f"output bit must be 0 or 1, got {self.b!r}")
-        if not self.layers:
+    def __new__(cls, arity: int, layers: tuple[LayerEntries, ...], b: int):
+        if b not in (0, 1):
+            raise InvalidInputError(f"output bit must be 0 or 1, got {b!r}")
+        if not layers:
             raise InvalidInputError("a decomposition needs at least one layer")
         seen: set[int] = set()
-        for layer in self.layers:
+        for layer in layers:
             if not layer:
                 raise InvalidInputError("layers must be nonempty")
             previous = 0
@@ -72,10 +69,8 @@ class LayerDecomposition:
                 if len(entry) != 2:
                     raise InvalidInputError(f"bad layer entry {entry!r}")
                 var, inp = entry
-                if not 1 <= var <= self.arity:
-                    raise InvalidInputError(
-                        f"variable index {var} out of range 1..{self.arity}"
-                    )
+                if not 1 <= var <= arity:
+                    raise InvalidInputError(f"variable index {var} out of range 1..{arity}")
                 if inp not in (0, 1):
                     raise InvalidInputError(f"canalizing input must be a bit: {inp!r}")
                 if var <= previous:
@@ -86,17 +81,16 @@ class LayerDecomposition:
                     raise InvalidInputError(f"variable {var} appears in two layers")
                 seen.add(var)
                 previous = var
-        if len(seen) != self.arity:
+        if len(seen) != arity:
             raise InvalidInputError("layers must partition the full variable set")
-        if len(self.layers[-1]) < 2:
+        if len(layers[-1]) < 2:
             raise InvalidInputError("the last layer must contain at least two variables")
+        return tuple.__new__(cls, (arity, layers, b))
 
     @classmethod
     def _unchecked(cls, arity: int, layers: tuple[LayerEntries, ...], b: int):
         """Build without validation, for layers that are valid by construction."""
-        d = object.__new__(cls)
-        d.__dict__.update(arity=arity, layers=layers, b=b)
-        return d
+        return tuple.__new__(cls, (arity, layers, b))
 
     @classmethod
     def from_pairs(cls, arity: int, layers, b: int) -> "LayerDecomposition":
@@ -111,13 +105,15 @@ class LayerDecomposition:
         return tuple(len(layer) for layer in self.layers)
 
 
-@dataclass(frozen=True)
-class NcfClassification:
+class NcfClassification(namedtuple(
+    "NcfClassification", "is_ncf decomposition reason", defaults=(None, None)
+)):
     """Outcome of :func:`decompose`: either a decomposition or a reason."""
 
+    __slots__ = ()
     is_ncf: bool
-    decomposition: LayerDecomposition | None = None
-    reason: NotNcfReason | None = None
+    decomposition: LayerDecomposition | None
+    reason: NotNcfReason | None
 
 
 def canalizing_pairs(f: BooleanFunction) -> list[tuple[int, int, int]]:

@@ -20,7 +20,7 @@ function in the tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import ceil
 
@@ -40,55 +40,53 @@ from .ncf import LayerDecomposition, NcfClassification, decompose
 MAX_AUTOMORPHISM_ARITY = 8
 
 
-@dataclass(frozen=True)
-class SymmetryPartition:
+class SymmetryPartition(namedtuple("SymmetryPartition", "arity classes")):
     """The symmetric classes: disjoint, sorted, covering ``1..arity``."""
 
-    arity: int
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, arity: int, classes: tuple[tuple[int, ...], ...]):
         seen: set[int] = set()
         previous_min = 0
-        for cls in self.classes:
-            if not cls or list(cls) != sorted(cls):
-                raise InvalidInputError(f"bad symmetry class {cls!r}")
-            if cls[0] <= previous_min:
+        for members in classes:
+            if not members or list(members) != sorted(members):
+                raise InvalidInputError(f"bad symmetry class {members!r}")
+            if members[0] <= previous_min:
                 raise InvalidInputError("classes must be sorted by smallest member")
-            previous_min = cls[0]
-            for i in cls:
-                if not 1 <= i <= self.arity or i in seen:
-                    raise InvalidInputError(f"classes do not partition 1..{self.arity}")
+            previous_min = members[0]
+            for i in members:
+                if not 1 <= i <= arity or i in seen:
+                    raise InvalidInputError(f"classes do not partition 1..{arity}")
                 seen.add(i)
-        if len(seen) != self.arity:
-            raise InvalidInputError(f"classes do not partition 1..{self.arity}")
+        if len(seen) != arity:
+            raise InvalidInputError(f"classes do not partition 1..{arity}")
+        return tuple.__new__(cls, (arity, classes))
 
     @classmethod
     def _unchecked(cls, arity: int, classes: tuple[tuple[int, ...], ...]):
         """Build without validation, for classes that are valid by construction."""
-        p = object.__new__(cls)
-        p.__dict__.update(arity=arity, classes=classes)
-        return p
+        return tuple.__new__(cls, (arity, classes))
 
     @property
     def level(self) -> int:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(namedtuple("SymmetryReport", (
+    "arity s partially_symmetric totally_symmetric strongly_asymmetric nontrivial_automorphism"
+))):
     """Symmetry summary of one function."""
 
-    arity: int
-    s: int
-    partially_symmetric: bool
-    totally_symmetric: bool
-    strongly_asymmetric: bool
-    nontrivial_automorphism: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strongly_asymmetric and self.s != self.arity:
+    def __new__(
+        cls, arity: int, s: int, partially_symmetric: bool, totally_symmetric: bool,
+        strongly_asymmetric: bool, nontrivial_automorphism: tuple[int, ...] | None = None,
+    ):
+        if strongly_asymmetric and s != arity:
             raise NcflabError("report invariant violated: strong asymmetry needs s = n")
+        return tuple.__new__(cls, (arity, s, partially_symmetric, totally_symmetric,
+                                   strongly_asymmetric, nontrivial_automorphism))
 
     def to_json_dict(self, classes: SymmetryPartition | None = None) -> dict:
         witness = (
@@ -309,8 +307,10 @@ def _symmetry_report(
     return report, classes
 
 
-@dataclass(frozen=True)
-class NcfSymmetryChecks:
+class NcfSymmetryChecks(namedtuple("NcfSymmetryChecks", (
+    "arity s r r1 r2 classes_within_layers classes_per_layer class_count_rule"
+    " layer_count_bounds symmetry_level_bounds"
+))):
     """Structural facts tying a decomposition to its symmetry partition.
 
     The five checks: every symmetric class sits inside one layer with one
@@ -320,6 +320,7 @@ class NcfSymmetryChecks:
     ``r <= s <= min(2r, n)``.
     """
 
+    __slots__ = ()
     arity: int
     s: int
     r: int

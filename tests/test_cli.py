@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -153,6 +154,28 @@ def test_closed_pipe_ends_without_traceback():
     assert first == b"0; [1:0, 2:0, 3:0, 4:0, 5:0]\n"
     assert b"Traceback" not in err
     assert err == b""
+
+
+def test_import_loads_no_dataclasses_typing_or_inspect():
+    # -S: without site packages, which may import typing themselves.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ncflab, ncflab.cli;"
+        " print(*sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.split() == []
+    # Nor does a command import on its first call, which would only move the cost.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == []
 
 
 @pytest.mark.parametrize(

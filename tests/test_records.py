@@ -1,0 +1,176 @@
+"""The record types: immutable values with field-wise equality and validation."""
+
+import inspect
+
+import pytest
+
+from ncflab import (
+    AnfPolynomial,
+    BooleanFunction,
+    InvalidInputError,
+    LayerDecomposition,
+    NcflabError,
+    NcfClassification,
+    NotNcfReason,
+    cert_profile,
+    certificate_at,
+    compose,
+    enumerate_ncfs,
+)
+from ncflab.complexity import CertificateWitness, ComplexityProfile
+from ncflab.enumeration import CheckResult, CountTable, VerificationReport, _result
+from ncflab.symmetry import NcfSymmetryChecks, SymmetryPartition, SymmetryReport, partition
+
+#: One value of each record type, and its fields in order.
+RECORDS = [
+    (BooleanFunction(2, 8), "arity bits"),
+    (AnfPolynomial(2, frozenset({frozenset({1, 2})})), "arity monomials"),
+    (CertificateWitness((0, 1), 1, (1,)), "word size certificate"),
+    (
+        ComplexityProfile(1, 2, 2, 2),
+        "c0 c1 c sensitivity block_sensitivity witnesses degenerate",
+    ),
+    (LayerDecomposition(2, (((1, 0), (2, 1)),), 1), "arity layers b"),
+    (NcfClassification(False, reason=NotNcfReason.CONSTANT), "is_ncf decomposition reason"),
+    (SymmetryPartition(3, ((1, 3), (2,))), "arity classes"),
+    (
+        SymmetryReport(2, 1, True, True, False, (2, 1)),
+        "arity s partially_symmetric totally_symmetric strongly_asymmetric"
+        " nontrivial_automorphism",
+    ),
+    (
+        NcfSymmetryChecks(2, 1, 1, 1, 0, True, True, True, True, True),
+        "arity s r r1 r2 classes_within_layers classes_per_layer class_count_rule"
+        " layer_count_bounds symmetry_level_bounds",
+    ),
+    (
+        CountTable(2, 8, {1: 8}, {1: 4, 2: 4}, 4, 4),
+        "n total by_layers by_symmetry strongly_asymmetric strongly_asym_max_layers",
+    ),
+    (CheckResult(True, "8", "8"), "passed expected actual"),
+    (VerificationReport(2, 8, {"x": CheckResult(True, "8", "8")}), "n functions_checked checks"),
+]
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_immutable_values(record, fields):
+    cls = type(record)
+    assert cls._fields == tuple(fields.split())
+    # Each field's type is documented once: on __new__ where it validates,
+    # else as a class annotation.
+    documented = cls.__dict__.get("__annotations__") or [
+        *inspect.signature(cls.__new__).parameters
+    ][1:]
+    assert tuple(documented) == cls._fields
+
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], getattr(record, cls._fields[0]))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+    twin = cls(**{name: getattr(record, name) for name in cls._fields})
+    assert type(twin) is cls and twin == record
+    if cls in (CountTable, VerificationReport):  # dict fields
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+
+
+def test_record_defaults():
+    p = ComplexityProfile(c0=1, c1=1, c=1, sensitivity=1)
+    assert (p.block_sensitivity, p.witnesses, p.degenerate) == (None, None, False)
+    outcome = NcfClassification(True)
+    assert (outcome.decomposition, outcome.reason) == (None, None)
+    assert SymmetryReport(2, 2, False, False, True).nontrivial_automorphism is None
+
+
+def test_record_reprs_keep_the_field_form():
+    d = LayerDecomposition.from_pairs(4, [[(3, 1)], [(1, 0), (2, 1), (4, 0)]], 1)
+    assert repr(d) == (
+        "LayerDecomposition(arity=4, layers=(((3, 1),), ((1, 0), (2, 1), (4, 0))), b=1)"
+    )
+    assert repr(cert_profile(compose(d))) == (
+        "ComplexityProfile(c0=2, c1=3, c=3, sensitivity=3, block_sensitivity=None,"
+        " witnesses=None, degenerate=False)"
+    )
+    assert repr(cert_profile(BooleanFunction.from_hex("2:8"), with_witnesses=True)) == (
+        "ComplexityProfile(c0=1, c1=2, c=2, sensitivity=2, block_sensitivity=None,"
+        " witnesses=(CertificateWitness(word=(0, 0), size=1, certificate=(1,)),"
+        " CertificateWitness(word=(1, 0), size=1, certificate=(2,)),"
+        " CertificateWitness(word=(0, 1), size=1, certificate=(1,)),"
+        " CertificateWitness(word=(1, 1), size=2, certificate=(1, 2))), degenerate=False)"
+    )
+    assert repr(_result(3, 4, "x")) == "CheckResult(passed=False, expected='3', actual='4 [x]')"
+
+
+def test_unchecked_records_equal_their_validated_twins():
+    for d in enumerate_ncfs(4):  # built by LayerDecomposition._unchecked
+        twin = LayerDecomposition(d.arity, d.layers, d.b)
+        assert type(d) is LayerDecomposition and twin == d and hash(twin) == hash(d)
+        f = compose(d)
+        classes = partition(f)  # built by SymmetryPartition._unchecked
+        twin = SymmetryPartition(classes.arity, classes.classes)
+        assert type(classes) is SymmetryPartition and twin == classes
+    for witness in cert_profile(f, with_witnesses=True).witnesses:
+        assert type(witness) is CertificateWitness
+        assert witness == certificate_at(f, witness.word)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: BooleanFunction(25, 0), InvalidInputError, "arity must lie in 0..24, got 25"),
+        (lambda: BooleanFunction(1, 4), InvalidInputError, "table value out of range for arity 1"),
+        (
+            lambda: AnfPolynomial(2, frozenset({frozenset({3})})),
+            InvalidInputError,
+            "variable index 3 out of range 1..2",
+        ),
+        (
+            lambda: ComplexityProfile(1, 2, 1, 1),
+            NcflabError,
+            "profile invariant violated: c != max(c0, c1)",
+        ),
+        (
+            lambda: ComplexityProfile(1, 2, 2, 2, 1),
+            NcflabError,
+            "profile invariant violated: s <= bs <= c",
+        ),
+        (
+            lambda: LayerDecomposition(2, (((1, 0, 1), (2, 0)),), 0),
+            InvalidInputError,
+            "bad layer entry (1, 0, 1)",
+        ),
+        (
+            lambda: LayerDecomposition(2, (((1, 0), (2, 0)),), 2),
+            InvalidInputError,
+            "output bit must be 0 or 1, got 2",
+        ),
+        (
+            lambda: LayerDecomposition(2, (((1, 0),), ((2, 0),)), 0),
+            InvalidInputError,
+            "the last layer must contain at least two variables",
+        ),
+        (
+            lambda: SymmetryPartition(3, ((2, 1), (3,))),
+            InvalidInputError,
+            "bad symmetry class (2, 1)",
+        ),
+        (
+            lambda: SymmetryPartition(3, ((1, 2),)),
+            InvalidInputError,
+            "classes do not partition 1..3",
+        ),
+        (
+            lambda: SymmetryReport(2, 1, True, True, True),
+            NcflabError,
+            "report invariant violated: strong asymmetry needs s = n",
+        ),
+    ],
+)
+def test_record_validation_messages(build, error, message):
+    with pytest.raises(NcflabError) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
