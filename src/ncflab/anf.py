@@ -19,16 +19,21 @@ depth is unbounded.  The canonical ANF, with duplicate terms cancelled in
 pairs, is read back off that table by the binary Moebius transform.
 
 Canonical text lists the terms by descending degree, then by index list.
-One writer, :func:`_monomial_text`, produces it from monomial masks: both
-:func:`anf_text`, which reads a truth table's coefficients straight into
-text, and :meth:`AnfPolynomial.format` go through it.
+Two writers produce it.  :func:`anf_text`, the one ``analyze`` prints, is
+dense: it reverses the variable order of a truth table's coefficient table,
+so that among monomials of one degree a larger index comes first, scans the
+coefficients once from the top into one bucket per degree, and writes each
+term from two tables of partial products, so it sorts nothing.  The sparse
+writer :func:`_monomial_text` sorts monomial masks by key and builds no
+table, so :meth:`AnfPolynomial.format` takes any arity; the tests hold the
+dense writer to it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import compress
+from itertools import chain, compress
 
 from .core import (
     MAX_TABLE_ARITY,
@@ -37,6 +42,7 @@ from .core import (
     ParseError,
     _decimal,
     _one_indices,
+    _swap_bits,
     full_mask,
     variable_mask,
 )
@@ -127,14 +133,50 @@ def _moebius(f: BooleanFunction) -> int:
 
 
 def anf_text(f: BooleanFunction) -> str:
-    """The canonical ANF text of ``f``, read straight off its coefficients."""
-    return _monomial_text(f.arity, _one_indices(_moebius(f)))
+    """The canonical ANF text of ``f``, read straight off its coefficients.
+
+    After ``x_i`` and ``x_{n+1-i}`` trade places, bit ``n - i`` of a
+    monomial's index stands for ``x_i``, so among indices of one degree the
+    larger one has the smaller index list.  One scan of the coefficients
+    from the top thus fills each degree's bucket in canonical order.  A
+    term's text is the product over its high ``ceil(n/2)`` bits joined to
+    the product over its low ``floor(n/2)`` bits.
+    """
+    n, low = f.arity, f.arity // 2
+    coeffs = _moebius(f)
+    for i in range(1, low + 1):
+        coeffs = _swap_bits(coeffs, n, i, n + 1 - i)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    head, tail = _products(names[: n - low]), _products(names[n - low :])
+    tail_alone = ["1", *tail[1:]]  # after an empty head
+    tail_after = ["", *("*" + text for text in tail[1:])]
+    low_mask = (1 << low) - 1
+    buckets = [[] for _ in range(n + 1)]
+    digits = bin(coeffs)
+    top = len(digits) - 1  # the index of the digit at position p is top - p
+    p = digits.find("1", 2)
+    while p >= 0:
+        idx = top - p
+        high = idx >> low
+        text = head[high] + (tail_after if high else tail_alone)[idx & low_mask]
+        buckets[idx.bit_count()].append(text)
+        p = digits.find("1", p + 1)
+    return " + ".join(chain.from_iterable(reversed(buckets))) or "0"
+
+
+def _products(names: list[str]) -> list[str]:
+    """``products[m]``: the product text of ``names`` over mask ``m``, whose
+    top bit stands for ``names[0]``; ``""`` for ``m = 0``."""
+    products = [""]
+    for name in reversed(names):
+        products += [f"{name}*{text}" if text else name for text in products]
+    return products
 
 
 def _monomial_text(arity: int, masks) -> str:
     """Canonical text of the monomials given as variable masks (bit ``i - 1``
-    for ``x_i``): terms by descending degree, then by index list; ``0`` for
-    none.
+    for ``x_i``), by sorting: terms by descending degree, then by index list;
+    ``0`` for none.
 
     A mask's bits read from ``x_1`` up, with 0 and 1 swapped, sort like its
     index list among masks of one degree: at the first position where two
@@ -169,23 +211,27 @@ def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
     anywhere in the text, else of the first token that breaks the grammar or
     names a variable outside ``1..arity``.
     """
-    tokens = []  # (kind, payload, 1-based column); a variable has kind "x"
+    cap = MAX_TABLE_ARITY if arity is None else arity
+    # (kind, text, 1-based column, variable); a variable has kind "x", its
+    # digits as text and (name, index) from _decimal, read once
+    tokens = []
     for match in _TOKEN.finditer(text):
         kind, digits, column = match.group(), match.group(1), match.start() + 1
         if digits == "":
             raise ParseError("expected digits after 'x'", column)
         if digits:
-            kind = "x"
-        elif kind not in "+*()01":
+            tokens.append(("x", digits, column, _decimal(digits, cap)))
+        elif kind in "+*()01":
+            tokens.append((kind, kind, column, None))
+        else:
             raise ParseError(f"unexpected character {kind!r}", column)
-        tokens.append((kind, digits or kind, column))
     if arity is None:
-        indices = (_decimal(p, MAX_TABLE_ARITY)[1] for k, p, _ in tokens if k == "x")
+        indices = (variable[1] for kind, _, _, variable in tokens if kind == "x")
         arity = min(max(indices, default=0), MAX_TABLE_ARITY)
     program = []
     depth = 0  # open parentheses
     operand = True  # whether a factor must come next
-    for kind, payload, column in tokens:
+    for kind, payload, column, variable in tokens:
         if operand:
             if kind in "+*)":
                 raise ParseError(f"unexpected token {payload!r}", column)
@@ -194,10 +240,9 @@ def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
             else:
                 operand = False
             if kind == "x":
-                name, index = _decimal(payload, arity)
-                if not 1 <= index <= arity:
+                name, payload = variable
+                if not 1 <= payload <= arity:
                     raise ParseError(f"variable x{name} out of range 1..{arity}", column)
-                payload = index
         elif kind in "+*":
             operand = True
         elif kind == ")" and depth:

@@ -105,10 +105,13 @@ def _decimal(digits: str, cap: int) -> tuple[str, int]:
     """A run of Unicode decimal digits as ASCII text without leading zeros,
     and its value, or ``cap + 1`` when the text is longer than ``cap``'s.
 
-    Converts digit by digit, so unlike ``int(digits)`` it takes runs of any
-    length and never builds a number far beyond ``cap``.
+    Non-ASCII digits are converted one by one, and the value is read only
+    from text no longer than ``cap``'s, so unlike ``int(digits)`` it takes
+    runs of any length and never builds a number far beyond ``cap``.
     """
-    name = "".join(str(int(d)) for d in digits).lstrip("0") or "0"
+    if not digits.isascii():
+        digits = "".join(str(int(d)) for d in digits)
+    name = digits.lstrip("0") or "0"
     return name, int(name) if len(name) <= len(str(cap)) else cap + 1
 
 

@@ -140,6 +140,22 @@ def flipped_nested_canalizing_functions(draw, max_arity=6):
     return BooleanFunction(f.arity, f.bits ^ (1 << index))
 
 
+def random_ncf(rng, n):
+    """A random decomposition over ``n`` variables, with its composed table."""
+    sizes = []
+    while sum(sizes) < n:  # the last layer has at least two variables
+        rest = n - sum(sizes)
+        sizes.append(rng.choice([k for k in range(1, rest + 1) if rest - k != 1]))
+    order = rng.sample(range(1, n + 1), n)
+    layers, start = [], 0
+    for k in sizes:
+        chunk = sorted(order[start : start + k])
+        layers.append(tuple((var, rng.randint(0, 1)) for var in chunk))
+        start += k
+    d = LayerDecomposition(n, tuple(layers), rng.randint(0, 1))
+    return d, compose(d)
+
+
 @st.composite
 def planted_symmetric_functions(draw, max_arity=5):
     """Functions fixed by a drawn permutation: one random bit per word orbit."""

@@ -1,10 +1,12 @@
 """ANF parsing, formatting, and table conversions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boolean_functions, reference_anf_parse, reference_table
+from conftest import boolean_functions, random_ncf, reference_anf_parse, reference_table
 
 from ncflab import (
     MAX_TABLE_ARITY,
@@ -68,6 +70,39 @@ def test_check_infers_arity_capped_at_table_cap():
     with pytest.raises(ParseError) as err:
         check_anf("x1 + x" + "0" * 10 + "9" * 5000)
     assert str(err.value) == f"variable x{'9' * 5000} out of range 1..24 (column 6)"
+
+
+# check_anf reads each index once, capped by the explicit arity if one is
+# given; these outputs were recorded when it read each index twice.
+@pytest.mark.parametrize(
+    "text, arity, expected",
+    [
+        ("x0150*x99", 150, (150, [150, "*", 99])),
+        ("x9 + x1\u0662\u0663", 200, (200, [9, "+", 123])),
+        ("x\u0663\u0662 + x1", 40, (40, [32, "+", 1])),
+        ("x1\u0665", None, (15, [15])),
+        ("x0" + "\u0660" * 30 + "7", None, (7, [7])),
+        ("1", 30, (30, ["1"])),
+        ("x" + "9" * 40, 10**40, (10**40, [10**40 - 1])),
+        ("x25 + x150", 100, ("variable x150 out of range 1..100 (column 7)", 7)),
+        ("x1000", 999, ("variable x1000 out of range 1..999 (column 1)", 1)),
+        ("x" + "9" * 41, 10**40, (f"variable x{'9' * 41} out of range 1..{10**40} (column 1)", 1)),
+        ("x\uff11\uff12 + x3", 11, ("variable x12 out of range 1..11 (column 1)", 1)),
+        ("x2 x0\u0663", 40, ("unexpected token '0\u0663' (column 4)", 4)),
+        (
+            "x1 + x" + "0" * 10 + "9" * 5000,
+            30,
+            (f"variable x{'9' * 5000} out of range 1..30 (column 6)", 6),
+        ),
+    ],
+)
+def test_check_wide_arities_and_mixed_digits(text, arity, expected):
+    if isinstance(expected[0], str):
+        with pytest.raises(ParseError) as err:
+            check_anf(text, arity)
+        assert (str(err.value), err.value.position) == expected
+    else:
+        assert check_anf(text, arity) == expected
 
 
 def test_evaluate_long_product_and_deep_nesting():
@@ -200,3 +235,14 @@ def test_anf_text_matches_sorted_monomials(f):
     expected = " + ".join(terms) or "0"
     assert anf_text(f) == expected
     assert AnfPolynomial.from_function(f).format() == expected
+
+
+def test_anf_text_matches_format_on_wide_ncfs_and_edge_arities():
+    # Odd and even arities split each term's text into head and tail tables
+    # of different sizes; arities 0 and 1 leave the tail table one entry.
+    rng = random.Random(2111)
+    cases = [random_ncf(rng, n)[1] for n in range(11, 17) for _ in range(2)]
+    cases += [BooleanFunction(n, bits) for n in (0, 1) for bits in range(1 << (1 << n))]
+    cases += [BooleanFunction.constant(n, b) for n in (2, 11, 16) for b in (0, 1)]
+    for f in cases:
+        assert anf_text(f) == AnfPolynomial.from_function(f).format(), f.to_hex()

@@ -13,6 +13,7 @@ from conftest import (
     flipped_nested_canalizing_functions,
     nested_canalizing_functions,
     planted_symmetric_functions,
+    random_ncf,
     reference_block_sensitivity,
     reference_certificate,
     reference_table,
@@ -33,7 +34,6 @@ from ncflab import (
 )
 from ncflab import complexity
 from ncflab.core import InvalidInputError, full_mask, variable_mask
-from ncflab.ncf import LayerDecomposition
 
 CASCADE3 = reference_table([{1, 2, 3}, {1, 2}, {3}], 3)
 MONOMIAL3 = reference_table([{1, 2, 3}], 3)
@@ -264,29 +264,13 @@ def test_cert_walk_matches_witness_pass_and_per_word_oracle(f):
     assert (plain.c0, plain.c1, plain.c) == (*fiber_max, max(fiber_max))
 
 
-def _random_ncf(rng, n):
-    """A random decomposition over ``n`` variables, with its composed table."""
-    sizes = []
-    while sum(sizes) < n:  # the last layer has at least two variables
-        rest = n - sum(sizes)
-        sizes.append(rng.choice([k for k in range(1, rest + 1) if rest - k != 1]))
-    order = rng.sample(range(1, n + 1), n)
-    layers, start = [], 0
-    for k in sizes:
-        chunk = sorted(order[start : start + k])
-        layers.append(tuple((var, rng.randint(0, 1)) for var in chunk))
-        start += k
-    d = LayerDecomposition(n, tuple(layers), rng.randint(0, 1))
-    return d, compose(d)
-
-
 def test_cert_walk_matches_formula_on_wide_ncfs():
     # The sensitivity bound lets the walk past the guard at n = 16 in about
     # 10 ms a call.
     rng = random.Random(20260311)
     for n in range(9, 17):
         for _ in range(3):
-            d, f = _random_ncf(rng, n)
+            d, f = random_ncf(rng, n)
             p = cert_profile(f, max_arity=n)
             assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b), d
 
@@ -294,7 +278,7 @@ def test_cert_walk_matches_formula_on_wide_ncfs():
 def test_cert_walk_memory_at_guard():
     # The walk keeps only the tables on its stack: at most n(n + 1)/2 tables
     # of 2 KiB at n = 14, where one table per free set would take 32 MiB.
-    d, f = _random_ncf(random.Random(14), 14)
+    d, f = random_ncf(random.Random(14), 14)
     tracemalloc.start()
     try:
         p = cert_profile(f)
@@ -367,7 +351,7 @@ def test_pruned_walk_matches_unpruned_reference(f, drawn):
 def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
     # Without any prune the walk folds all 2^14 - 1 free sets of this NCF;
     # the sensitivity bound of cert_profile leaves fewer than the prune alone.
-    d, f = _random_ncf(random.Random(14), 14)
+    d, f = random_ncf(random.Random(14), 14)
     folds = 0
     fold = complexity._fold
 
