@@ -122,7 +122,8 @@ class ComplexityProfile(namedtuple(
 
 def _fold_steps(f: BooleanFunction) -> list[tuple[int, int, int]]:
     """Per position ``p``, the step of :func:`_fold`: ``2^p``, the words with
-    ``x_{p+1} = 0``, and those where flipping ``x_{p+1}`` changes ``f``."""
+    ``x_{p+1} = 0``, and the low half of the derivative: those of them where
+    flipping ``x_{p+1}`` changes ``f``."""
     bits = f.bits
     return [
         (1 << p, lo, (bits ^ bits >> (1 << p)) & lo)
@@ -140,11 +141,10 @@ def _fold(table: int, step: tuple[int, int, int]) -> int:
     return t | t << span
 
 
-def _never_constant(
-    f: BooleanFunction, heights: tuple[int, int] | None = None
-) -> list[int]:
+def _never_constant(f: BooleanFunction, steps: list, heights: tuple[int, int]) -> list[int]:
     """``never[j]``: the words at which ``f`` is constant on no subcube with
-    ``j`` free variables, from a depth-first walk over free sets.
+    ``j`` free variables, from a depth-first walk over free sets that folds
+    with ``steps``, the :func:`_fold_steps` of ``f``.
 
     A child adds one variable above its parent's top one, and its table is
     one :func:`_fold` of the parent's; only the tables on the stack are kept.
@@ -169,14 +169,13 @@ def _never_constant(
     words of ``never`` at both ``min(top, lower)`` and ``min(top, higher)``.
     The walk stops as soon as ``never[h_b]`` holds no word of fiber ``b``
     for both ``b``, since every level below then holds none either.  Only
-    the tracked words of the returned table are exact; with no bound, the
-    heights are ``(n, n)`` and all of them are.
+    the tracked words of the returned table are exact; at heights ``(n, n)``
+    all of them are.
     """
     n, full = f.arity, full_mask(f.arity)
-    steps = _fold_steps(f)
     never = [0] + [full] * n
     fibers = (full ^ f.bits, f.bits)
-    (lower, near), (higher, far) = sorted(zip(heights or (n, n), fibers))
+    (lower, near), (higher, far) = sorted(zip(heights, fibers))
     stack = [(0, 0, 0)]  # (table, first variable to free, size of its free set)
     while stack:
         table, start, size = stack.pop()
@@ -202,15 +201,14 @@ def _never_constant(
     return never
 
 
-def _first_certificates(f: BooleanFunction, never: list[int]) -> tuple:
+def _first_certificates(f: BooleanFunction, steps: list, never: list[int]) -> tuple:
     """Each word's first certificate in (cardinality, lexicographic) order.
 
     ``never`` gives every word's ``C(f, w)``, so for each size ``k`` only
-    the size-``k`` sets are scanned, each table built by ``n - k`` folds,
-    until every word with ``C(f, w) = k`` is certified.
+    the size-``k`` sets are scanned, each table built by ``n - k`` folds
+    with ``steps``, until every word with ``C(f, w) = k`` is certified.
     """
     n = f.arity
-    steps = _fold_steps(f)
     first = [()] * (1 << n)
     reach = never + [full_mask(n)]
     for k in range(n + 1):
@@ -266,17 +264,17 @@ def sensitivity_at(f: BooleanFunction, word) -> int:
     return sum(1 for p in range(f.arity) if f.bit(idx ^ (1 << p)) != value)
 
 
-def _sensitivity_counts(f: BooleanFunction) -> list[int]:
-    """Bit-sliced per-word sensitivities: bit ``w`` of ``counts[b]`` is bit
-    ``b`` of the number of positions whose flip changes ``f`` at ``w``.
+def _sensitivity_counts(steps: list) -> list[int]:
+    """Bit-sliced per-word sensitivities from the :func:`_fold_steps` of
+    ``f``: bit ``w`` of ``counts[b]`` is bit ``b`` of the number of positions
+    whose flip changes ``f`` at ``w``.
 
-    Each position adds the table ``f ^ flip_i(f)`` with a ripple carry.
+    Each step adds its whole derivative, ``flip | flip << span``, with a
+    ripple carry.
     """
-    n, bits = f.arity, f.bits
     counts: list[int] = []
-    for i, (_, hi) in enumerate(_literals(n)):
-        span = 1 << i
-        carry = bits ^ (((bits & hi) >> span) | ((bits << span) & hi))
+    for span, _, flip in steps:
+        carry = flip | flip << span
         for b, level in enumerate(counts):
             counts[b], carry = level ^ carry, level & carry
             if not carry:
@@ -299,7 +297,7 @@ def _max_count(counts: list[int], words: int) -> int:
 
 def sensitivity(f: BooleanFunction) -> int:
     """Maximum of the per-word sensitivity over all words."""
-    return _max_count(_sensitivity_counts(f), full_mask(f.arity))
+    return _max_count(_sensitivity_counts(_fold_steps(f)), full_mask(f.arity))
 
 
 def block_sensitivity(
@@ -381,8 +379,9 @@ def cert_profile(
 
     Witnesses come from a second pass in :func:`certificate_at`'s order, so
     they match it word for word; they need every word's size, so that path
-    walks unbounded.  Witness collection and block sensitivity are optional
-    because of their cost.
+    walks to heights ``(n, n)``.  All three passes read one table of
+    :func:`_fold_steps`.  Witness collection and block sensitivity are
+    optional because of their cost.
     """
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
@@ -390,13 +389,14 @@ def cert_profile(
         raise GuardExceededError("block sensitivity", f.arity, block_max_arity)
     n = f.arity
     fibers = (full_mask(n) ^ f.bits, f.bits)
-    counts = _sensitivity_counts(f)
+    steps = _fold_steps(f)
+    counts = _sensitivity_counts(steps)
     s0, s1 = (_max_count(counts, fiber) for fiber in fibers)
-    # Witnesses need every word's size.  Bound or not, fiber b meets every
+    # Witnesses need every word's size.  With either heights, fiber b meets every
     # level above n - s_b, and never[0] is 0: fixing all n variables certifies.
-    never = _never_constant(f, None if with_witnesses else (n - s0, n - s1))
+    never = _never_constant(f, steps, (n, n) if with_witnesses else (n - s0, n - s1))
     c0, c1 = (n - max(j for j in range(n + 1) if not b & never[j]) for b in fibers)
-    witnesses = _first_certificates(f, never) if with_witnesses else None
+    witnesses = _first_certificates(f, steps, never) if with_witnesses else None
     bs = None
     if with_block_sensitivity:
         bs = block_sensitivity(f, max_arity=block_max_arity)

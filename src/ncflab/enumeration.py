@@ -58,14 +58,10 @@ def _check_arity(n: int) -> None:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` into ``parts`` positive parts, last >= 2."""
-    if parts == 1:
-        if total >= 2:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Compositions of ``total >= 2`` into ``parts`` positive parts, last >= 2,
+    in lexicographic order: one per set of cut points below ``total - 1``."""
+    for cuts in itertools.combinations(range(1, total - 1), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
 def layer_structures(n: int) -> Iterator[tuple[int, ...]]:

@@ -34,7 +34,12 @@ LayerEntries = tuple[tuple[int, int], ...]
 
 
 class NotNcfReason(enum.Enum):
-    """Why a function failed nested-canalizing classification."""
+    """Why a function failed nested-canalizing classification.
+
+    ``NO_CANALIZING_VARIABLE`` names the first nested subfunction with no
+    canalizing variable, which need not be ``f`` itself: ``x1*x2 + x1*x3``
+    gets it although ``x1`` canalizes it.
+    """
 
     NO_CANALIZING_VARIABLE = "no canalizing variable"
     # Never returned by decompose; kept so that callers naming it still work.

@@ -342,20 +342,6 @@ class NcfSymmetryChecks(namedtuple("NcfSymmetryChecks", (
             and self.symmetry_level_bounds
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "r": self.r,
-            "r1": self.r1,
-            "r2": self.r2,
-            "classes_within_layers": self.classes_within_layers,
-            "classes_per_layer": self.classes_per_layer,
-            "class_count_rule": self.class_count_rule,
-            "layer_count_bounds": self.layer_count_bounds,
-            "symmetry_level_bounds": self.symmetry_level_bounds,
-            "all_pass": self.all_pass,
-        }
-
 
 def _layer_classes(d: LayerDecomposition) -> list[int]:
     """Symmetric classes per layer of an NCF: its distinct stored inputs."""

@@ -25,7 +25,10 @@ from ncflab import (
     compose,
     enumerate_ncfs,
     format_decomposition,
+    is_strongly_asymmetric,
+    parse_decomposition,
     symmetry_level,
+    symmetry_report,
 )
 from ncflab.cli import main
 
@@ -202,6 +205,21 @@ def test_analyze_ncf_witness_above_and_below_the_guard(capsys, anf, max_n, above
     code, out, err = run(capsys, "analyze", "--anf", anf, "--max-n", max_n)
     assert code == 0, err
     assert f"witness={raised}\n" in out
+
+
+def test_analyze_strongly_asymmetric_ncf_above_the_guard(capsys):
+    # Layers of one variable with alternating inputs and a last layer of two
+    # with distinct inputs: every class is a singleton, so above the
+    # automorphism guard the NCF is strongly asymmetric with no witness.
+    f = compose(parse_decomposition("0; [1:1 | 2:0 | 3:1 | 4:0 | 5:1 | 6:0 | 7:1 | 8:0, 9:1]"))
+    report, _ = symmetry_report(f)
+    assert (report.arity, report.s) == (9, 9)
+    assert report.strongly_asymmetric and report.nontrivial_automorphism is None
+    assert is_strongly_asymmetric(f, max_arity=9) == (True, None)
+    code, out, err = run(capsys, "analyze", "--table", f.to_hex())
+    assert code == 0, err
+    assert "[strongly-asymmetric]\n" in out
+    assert "witness=" not in out
 
 
 def test_analyze_batch_file(capsys, tmp_path):

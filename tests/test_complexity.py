@@ -209,6 +209,39 @@ def test_cert_sweep_matches_word_level_oracles(f):
     assert p.sensitivity == sensitivity(f) == s
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        boolean_functions(0, 6),
+        constant_functions(6),
+        nested_canalizing_functions(6),
+    )
+)
+def test_sensitivity_counts_from_fold_steps_match_per_word_oracle(f):
+    counts = complexity._sensitivity_counts(complexity._fold_steps(f))
+    for idx, w in enumerate(words(f.arity)):
+        count = sum((level >> idx & 1) << b for b, level in enumerate(counts))
+        assert count == sensitivity_at(f, w), w
+
+
+def test_cert_profile_builds_fold_steps_once(monkeypatch):
+    calls = 0
+    fold_steps = complexity._fold_steps
+
+    def counted(f):
+        nonlocal calls
+        calls += 1
+        return fold_steps(f)
+
+    monkeypatch.setattr(complexity, "_fold_steps", counted)
+    threshold = BooleanFunction.from_predicate(6, lambda w: sum(w) >= 3)
+    for f in (CASCADE3, MONOMIAL3, PARITY2, threshold):
+        for with_witnesses in (False, True):
+            calls = 0
+            cert_profile(f, with_witnesses=with_witnesses)
+            assert calls == 1, (f, with_witnesses)
+
+
 def test_measures_collapse_on_ncfs_small():
     for n in (2, 3):
         for d in enumerate_ncfs(n):
@@ -336,13 +369,14 @@ def _fiber_heights(f):
 @example(BooleanFunction(1, 0b10), (1, 0))
 def test_pruned_walk_matches_unpruned_reference(f, drawn):
     reference = reference_never_constant(f)
-    assert complexity._never_constant(f) == reference
+    steps = complexity._fold_steps(f)
+    assert complexity._never_constant(f, steps, (f.arity, f.arity)) == reference
     # Bounded by any heights, the walk is exact on every tracked word: those
     # of fiber b at the levels j <= h_b.  cert_profile passes n - s_b.
     n = f.arity
     fibers = (full_mask(n) ^ f.bits, f.bits)
     for heights in (_fiber_heights(f), tuple(min(h, n) for h in drawn)):
-        never = complexity._never_constant(f, heights)
+        never = complexity._never_constant(f, steps, heights)
         for fiber, h in zip(fibers, heights):
             for j in range(h + 1):
                 assert never[j] & fiber == reference[j] & fiber, (heights, j)
@@ -361,7 +395,7 @@ def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
         return fold(table, step)
 
     monkeypatch.setattr(complexity, "_fold", counted)
-    never = complexity._never_constant(f)
+    never = complexity._never_constant(f, complexity._fold_steps(f), (14, 14))
     unbounded, folds = folds, 0
     p = cert_profile(f)
     assert unbounded < (2**14 - 1) // 3

@@ -54,6 +54,20 @@ def test_layer_structures_are_valid_compositions():
             seen.add(sizes)
 
 
+def test_layer_structures_match_every_composition_sorted():
+    # Every composition of n from the cut set given by each mask of n - 1
+    # bits, kept when its last part is at least 2.
+    for n in range(2, 13):
+        expected = []
+        for mask in range(1 << (n - 1)):
+            cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
+            sizes = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+            if sizes[-1] >= 2:
+                expected.append(sizes)
+        expected.sort(key=lambda sizes: (len(sizes), sizes))
+        assert list(layer_structures(n)) == expected, n
+
+
 def test_stream_lengths_match_totals():
     assert count_total(2) == 8
     assert count_total(3) == 64

@@ -1,4 +1,5 @@
-"""The record types: immutable values with field-wise equality and validation."""
+"""The record types: immutable values with field-wise equality and validation,
+and the typed errors of library calls."""
 
 import inspect
 
@@ -7,6 +8,7 @@ import pytest
 from ncflab import (
     AnfPolynomial,
     BooleanFunction,
+    GuardExceededError,
     InvalidInputError,
     LayerDecomposition,
     NcflabError,
@@ -16,7 +18,13 @@ from ncflab import (
     certificate_at,
     compose,
     enumerate_ncfs,
+    index_of,
+    ncf_cert_formula,
+    parse_decomposition,
+    pell_like,
+    s_symmetric_triple_sum,
 )
+from ncflab.cli import main
 from ncflab.complexity import CertificateWitness, ComplexityProfile
 from ncflab.enumeration import CheckResult, CountTable, VerificationReport, _result
 from ncflab.symmetry import NcfSymmetryChecks, SymmetryPartition, SymmetryReport, partition
@@ -174,3 +182,62 @@ def test_record_validation_messages(build, error, message):
         build()
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: index_of((0, 2)), "word entries must be bits, got 2"),
+        (lambda: BooleanFunction.constant(2, 2), "value must be 0 or 1, got 2"),
+        (lambda: BooleanFunction.projection(3, 4), "variable index 4 out of range 1..3"),
+        (lambda: BooleanFunction.from_hex("x:1"), "bad arity field in 'x:1'"),
+        (lambda: BooleanFunction.from_hex("0:F"), "table value out of range in '0:F'"),
+        (
+            lambda: BooleanFunction.projection(3, 1).restrict_many([(2, 0), (2, 1)]),
+            "variable 2 restricted twice",
+        ),
+        (
+            lambda: BooleanFunction.projection(3, 1).negate_inputs((0, 1)),
+            "offset length 2 does not match arity 3",
+        ),
+        (lambda: LayerDecomposition(2, (), 0), "a decomposition needs at least one layer"),
+        (
+            lambda: LayerDecomposition(2, ((), ((1, 0), (2, 0))), 0),
+            "layers must be nonempty",
+        ),
+        (
+            lambda: LayerDecomposition(2, (((1, 0), (2, 2)),), 0),
+            "canalizing input must be a bit: 2",
+        ),
+        (
+            lambda: LayerDecomposition(3, (((1, 0),), ((1, 1), (2, 0), (3, 0))), 0),
+            "variable 1 appears in two layers",
+        ),
+        (lambda: parse_decomposition("[1:0, 2:0]"), "expected 'b; [...]', got '[1:0, 2:0]'"),
+        (
+            lambda: SymmetryPartition(3, ((2,), (1, 3))),
+            "classes must be sorted by smallest member",
+        ),
+        (lambda: SymmetryPartition(3, ((1, 2), (2, 3))), "classes do not partition 1..3"),
+        (lambda: ncf_cert_formula((1, 2), 2), "output bit must be 0 or 1, got 2"),
+        (lambda: pell_like(-1), "index must be nonnegative, got -1"),
+        (lambda: s_symmetric_triple_sum(4, 5), "symmetry level 5 out of range 1..4"),
+    ],
+)
+def test_library_input_errors(call, message):
+    with pytest.raises(InvalidInputError) as excinfo:
+        call()
+    assert type(excinfo.value) is InvalidInputError
+    assert str(excinfo.value) == message
+
+
+def test_cert_profile_guard_and_empty_layer_counts(capsys):
+    # The library checks the certificate guard itself, not only the CLI.
+    with pytest.raises(GuardExceededError) as excinfo:
+        cert_profile(BooleanFunction(15, 0))
+    assert (excinfo.value.guard, excinfo.value.arity) == ("certificate", 15)
+    # Three variables have one or two layers.
+    assert list(enumerate_ncfs(3, layer_count=0)) == []
+    assert list(enumerate_ncfs(3, layer_count=3)) == []
+    assert main(["enumerate", "3", "--layers", "0"]) == 0
+    assert capsys.readouterr().out == "\n"
