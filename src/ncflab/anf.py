@@ -75,12 +75,13 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
     # ------------------------------------------------------------------
 
     def to_function(self) -> BooleanFunction:
-        """Evaluate the polynomial into a truth table: ``0 + 1*m1 + 1*m2 ...``
-        through :func:`evaluate_anf`."""
-        program = ["0"]
+        """The truth table: each monomial sets its mask's digit among ``2**n``
+        base-2 digits, and the self-inverse Moebius transform turns them into values."""
+        _check_table_arity(self.arity)
+        digits = bytearray(b"0" * (1 << self.arity))  # bit m is digit ~m, from the end
         for monomial in self.monomials:
-            program += ["+", "1", *monomial]
-        return evaluate_anf(self.arity, program)
+            digits[~sum(1 << (i - 1) for i in monomial)] = ord("1")
+        return BooleanFunction(self.arity, _moebius(self.arity, int(digits, 2)))
 
     @classmethod
     def from_function(cls, f: BooleanFunction) -> "AnfPolynomial":
@@ -88,7 +89,7 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
         n = f.arity
         monomials = frozenset(
             frozenset(i + 1 for i in range(n) if (mask >> i) & 1)
-            for mask in _one_indices(_moebius(f))
+            for mask in _one_indices(_moebius(n, f.bits))
         )
         return cls(n, monomials)
 
@@ -119,14 +120,14 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
 # ----------------------------------------------------------------------
 
 
-def _moebius(f: BooleanFunction) -> int:
-    """The ANF coefficients of ``f`` (binary Moebius transform): bit ``m`` is
-    the coefficient of the monomial over the variables in mask ``m``.
+def _moebius(n: int, coeffs: int) -> int:
+    """The ANF coefficients of an ``n``-variable table (binary Moebius
+    transform): bit ``m`` is the coefficient of the monomial over the
+    variables in mask ``m``.
 
     Step ``i`` XORs every entry with ``x_i = 0`` into its partner with
     ``x_i = 1``, one shift of the whole table.
     """
-    n, coeffs = f.arity, f.bits
     for i in range(1, n + 1):
         coeffs ^= (coeffs << (1 << (i - 1))) & variable_mask(n, i)
     return coeffs
@@ -143,7 +144,7 @@ def anf_text(f: BooleanFunction) -> str:
     the product over its low ``floor(n/2)`` bits.
     """
     n, low = f.arity, f.arity // 2
-    coeffs = _moebius(f)
+    coeffs = _moebius(n, f.bits)
     for i in range(1, low + 1):
         coeffs = _swap_bits(coeffs, n, i, n + 1 - i)
     names = [f"x{i}" for i in range(1, n + 1)]
@@ -259,6 +260,13 @@ def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
     return arity, program
 
 
+def _check_table_arity(arity: int) -> None:
+    if arity < 0:
+        raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity}")
+    if arity > MAX_TABLE_ARITY:
+        raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
+
+
 def evaluate_anf(arity: int, program: list) -> BooleanFunction:
     """The truth table of tokens from :func:`check_anf`, in one pass.
 
@@ -268,10 +276,7 @@ def evaluate_anf(arity: int, program: list) -> BooleanFunction:
     of the current term's factors so far.  Raises :class:`InvalidInputError`
     for a negative arity or one above the table cap.
     """
-    if arity < 0:
-        raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity}")
-    if arity > MAX_TABLE_ARITY:
-        raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
+    _check_table_arity(arity)
     ones = full_mask(arity)
     frames = []
     total, product = 0, ones

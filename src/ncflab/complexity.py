@@ -44,6 +44,7 @@ from .core import (
     full_mask,
     index_of,
     variable_mask,
+    words,
 )
 
 #: The certificate sweep folds one table of 2^n bits for each of up to 2^n free
@@ -222,11 +223,9 @@ def _first_certificates(f: BooleanFunction, steps: list, never: list[int]) -> tu
             for idx in _one_indices(new):
                 first[idx] = subset
             pending ^= new
-    # Words in index order (x1 fastest).
-    words = (w[::-1] for w in itertools.product((0, 1), repeat=n))
     return tuple(
         tuple.__new__(CertificateWitness, (word, len(subset), subset))
-        for word, subset in zip(words, first)
+        for word, subset in zip(words(n), first)
     )
 
 

@@ -2,10 +2,10 @@
 
 A function of arity ``n`` is stored as a single ``2**n``-bit integer: bit
 ``w`` of the integer is the value of the function at the input word encoded
-by ``w``.  The encoding is fixed once and for all: variable ``x_i``
-(1-based) lives in bit ``i - 1`` of the index, so ``x1`` is the least
-significant index bit.  This makes variable restriction, input negation and
-variable swaps cheap mask/shift operations on the table integer.
+by ``w``.  The encoding is fixed once and for all: variable ``x_i`` (1-based)
+lives in bit ``i - 1`` of the index, so ``x1`` is the least significant index
+bit.  This makes variable restriction, input negation and variable swaps cheap
+mask/shift operations on the table integer (the delta-swap :func:`_swap_bits`).
 
 All values are immutable; every operation returns a new value.  The package's
 records are ``collections.namedtuple`` subclasses with empty ``__slots__``:
@@ -18,6 +18,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import product
 
 #: Hard cap on the arity of dense truth tables.  A table has 2**n bits, so
 #: this bounds memory, not analysis cost; expensive analyses carry their own
@@ -27,6 +28,7 @@ MAX_TABLE_ARITY = 24
 Word = tuple[int, ...]
 
 _HEX_RE = re.compile("[0-9A-Fa-f]*")
+_BIT_DIGITS = bytes.maketrans(b"\0\1" b"01", b"01" b"\0\1")  # bits <-> base-2 digits
 
 
 class NcflabError(Exception):
@@ -119,7 +121,7 @@ def index_of(word: Sequence[int]) -> int:
     """Encode a word (a1, ..., an) as a table index."""
     idx = 0
     for p, bit in enumerate(word):
-        if bit not in (0, 1):
+        if not isinstance(bit, int) or bit not in (0, 1):
             raise InvalidInputError(f"word entries must be bits, got {bit!r}")
         idx |= bit << p
     return idx
@@ -127,17 +129,24 @@ def index_of(word: Sequence[int]) -> int:
 
 def word_at(index: int, arity: int) -> Word:
     """Decode a table index back into the word (a1, ..., an)."""
+    _check_index(index, arity)
     return tuple((index >> p) & 1 for p in range(arity))
 
 
 def words(arity: int) -> Iterator[Word]:
     """All words of the given arity, in table-index order (x1 varies fastest)."""
-    for index in range(1 << arity):
-        yield word_at(index, arity)
+    if arity < 0:
+        raise InvalidInputError(f"arity must be nonnegative, got {arity}")
+    return (word[::-1] for word in product((0, 1), repeat=arity))
+
+
+def _check_index(index: int, arity: int) -> None:
+    if not isinstance(index, int) or arity < 0 or not 0 <= index < 1 << arity:
+        raise InvalidInputError(f"table index {index} out of range for arity {arity}")
 
 
 def _check_bit(value: int, name: str) -> int:
-    if value not in (0, 1):
+    if not isinstance(value, int) or value not in (0, 1):
         raise InvalidInputError(f"{name} must be 0 or 1, got {value!r}")
     return value
 
@@ -180,19 +189,14 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
         arity = size.bit_length() - 1
         if size < 1 or size != 1 << arity:
             raise InvalidInputError(f"table length {size} is not a power of two")
-        bits = 0
-        for idx, value in enumerate(values):
-            bits |= _check_bit(value, "table entry") << idx
-        return cls(arity, bits)
+        for value in values:
+            _check_bit(value, "table entry")
+        return cls(arity, int(bytes(values)[::-1].translate(_BIT_DIGITS), 2))
 
     @classmethod
     def from_predicate(cls, arity, predicate) -> "BooleanFunction":
-        """Build by evaluating ``predicate(word)`` over every word."""
-        bits = 0
-        for idx in range(1 << arity):
-            if predicate(word_at(idx, arity)):
-                bits |= 1 << idx
-        return cls(arity, bits)
+        """Build by evaluating ``predicate(word)`` over every word, in index order."""
+        return cls.from_values([1 if predicate(word) else 0 for word in words(arity)])
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "BooleanFunction":
@@ -201,7 +205,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     @classmethod
     def projection(cls, arity: int, i: int) -> "BooleanFunction":
         """The function ``x_i``."""
-        if not 1 <= i <= arity:
+        if not isinstance(i, int) or not 1 <= i <= arity:
             raise InvalidInputError(f"variable index {i} out of range 1..{arity}")
         return cls(arity, variable_mask(arity, i))
 
@@ -245,6 +249,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
 
     def bit(self, index: int) -> int:
         """Value at a table index."""
+        _check_index(index, self.arity)
         return (self.bits >> index) & 1
 
     def evaluate(self, word: Sequence[int]) -> int:
@@ -256,8 +261,9 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
         return self.bit(index_of(word))
 
     def values(self) -> tuple[int, ...]:
-        """The value column in table-index order."""
-        return tuple(self.bit(idx) for idx in range(1 << self.arity))
+        """The value column in table-index order: ``bits`` in base 2, reversed."""
+        digits = f"{self.bits:0{1 << self.arity}b}".encode()
+        return tuple(digits[::-1].translate(_BIT_DIGITS))
 
     @property
     def is_constant(self) -> bool:
@@ -265,15 +271,13 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
 
     def is_essential(self, i: int) -> bool:
         """Whether the function actually depends on ``x_i``."""
-        self._check_var(i)
-        high = variable_mask(self.arity, i)
-        return (self.bits & high) >> (1 << (i - 1)) != self.bits & ~high
+        return self.flip_input(i) != self
 
     def essential_variables(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.arity + 1) if self.is_essential(i))
 
     def _check_var(self, i: int) -> None:
-        if not 1 <= i <= self.arity:
+        if not isinstance(i, int) or not 1 <= i <= self.arity:
             raise InvalidInputError(
                 f"variable index {i} out of range 1..{self.arity}"
             )
@@ -283,35 +287,27 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     # ------------------------------------------------------------------
 
     def restrict(self, i: int, value: int) -> "BooleanFunction":
-        """Fix ``x_i = value`` and drop the variable.
-
-        The result has arity ``n - 1``; the remaining variables are
-        renumbered 1..n-1 preserving their original order.
-        """
-        self._check_var(i)
-        _check_bit(value, "value")
-        span = 1 << (i - 1)
-        chunk = (1 << span) - 1
-        src = self.bits >> (value * span)
-        out = 0
-        for h in range(1 << (self.arity - i)):
-            out |= ((src >> (h * 2 * span)) & chunk) << (h * span)
-        return BooleanFunction(self.arity - 1, out)
+        """Fix ``x_i = value`` and drop the variable: the result has arity
+        ``n - 1``, the other variables renumbered 1..n-1 in their order."""
+        return self.restrict_many([(i, value)])
 
     def restrict_many(self, assignments: Sequence[tuple[int, int]]) -> "BooleanFunction":
-        """Restrict several variables at once (indices refer to ``self``)."""
+        """Restrict several variables at once (indices refer to ``self``): highest
+        index first, adjacent swaps carry each to the top, and one half stays."""
         seen = set()
         for i, _ in assignments:
             self._check_var(i)
             if i in seen:
                 raise InvalidInputError(f"variable {i} restricted twice")
             seen.add(i)
-        out = self
-        # Highest index first, so earlier positions stay valid and the
-        # per-step copy loops stay short.
+        n, bits = self.arity, self.bits
         for i, value in sorted(assignments, reverse=True):
-            out = out.restrict(i, value)
-        return out
+            _check_bit(value, "value")
+            for j in range(i, n):
+                bits = _swap_bits(bits, n, j, j + 1)
+            n -= 1
+            bits = bits >> (value << n) & full_mask(n)
+        return BooleanFunction(n, bits)
 
     # ------------------------------------------------------------------
     # Input/output transformations
@@ -323,23 +319,20 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     def flip_input(self, i: int) -> "BooleanFunction":
         """Replace ``x_i`` by ``x_i + 1``."""
         self._check_var(i)
-        span = 1 << (i - 1)
-        high = variable_mask(self.arity, i)
-        return BooleanFunction(
-            self.arity, ((self.bits & high) >> span) | ((self.bits & ~high) << span)
-        )
+        return self.negate_inputs([int(j == i) for j in range(1, self.arity + 1)])
 
     def negate_inputs(self, beta: Sequence[int]) -> "BooleanFunction":
-        """Return ``g`` with ``g(x) = f(x xor beta)``."""
+        """Return ``g`` with ``g(x) = f(x xor beta)``: each flipped ``x_i``
+        trades the halves ``x_i = 0`` and ``x_i = 1`` through the literal masks."""
         if len(beta) != self.arity:
             raise InvalidInputError(
                 f"offset length {len(beta)} does not match arity {self.arity}"
             )
-        out = self
-        for i, flip in enumerate(beta, start=1):
+        bits = self.bits
+        for p, ((low, high), flip) in enumerate(zip(_literals(self.arity), beta)):
             if _check_bit(flip, "offset entry"):
-                out = out.flip_input(i)
-        return out
+                bits = (bits & high) >> (1 << p) | (bits & low) << (1 << p)
+        return BooleanFunction(self.arity, bits)
 
     def swap_inputs(self, i: int, j: int) -> "BooleanFunction":
         """Exchange the roles of ``x_i`` and ``x_j``."""

@@ -199,6 +199,15 @@ def test_anf_to_table_cascade_column():
     assert g.bits == 1 << 7  # true only at (1,1,1)
 
 
+def test_to_function_matches_word_by_word_evaluation():
+    rng = random.Random(77)
+    for n in range(0, 8):
+        for _ in range(8):
+            terms = [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(0, 12))]
+            poly = AnfPolynomial.from_terms(n, terms)
+            assert poly.to_function() == reference_table(poly.monomials, n), (n, terms)
+
+
 def test_table_to_anf_examples():
     g = reference_table([{1, 2, 3}], 3)
     assert AnfPolynomial.from_function(g).monomials == monomials({1, 2, 3})

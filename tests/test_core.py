@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -186,3 +187,83 @@ def test_full_mask_and_values_round_trip():
     assert f.values() == (0, 1, 1, 0)
     assert BooleanFunction.from_values(f.values()) == f
     assert full_mask(2) == 0b1111
+
+
+def _put_back(short, assignments, n):
+    """The ``n``-bit word that takes ``assignments`` and ``short`` elsewhere."""
+    fixed = dict(assignments)
+    rest = iter(short)
+    return tuple(fixed[i] if i in fixed else next(rest) for i in range(1, n + 1))
+
+
+def test_negate_inputs_and_flip_input_match_word_level_offset():
+    rng = random.Random(23)
+    for n in range(0, 7):
+        f = BooleanFunction(n, rng.getrandbits(1 << n))
+        offsets = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(4)]
+        for beta in offsets:
+            g = f.negate_inputs(beta)
+            for word in words(n):
+                assert g.evaluate(word) == f.evaluate(tuple(a ^ b for a, b in zip(word, beta)))
+        for i in range(1, n + 1):
+            g = f.flip_input(i)
+            for word in words(n):
+                flipped = tuple(a ^ (p == i) for p, a in enumerate(word, 1))
+                assert g.evaluate(word) == f.evaluate(flipped), (n, i)
+
+
+def test_restrict_many_matches_evaluate_and_chained_restrict():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for _ in range(6):
+            f = BooleanFunction(n, rng.getrandbits(1 << n))
+            fixed = rng.sample(range(1, n + 1), rng.randint(1, n))
+            assignments = [(i, rng.randint(0, 1)) for i in fixed]
+            g = f.restrict_many(assignments)
+            assert g.arity == n - len(assignments)
+            for short in words(g.arity):
+                assert g.evaluate(short) == f.evaluate(_put_back(short, assignments, n))
+            # One restrict at a time, in the drawn order, renumbering as we go.
+            chained, left = f, list(range(1, n + 1))
+            for i, a in assignments:
+                chained = chained.restrict(left.index(i) + 1, a)
+                left.remove(i)
+            assert chained == g, (n, assignments)
+
+
+def test_values_and_from_values_round_trip_with_bool_entries():
+    rng = random.Random(11)
+    for n in range(0, 9):
+        f = BooleanFunction(n, rng.getrandbits(1 << n))
+        column = f.values()
+        assert column == tuple(f.evaluate(word) for word in words(n))
+        assert all(type(value) is int for value in column)
+        assert BooleanFunction.from_values(column) == f
+        assert BooleanFunction.from_values([bool(value) for value in column]) == f
+        assert BooleanFunction.from_values(list(column)) == f
+    assert BooleanFunction.from_values([False, True, True, False]) == BooleanFunction(2, 0b0110)
+
+
+def test_table_ops_take_linear_time_at_arity_20():
+    # Whole-table kernels only: a per-entry loop over the 2**20-bit integer
+    # would take tens of seconds here.
+    start = time.perf_counter()
+    n = 20
+    rng = random.Random(20)
+    f = BooleanFunction(n, rng.getrandbits(1 << n))
+    probes = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(64)]
+    column = f.values()
+    assert [column[index_of(word)] for word in probes] == [f.evaluate(w) for w in probes]
+    g = BooleanFunction.from_values(column)
+    assert [g.evaluate(word) for word in probes] == [f.evaluate(w) for w in probes]
+    for a in (0, 1):
+        r = f.restrict(1, a)
+        assert [r.evaluate(w[1:]) for w in probes] == [f.evaluate((a,) + w[1:]) for w in probes]
+    assignments = [(3, 1), (7, 0), (12, 1), (20, 0)]
+    r = f.restrict_many(assignments)
+    for word in probes:
+        short = tuple(b for p, b in enumerate(word, 1) if p not in dict(assignments))
+        assert r.evaluate(short) == f.evaluate(_put_back(short, assignments, n))
+    h = f.negate_inputs((1,) * n)
+    assert [h.evaluate(w) for w in probes] == [f.evaluate(tuple(1 - b for b in w)) for w in probes]
+    assert time.perf_counter() - start < 5

@@ -23,6 +23,8 @@ from ncflab import (
     parse_decomposition,
     pell_like,
     s_symmetric_triple_sum,
+    word_at,
+    words,
 )
 from ncflab.cli import main
 from ncflab.complexity import CertificateWitness, ComplexityProfile
@@ -190,8 +192,27 @@ def test_record_validation_messages(build, error, message):
         (lambda: index_of((0, 2)), "word entries must be bits, got 2"),
         (lambda: BooleanFunction.constant(2, 2), "value must be 0 or 1, got 2"),
         (lambda: BooleanFunction.projection(3, 4), "variable index 4 out of range 1..3"),
+        (lambda: BooleanFunction.projection(3, 1.5), "variable index 1.5 out of range 1..3"),
         (lambda: BooleanFunction.from_hex("x:1"), "bad arity field in 'x:1'"),
         (lambda: BooleanFunction.from_hex("0:F"), "table value out of range in '0:F'"),
+        (lambda: BooleanFunction(3, 0).bit(-1), "table index -1 out of range for arity 3"),
+        (lambda: BooleanFunction(3, 0).bit(8), "table index 8 out of range for arity 3"),
+        (lambda: word_at(-1, 3), "table index -1 out of range for arity 3"),
+        (lambda: word_at(9, 3), "table index 9 out of range for arity 3"),
+        (lambda: BooleanFunction(3, 0).bit(1.0), "table index 1.0 out of range for arity 3"),
+        (
+            lambda: BooleanFunction.projection(3, 1).restrict(1.5, 0),
+            "variable index 1.5 out of range 1..3",
+        ),
+        (lambda: list(words(-1)), "arity must be nonnegative, got -1"),
+        (
+            lambda: BooleanFunction.from_values([0, 1, 1.0, 0]),
+            "table entry must be 0 or 1, got 1.0",
+        ),
+        (
+            lambda: BooleanFunction.projection(3, 1).restrict(1, 1.0),
+            "value must be 0 or 1, got 1.0",
+        ),
         (
             lambda: BooleanFunction.projection(3, 1).restrict_many([(2, 0), (2, 1)]),
             "variable 2 restricted twice",
