@@ -8,14 +8,19 @@ raises the analyze and enumerate guards only).
 Output is deterministic: two runs with the same arguments produce identical
 bytes.
 
-Each command is parsed by a parser of its own arguments alone: 0.1-0.17
-against 0.65 ms for the full four-command tree rebuilt in one process, 1.8
-against 3.7 ms built first in a fresh one (2-vCPU Xeon, Python 3.11.7).
-Only what the top level answers (no arguments, ``ncflab -h``, ``ncflab foo``,
-tokens a command leaves over) goes to the full tree, so its help and errors
-read as before; ``_COMMANDS`` builds both.  No parser is kept between calls
-of ``main()`` or built at import: a one-shot process pays for what it builds
-either way, so that would only hide the cost from in-process callers.
+A well-formed command is read straight from ``_COMMANDS``, the one argument
+table: exact flag names in any order, as ``--flag value`` or
+``--flag=value``, positionals and ints through ``int()`` as argparse reads
+them.  That takes 8 and 4 us for an ``analyze`` and a ``count`` argv,
+against 214 and 134 us to build and run their argparse parsers in a warm
+process (2-vCPU Xeon, Python 3.11.7).  argparse, declared from the same
+table, is built only for help, errors and abbreviations: what the table
+parser declines goes to the command's own parser, and what only the top
+level answers (no arguments, ``ncflab -h``, ``ncflab foo``, tokens a command
+leaves over) to the full four-command tree, so every help text and error
+reads as before.  No parser is kept between calls of ``main()`` or built at
+import: a one-shot process pays for what it builds either way, so that would
+only hide the cost from in-process callers.
 """
 
 from __future__ import annotations
@@ -72,15 +77,66 @@ def main(argv=None) -> int:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` as ``ncflab`` parses it, with the full tree only where needed."""
+    """``argv`` as ``ncflab`` parses it: from the argument table when it is a
+    well-formed command, else by argparse, with the full tree only where
+    needed."""
+    args = _parse_table(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in _COMMANDS:
-        _, add_arguments = _COMMANDS[argv[0]]
         parser = argparse.ArgumentParser(prog=f"ncflab {argv[0]}")
-        add_arguments(parser)
+        _add_arguments(parser, argv[0])
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
             return args
     return _build_parser().parse_args(argv)
+
+
+def _parse_table(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would return for ``argv``, read from the
+    argument table, or None where argparse must answer: help, ``--``, an
+    unknown, abbreviated or repeated flag, ``=value`` on a flag, a value or
+    positional that starts with ``-``, a failed ``int()``, a wrong count of
+    positionals, or not exactly one argument of a required one-of group."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    kinds = {name: kind for name, kind, _, _ in arguments}
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, equals, value = token.partition("=")
+        kind = kinds.get(name)
+        if kind is None or name in given:
+            return None
+        if kind == "flag":
+            if equals:
+                return None
+            value = True
+        else:
+            if not equals:
+                value = next(tokens, "-")  # none left: declined as a "-" value
+            if value.startswith("-"):
+                return None
+        given[name] = value
+    names = [name for name in kinds if not name.startswith("-")]
+    one_of = [name for name, kind in kinds.items() if kind == "one-of"]
+    if len(positionals) != len(names) or (one_of and len(given.keys() & one_of) != 1):
+        return None
+    given.update(zip(names, positionals))
+    args = argparse.Namespace(handler=handler)
+    for name, kind, default, _ in arguments:
+        value = given.get(name, default)
+        if kind == "int" and name in given:
+            try:
+                value = int(value)  # argparse's conversion
+            except ValueError:
+                return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,65 +148,23 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_))
+    for name, (help_, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_), name)
     return parser
 
 
-def _analyze_arguments(analyze: argparse.ArgumentParser) -> None:
-    source = analyze.add_mutually_exclusive_group(required=True)
-    source.add_argument("--anf", help="polynomial text, e.g. 'x1*x2 + x3'")
-    source.add_argument("--table", help="truth table as n:HEX")
-    source.add_argument("--file", help="newline-delimited specs (batch mode)")
-    analyze.add_argument("--json", action="store_true", help="emit JSON")
-    analyze.add_argument(
-        "--witnesses", action="store_true", help="include per-word certificates"
-    )
-    analyze.add_argument(
-        "--block-sensitivity",
-        action="store_true",
-        help="also compute block sensitivity (guarded)",
-    )
-    analyze.add_argument("--max-n", type=int, default=None, help="raise analysis guards")
-    analyze.set_defaults(handler=_cmd_analyze)
-
-
-def _enumerate_arguments(enumerate_: argparse.ArgumentParser) -> None:
-    enumerate_.add_argument("n", type=int)
-    enumerate_.add_argument("--layers", type=int, default=None, help="keep r layers only")
-    enumerate_.add_argument(
-        "--symmetry", type=int, default=None, help="keep s-symmetric only"
-    )
-    enumerate_.add_argument(
-        "--strongly-asymmetric", action="store_true", help="keep strongly asymmetric only"
-    )
-    enumerate_.add_argument("--max-n", type=int, default=None, help="raise the guard")
-    enumerate_.set_defaults(handler=_cmd_enumerate)
-
-
-def _count_arguments(count: argparse.ArgumentParser) -> None:
-    count.add_argument("n", type=int)
-    count.add_argument(
-        "--kinds",
-        default=_COUNT_KINDS,
-        help="comma-separated subset of the row kinds",
-    )
-    count.set_defaults(handler=_cmd_count)
-
-
-def _verify_arguments(verify_: argparse.ArgumentParser) -> None:
-    verify_.add_argument("n", type=int)
-    verify_.set_defaults(handler=_cmd_verify)
-
-
-#: Each command's help line in the full tree and the function that adds its
-#: arguments, in the order ``ncflab -h`` lists them.
-_COMMANDS = {
-    "analyze": ("full report for one function", _analyze_arguments),
-    "enumerate": ("stream all functions of arity n", _enumerate_arguments),
-    "count": ("exact counts as CSV", _count_arguments),
-    "verify": ("cross-validate formulas against generation", _verify_arguments),
-}
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Declare ``command``'s rows of the argument table to argparse."""
+    _, handler, arguments = _COMMANDS[command]
+    group = None
+    for name, kind, default, help_ in arguments:
+        container = parser
+        if kind == "one-of":
+            if group is None:
+                group = parser.add_mutually_exclusive_group(required=True)
+            container = group
+        container.add_argument(name, default=default, help=help_, **_KINDS[kind])
+    parser.set_defaults(handler=handler)
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +377,59 @@ def _cmd_verify(args) -> int:
     report = verify(args.n)
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     return 0 if report.all_pass else 1
+
+
+# ----------------------------------------------------------------------
+# the argument table
+# ----------------------------------------------------------------------
+
+#: How ``_add_arguments`` declares each kind of argument to argparse.  A
+#: "one-of" argument is text in the command's required group: exactly one
+#: of them must be given.
+_KINDS = {"flag": {"action": "store_true"}, "text": {}, "int": {"type": int}, "one-of": {}}
+
+#: Each command's help line in the full tree, its handler, and its arguments
+#: in the order ``-h`` lists them, as (name, kind, default, help).  A name
+#: without ``--`` is a positional.  Both parsers read this table.
+_COMMANDS = {
+    "analyze": (
+        "full report for one function",
+        _cmd_analyze,
+        (
+            ("--anf", "one-of", None, "polynomial text, e.g. 'x1*x2 + x3'"),
+            ("--table", "one-of", None, "truth table as n:HEX"),
+            ("--file", "one-of", None, "newline-delimited specs (batch mode)"),
+            ("--json", "flag", False, "emit JSON"),
+            ("--witnesses", "flag", False, "include per-word certificates"),
+            ("--block-sensitivity", "flag", False, "also compute block sensitivity (guarded)"),
+            ("--max-n", "int", None, "raise analysis guards"),
+        ),
+    ),
+    "enumerate": (
+        "stream all functions of arity n",
+        _cmd_enumerate,
+        (
+            ("n", "int", None, None),
+            ("--layers", "int", None, "keep r layers only"),
+            ("--symmetry", "int", None, "keep s-symmetric only"),
+            ("--strongly-asymmetric", "flag", False, "keep strongly asymmetric only"),
+            ("--max-n", "int", None, "raise the guard"),
+        ),
+    ),
+    "count": (
+        "exact counts as CSV",
+        _cmd_count,
+        (
+            ("n", "int", None, None),
+            ("--kinds", "text", _COUNT_KINDS, "comma-separated subset of the row kinds"),
+        ),
+    ),
+    "verify": (
+        "cross-validate formulas against generation",
+        _cmd_verify,
+        (("n", "int", None, None),),
+    ),
+}
 
 
 if __name__ == "__main__":

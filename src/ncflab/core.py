@@ -135,7 +135,7 @@ def word_at(index: int, arity: int) -> Word:
 
 def words(arity: int) -> Iterator[Word]:
     """All words of the given arity, in table-index order (x1 varies fastest)."""
-    if arity < 0:
+    if not isinstance(arity, int) or arity < 0:
         raise InvalidInputError(f"arity must be nonnegative, got {arity}")
     return (word[::-1] for word in product((0, 1), repeat=arity))
 
@@ -166,11 +166,11 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
         return self
 
     def __post_init__(self):
-        if not 0 <= self.arity <= MAX_TABLE_ARITY:
+        if not isinstance(self.arity, int) or not 0 <= self.arity <= MAX_TABLE_ARITY:
             raise InvalidInputError(
                 f"arity must lie in 0..{MAX_TABLE_ARITY}, got {self.arity}"
             )
-        if not 0 <= self.bits <= full_mask(self.arity):
+        if not isinstance(self.bits, int) or not 0 <= self.bits <= full_mask(self.arity):
             raise InvalidInputError(
                 f"table value out of range for arity {self.arity}"
             )
@@ -189,9 +189,16 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
         arity = size.bit_length() - 1
         if size < 1 or size != 1 << arity:
             raise InvalidInputError(f"table length {size} is not a power of two")
-        for value in values:
-            _check_bit(value, "table entry")
-        return cls(arity, int(bytes(values)[::-1].translate(_BIT_DIGITS), 2))
+        # Checked whole in C; the loop runs only to name the first bad entry.
+        ints = all(issubclass(kind, int) for kind in set(map(type, values)))
+        try:
+            digits = bytes(values) if ints else None
+        except ValueError:  # an int below 0 or above 255
+            digits = None
+        if digits is None or digits.translate(None, b"\0\1"):
+            for value in values:
+                _check_bit(value, "table entry")
+        return cls(arity, int(digits[::-1].translate(_BIT_DIGITS), 2))
 
     @classmethod
     def from_predicate(cls, arity, predicate) -> "BooleanFunction":

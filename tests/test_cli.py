@@ -472,30 +472,71 @@ def test_deterministic_output(capsys):
 
 
 def _command_flags() -> list[str]:
-    flags = set()
-    for _, add_arguments in cli._COMMANDS.values():
-        parser = argparse.ArgumentParser()
-        add_arguments(parser)
-        flags.update(s for action in parser._actions for s in action.option_strings)
-    return sorted(flags)
+    return sorted(
+        {
+            name
+            for _, _, arguments in cli._COMMANDS.values()
+            for name, *_ in arguments
+            if name.startswith("--")
+        }
+    )
 
 
 # Command names, help and end-of-options tokens, every flag of every
-# command, abbreviated and ``--flag=value`` forms, and values of each kind.
+# command, abbreviated and ``--flag=value`` forms, and values of each kind,
+# among them what the table parser leaves to argparse.
 _argv_tokens = st.sampled_from(
     sorted(cli._COMMANDS)
     + ["foo", "-h", "--help", "--he", "--", "--an", "--str", "--kinds=total", "--x=v"]
+    + ["--json=1", "--max-n=3", "--max-n=x", "--anf=", "-x1"]
     + _command_flags()
-    + ["3", "-1", "abc", "x1*x2", "2:8"]
+    + ["3", "-1", "abc", "x1*x2", "2:8", " 7", "\u0663", "+4", ""]
 )
-_argv = st.one_of(
-    st.lists(_argv_tokens, max_size=6),
-    st.builds(
-        lambda name, rest: [name, *rest],
-        st.sampled_from(sorted(cli._COMMANDS)),
-        st.lists(_argv_tokens, max_size=6),
-    ),
-)
+# Values each parser reads alike; the tokens above bring the ones argparse
+# must answer.
+_int_values = st.sampled_from(["0", "3", "12", " 7", "\u0663", "+4", "1_0"])
+_text_values = st.sampled_from(["x1*x2", "2:8", "total", "", "a=b", "a b"])
+
+_one_in_four = st.sampled_from([False, False, False, True])
+
+
+def _table_argv(draw) -> list[str]:
+    """A command with its positionals, exactly one of a one-of group and any
+    other flags, in any order, as ``--flag value`` or ``--flag=value``, and
+    one time in four one more token or a repeated flag."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    arguments = cli._COMMANDS[name][2]
+    one_of = [row for row in arguments if row[1] == "one-of"]
+    rows = [row for row in arguments if row[1] != "one-of"]
+    chosen = [row for row in rows if not row[0].startswith("-") or draw(st.booleans())]
+    if one_of:
+        chosen.append(draw(st.sampled_from(one_of)))
+    units = []
+    for flag, kind, _, _ in chosen:
+        if kind == "flag":
+            units.append([flag])
+            continue
+        value = draw(_int_values if kind == "int" else _text_values)
+        if not flag.startswith("-"):
+            units.append([value])
+        elif draw(st.booleans()):
+            units.append([f"{flag}={value}"])
+        else:
+            units.append([flag, value])
+    if draw(_one_in_four):
+        units.append(draw(st.sampled_from(units) | _argv_tokens.map(lambda t: [t])))
+    units = draw(st.permutations(units))
+    return [name, *(token for unit in units for token in unit)]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """Three times in four an argv built from the argument table, else a list
+    of tokens, half the time after a command name."""
+    if not draw(_one_in_four):
+        return _table_argv(draw)
+    head = draw(st.lists(st.sampled_from(sorted(cli._COMMANDS)), max_size=1))
+    return head + draw(st.lists(_argv_tokens, max_size=6))
 
 
 def _parse_outcome(parse, argv):
@@ -510,14 +551,14 @@ def _parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(_argv)
+@settings(max_examples=400, deadline=None)
+@given(_argv())
 def test_command_parser_parses_as_the_full_tree(argv):
     full = _parse_outcome(lambda a: cli._build_parser().parse_args(a), list(argv))
     assert _parse_outcome(cli._parse, list(argv)) == full
 
 
-def test_main_builds_only_the_command_parser_on_each_call(capsys, monkeypatch):
+def test_main_builds_no_parser_for_well_formed_commands(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -526,15 +567,23 @@ def test_main_builds_only_the_command_parser_on_each_call(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for _ in range(2):  # nothing built by one call serves the next
-        before = len(built)
+    for _ in range(2):  # the first round keeps nothing for the second
         assert main(["count", "3"]) == 0
-        assert built[before:] == ["ncflab count"]
-    before = len(built)
+        assert main(["analyze", "--anf", "x1*x2 + x3", "--json"]) == 0
+        assert built == []
+    capsys.readouterr()
+    # An abbreviated flag goes to the command's argparse parser, which
+    # reads it as the whole flag.
+    assert main(["count", "3", "--ki", "total"]) == 0
+    assert built == ["ncflab count"]
+    abbreviated = capsys.readouterr()
+    assert main(["count", "3", "--kinds", "total"]) == 0
+    assert capsys.readouterr() == abbreviated
+    assert built == ["ncflab count"]
     with pytest.raises(SystemExit) as exc:
         main(["-h"])
     assert exc.value.code == 0
-    assert len(built) - before == 1 + len(cli._COMMANDS)  # the full tree
+    assert len(built) == 1 + 1 + len(cli._COMMANDS)  # and the full tree
     assert "analyze" in capsys.readouterr().out
 
 

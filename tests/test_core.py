@@ -244,6 +244,27 @@ def test_values_and_from_values_round_trip_with_bool_entries():
     assert BooleanFunction.from_values([False, True, True, False]) == BooleanFunction(2, 0b0110)
 
 
+class _Index:
+    """An index type that is not an ``int``: ``bytes()`` takes it, tables do not."""
+
+    def __index__(self):
+        return 1
+
+    def __repr__(self):
+        return "_Index()"
+
+
+def test_from_values_names_the_first_bad_entry_of_a_long_list():
+    column = [0, 1] * (1 << 19)
+    assert BooleanFunction.from_values([bool(v) for v in column]).bits == full_mask(20) // 3 * 2
+    for bad in (2, -1, 256, 1.0, "1", None, _Index()):
+        with pytest.raises(InvalidInputError) as excinfo:
+            BooleanFunction.from_values([*column[:-1], bad])
+        assert str(excinfo.value) == f"table entry must be 0 or 1, got {bad!r}"
+    with pytest.raises(InvalidInputError, match="got 3$"):
+        BooleanFunction.from_values([*column[:-2], 3, 1.0])
+
+
 def test_table_ops_take_linear_time_at_arity_20():
     # Whole-table kernels only: a per-entry loop over the 2**20-bit integer
     # would take tens of seconds here.

@@ -205,6 +205,13 @@ def test_record_validation_messages(build, error, message):
             "variable index 1.5 out of range 1..3",
         ),
         (lambda: list(words(-1)), "arity must be nonnegative, got -1"),
+        (lambda: words(1.5), "arity must be nonnegative, got 1.5"),
+        (lambda: BooleanFunction(1.5, 0), "arity must lie in 0..24, got 1.5"),
+        (lambda: BooleanFunction(2, 1.5), "table value out of range for arity 2"),
+        (
+            lambda: BooleanFunction.from_predicate(1.5, lambda word: 0),
+            "arity must be nonnegative, got 1.5",
+        ),
         (
             lambda: BooleanFunction.from_values([0, 1, 1.0, 0]),
             "table entry must be 0 or 1, got 1.0",
