@@ -293,7 +293,7 @@ def _render_analysis_text(report: dict) -> list[str]:
 
 
 def _cmd_analyze(args) -> int:
-    if args.file:
+    if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 specs = [
@@ -306,7 +306,7 @@ def _cmd_analyze(args) -> int:
             raise InvalidInputError(f"cannot read {args.file}: {reason}") from None
     else:
         specs = [args.anf if args.anf is not None else args.table]
-    table = None if args.file else args.table is not None
+    table = None if args.file is not None else args.table is not None
 
     # Build every report before printing anything: no partial output on error.
     cert_guard = _raise_guard(MAX_CERTIFICATE_ARITY, args.max_n)

@@ -24,7 +24,9 @@ walk stays a brute-force check of the formula and of ``s = C``.  The
 per-word scans :func:`certificate_at` and :func:`sensitivity_at` serve as
 its oracles.  :func:`block_sensitivity` is likewise one whole-table dynamic
 program over variable sets; the test suite keeps a per-word block packer as
-its oracle.
+its oracle.  Since ``s <= bs <= C`` for every function (Nisan 1991),
+:func:`cert_profile` reads ``bs = s`` off the profile whenever ``s = C``, as
+on every NCF, and runs the dynamic program only when ``s < C``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .core import (
 MAX_CERTIFICATE_ARITY = 14
 #: Block sensitivity keeps four lists of 2^n tables of 2^n bits (32 KiB at
 #: n = 8) and makes about bs * 3^n / 2 big-integer AND/ORs (5 ms at n = 8).
+#: cert_profile runs it only when s < C, but checks this guard first all the same.
 MAX_BLOCK_SENSITIVITY_ARITY = 8
 
 
@@ -381,6 +384,12 @@ def cert_profile(
     walks to heights ``(n, n)``.  All three passes read one table of
     :func:`_fold_steps`.  Witness collection and block sensitivity are
     optional because of their cost.
+
+    Block sensitivity lies between the two measures, ``s <= bs <= C``, so
+    when they meet, as on every NCF, it is ``s``; only when ``s < C`` does
+    :func:`block_sensitivity` run its dynamic program.  Its guard is checked
+    before the walk either way, so whether ``bs`` is reported never depends
+    on the function.
     """
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
@@ -396,14 +405,15 @@ def cert_profile(
     never = _never_constant(f, steps, (n, n) if with_witnesses else (n - s0, n - s1))
     c0, c1 = (n - max(j for j in range(n + 1) if not b & never[j]) for b in fibers)
     witnesses = _first_certificates(f, steps, never) if with_witnesses else None
+    s, c = max(s0, s1), max(c0, c1)
     bs = None
     if with_block_sensitivity:
-        bs = block_sensitivity(f, max_arity=block_max_arity)
+        bs = s if s == c else block_sensitivity(f, max_arity=block_max_arity)
     return ComplexityProfile(
         c0=c0,
         c1=c1,
-        c=max(c0, c1),
-        sensitivity=max(s0, s1),
+        c=c,
+        sensitivity=s,
         block_sensitivity=bs,
         witnesses=witnesses,
         degenerate=not all(fibers),

@@ -145,6 +145,11 @@ def _check_index(index: int, arity: int) -> None:
         raise InvalidInputError(f"table index {index} out of range for arity {arity}")
 
 
+def _check_arity(arity: int) -> None:
+    if not isinstance(arity, int) or not 0 <= arity <= MAX_TABLE_ARITY:
+        raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity}")
+
+
 def _check_bit(value: int, name: str) -> int:
     if not isinstance(value, int) or value not in (0, 1):
         raise InvalidInputError(f"{name} must be 0 or 1, got {value!r}")
@@ -166,10 +171,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
         return self
 
     def __post_init__(self):
-        if not isinstance(self.arity, int) or not 0 <= self.arity <= MAX_TABLE_ARITY:
-            raise InvalidInputError(
-                f"arity must lie in 0..{MAX_TABLE_ARITY}, got {self.arity}"
-            )
+        _check_arity(self.arity)
         if not isinstance(self.bits, int) or not 0 <= self.bits <= full_mask(self.arity):
             raise InvalidInputError(
                 f"table value out of range for arity {self.arity}"
@@ -203,15 +205,19 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     @classmethod
     def from_predicate(cls, arity, predicate) -> "BooleanFunction":
         """Build by evaluating ``predicate(word)`` over every word, in index order."""
-        return cls.from_values([1 if predicate(word) else 0 for word in words(arity)])
+        table_words = words(arity)  # refuses a negative or non-int arity
+        _check_arity(arity)  # and a wide one, before the first call to predicate
+        return cls.from_values([1 if predicate(word) else 0 for word in table_words])
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "BooleanFunction":
+        _check_arity(arity)  # before full_mask builds the table
         return cls(arity, full_mask(arity) if _check_bit(value, "value") else 0)
 
     @classmethod
     def projection(cls, arity: int, i: int) -> "BooleanFunction":
         """The function ``x_i``."""
+        _check_arity(arity)  # before variable_mask builds the table
         if not isinstance(i, int) or not 1 <= i <= arity:
             raise InvalidInputError(f"variable index {i} out of range 1..{arity}")
         return cls(arity, variable_mask(arity, i))

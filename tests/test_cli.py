@@ -128,6 +128,17 @@ def test_analyze_symmetry_matches_golden(capsys):
     assert out.encode() == (data / "analyze_symmetry.txt").read_bytes()
 
 
+def test_analyze_block_sensitivity_matches_golden(capsys):
+    # The file is ``analyze --file block_specs.txt --json --block-sensitivity``
+    # as the profile that ran the block-sensitivity dynamic program on every
+    # input printed it.
+    data = Path(__file__).parent / "data"
+    specs = str(data / "block_specs.txt")
+    code, out, _ = run(capsys, "analyze", "--file", specs, "--json", "--block-sensitivity")
+    assert code == 0
+    assert out.encode() == (data / "analyze_block.txt").read_bytes()
+
+
 def test_analyze_ncf_wide_matches_golden(capsys):
     # The file is ``analyze --file ncf_wide_specs.txt --json`` as the
     # walk that pruned only at full tables and the formatter that sorted
@@ -329,6 +340,15 @@ def test_analyze_unreadable_file_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and str(binary) in err
+
+
+def test_analyze_empty_file_path_exit_2(capsys):
+    # An empty path is a path that cannot be read, not a missing --file.
+    for argv in (["--file="], ["--file", ""]):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read : "), argv
 
 
 def test_analyze_guard_exit_3(capsys):

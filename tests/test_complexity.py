@@ -144,19 +144,26 @@ def test_block_sensitivity_examples():
     assert err.value.guard == "block sensitivity"
 
 
+def assert_profile_block_sensitivity_matches_oracles(f):
+    p = cert_profile(f, with_block_sensitivity=True)
+    assert p.block_sensitivity == block_sensitivity(f) == reference_block_sensitivity(f)
+    return p
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.one_of(
-        boolean_functions(0, 6),
-        constant_functions(6),
-        nested_canalizing_functions(6),
-        planted_symmetric_functions(),
+        boolean_functions(0, 7),
+        constant_functions(7),
+        nested_canalizing_functions(7),
+        flipped_nested_canalizing_functions(7),
+        planted_symmetric_functions(7),
     )
 )
 # A nested canalizing function whose largest packing avoids x1 at some word.
 @example(BooleanFunction.from_hex("4:2AAA"))
 def test_block_sensitivity_matches_packer_oracle(f):
-    assert block_sensitivity(f) == reference_block_sensitivity(f)
+    assert_profile_block_sensitivity_matches_oracles(f)
 
 
 def test_block_sensitivity_seeded_seven_variables():
@@ -182,6 +189,48 @@ def test_profile_checks_block_guard_before_certificates(monkeypatch):
     with pytest.raises(GuardExceededError) as err:
         cert_profile(f, with_block_sensitivity=True)
     assert err.value.guard == "block sensitivity"
+
+
+# Tables with s < bs = C: cert_profile cannot read their bs off s and C.
+S_BELOW_C = (
+    "4:1BD8",
+    "5:F8DDBB1F",
+    "5:EAF3CF57",
+    "6:B1D58DA7FD1009F3",
+    "6:FAECEC24DB8080A0",
+    "6:2B9A70556BDA4B0B",
+)
+
+
+def test_profile_block_sensitivity_matches_oracles_small_and_below_c():
+    for n in range(4):
+        for bits in range(full_mask(n) + 1):
+            assert_profile_block_sensitivity_matches_oracles(BooleanFunction(n, bits))
+    for spec in S_BELOW_C:
+        p = assert_profile_block_sensitivity_matches_oracles(BooleanFunction.from_hex(spec))
+        assert p.sensitivity < p.block_sensitivity == p.c, spec
+
+
+def test_profile_runs_block_dp_only_when_s_below_c(monkeypatch):
+    calls = 0
+    dp = complexity.block_sensitivity
+
+    def counted(f, **kwargs):
+        nonlocal calls
+        calls += 1
+        return dp(f, **kwargs)
+
+    monkeypatch.setattr(complexity, "block_sensitivity", counted)
+    parity = BooleanFunction.from_predicate(6, lambda w: sum(w) % 2)
+    maj5 = BooleanFunction.from_predicate(5, lambda w: sum(w) >= 3)
+    for f in (parity, maj5, *map(compose, enumerate_ncfs(4))):
+        calls = 0
+        p = cert_profile(f, with_block_sensitivity=True)
+        assert (calls, p.sensitivity) == (0, p.c), f
+    for spec in S_BELOW_C:
+        calls = 0
+        cert_profile(BooleanFunction.from_hex(spec), with_block_sensitivity=True)
+        assert calls == 1, spec
 
 
 @settings(max_examples=80, deadline=None)

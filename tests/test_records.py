@@ -2,6 +2,7 @@
 and the typed errors of library calls."""
 
 import inspect
+import tracemalloc
 
 import pytest
 
@@ -208,6 +209,32 @@ def test_record_validation_messages(build, error, message):
         (lambda: words(1.5), "arity must be nonnegative, got 1.5"),
         (lambda: BooleanFunction(1.5, 0), "arity must lie in 0..24, got 1.5"),
         (lambda: BooleanFunction(2, 1.5), "table value out of range for arity 2"),
+        # Named: an automatic id repeating a message above would renumber that case.
+        pytest.param(
+            lambda: BooleanFunction.constant(1.5, 1),
+            "arity must lie in 0..24, got 1.5",
+            id="constant(1.5, 1)",
+        ),
+        pytest.param(
+            lambda: BooleanFunction.constant(26, 1),
+            "arity must lie in 0..24, got 26",
+            id="constant(26, 1)",
+        ),
+        pytest.param(
+            lambda: BooleanFunction.projection(1.5, 1),
+            "arity must lie in 0..24, got 1.5",
+            id="projection(1.5, 1)",
+        ),
+        pytest.param(
+            lambda: BooleanFunction.projection(26, 1),
+            "arity must lie in 0..24, got 26",
+            id="projection(26, 1)",
+        ),
+        pytest.param(
+            lambda: BooleanFunction.from_predicate(25, lambda word: 0),
+            "arity must lie in 0..24, got 25",
+            id="from_predicate(25, p)",
+        ),
         (
             lambda: BooleanFunction.from_predicate(1.5, lambda word: 0),
             "arity must be nonnegative, got 1.5",
@@ -257,6 +284,29 @@ def test_library_input_errors(call, message):
         call()
     assert type(excinfo.value) is InvalidInputError
     assert str(excinfo.value) == message
+
+
+def test_constructors_check_arity_before_building_the_table():
+    calls = 0
+
+    def counting(word):
+        nonlocal calls
+        calls += 1
+        return 0
+
+    with pytest.raises(InvalidInputError):
+        BooleanFunction.from_predicate(25, counting)
+    assert calls == 0
+    # A 2^26-bit table is 8 MiB; the refusal allocates next to nothing.
+    for build in (BooleanFunction.constant, BooleanFunction.projection):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError):
+                build(26, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, build
 
 
 def test_cert_profile_guard_and_empty_layer_counts(capsys):
