@@ -36,7 +36,7 @@ from .anf import anf_text, check_anf, evaluate_anf
 from .complexity import (
     MAX_BLOCK_SENSITIVITY_ARITY,
     MAX_CERTIFICATE_ARITY,
-    cert_profile,
+    _cert_profile,
     ncf_cert_formula,
 )
 from .core import (
@@ -198,8 +198,9 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
     perm_guard = _raise_guard(MAX_AUTOMORPHISM_ARITY, args.max_n)
     # Guards first: the certificate and block-sensitivity guards here, and
     # the automorphism guard, which needs to know whether f is an NCF, in
-    # _symmetry_report before any certificate is computed.  The report
-    # reuses this decomposition instead of decomposing f again.
+    # _symmetry_report before any certificate is computed.  The symmetry
+    # report reuses this decomposition instead of decomposing f again, and
+    # _cert_profile reads an NCF's c0/c1 off the cover it proposes.
     if f.arity > cert_guard:
         raise GuardExceededError("certificate", f.arity, cert_guard)
     if args.block_sensitivity and f.arity > block_guard:
@@ -225,8 +226,9 @@ def _analysis_report(f: BooleanFunction, args) -> dict:
         }
 
     report, classes = _symmetry_report(f, perm_guard, classification)
-    profile = cert_profile(
+    profile = _cert_profile(
         f,
+        classification,
         with_witnesses=args.witnesses,
         with_block_sensitivity=args.block_sensitivity,
         max_arity=cert_guard,

@@ -27,6 +27,15 @@ program over variable sets; the test suite keeps a per-word block packer as
 its oracle.  Since ``s <= bs <= C`` for every function (Nisan 1991),
 :func:`cert_profile` reads ``bs = s`` off the profile whenever ``s = C``, as
 on every NCF, and runs the dynamic program only when ``s < C``.
+
+``analyze`` reads an NCF's ``C0``/``C1`` off :func:`_ncf_cover` instead of
+the walk, unless witnesses are asked for.  The caller's decomposition only
+proposes the n + 1 certificates of the closed form; each is checked on the
+table, and once every word of fiber ``b`` is certified by one of at most
+``s_b`` variables, ``s_b <= C_b <= s_b``.  Both bounds come from the table.
+The walk is the fallback, should the cover fail.  There the report's
+``certificate_formula_matches_bruteforce`` compares the formula with this
+table-checked value; :func:`cert_profile`, and so ``verify``, still walk.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .core import (
     variable_mask,
     words,
 )
+from .ncf import NcfClassification
 
 #: The certificate sweep folds one table of 2^n bits for each of up to 2^n free
 #: sets, about seven big-integer operations each.  At n = 14 its prune and its
@@ -203,6 +213,47 @@ def _never_constant(f: BooleanFunction, steps: list, heights: tuple[int, int]) -
         ):
             break
     return never
+
+
+def _ncf_cover(
+    f: BooleanFunction, steps: list, layers, sensitivities: tuple[int, int]
+) -> bool:
+    """Whether the NCF certificates proposed by ``layers`` (a decomposition's
+    ``(variable, input)`` layers) show ``C_b <= s_b`` on the table, folding
+    with ``steps``, the :func:`_fold_steps` of ``f``.
+
+    The candidates follow the layer parities: each variable of layer ``t``
+    with every earlier layer of the other parity, and every layer of the
+    last layer's parity.  Each is tested on the whole table, and fiber ``b``
+    is covered when every word in it lies in a constant subcube fixing a
+    candidate of at most ``s_b`` variables.  Folds commute, so the layers
+    are walked from the last, folding each into the table of the layers
+    after it once, and the part of a layer's free sets that its variables
+    share is folded once.
+    """
+    uncovered = [full_mask(f.arity)] * 2
+
+    def cover(size: int, free, table: int = 0) -> None:
+        table = functools.reduce(_fold, (steps[p] for p in free), table)
+        for b in (0, 1):
+            if size <= sensitivities[b]:
+                uncovered[b] &= table
+
+    positions = [[var - 1 for var, _ in layer] for layer in layers]
+    r = len(positions)
+    later = 0  # every layer after t free
+    for t in reversed(range(r)):
+        own = positions[t]
+        same = (p for layer in positions[t % 2 : t : 2] for p in layer)
+        shared = functools.reduce(_fold, (steps[p] for p in same), later)
+        size = 1 + sum(map(len, positions[1 - t % 2 : t : 2]))
+        for v in own:
+            cover(size, (p for p in own if p != v), shared)
+        if t:
+            later = functools.reduce(_fold, (steps[p] for p in own), later)
+    held, free = positions[(r - 1) % 2 :: 2], positions[r % 2 :: 2]
+    cover(sum(map(len, held)), (p for layer in free for p in layer))
+    return not (uncovered[0] & ~f.bits or uncovered[1] & f.bits)
 
 
 def _first_certificates(f: BooleanFunction, steps: list, never: list[int]) -> tuple:
@@ -390,7 +441,23 @@ def cert_profile(
     :func:`block_sensitivity` run its dynamic program.  Its guard is checked
     before the walk either way, so whether ``bs`` is reported never depends
     on the function.
+
+    This function always walks, so ``verify`` stays an independent search.
+    ``analyze`` reads an NCF's ``c0``/``c1`` off the table-checked cover of
+    :func:`_ncf_cover` instead, with the same result.
     """
+    return _cert_profile(
+        f, None, with_witnesses, with_block_sensitivity, max_arity, block_max_arity
+    )
+
+
+def _cert_profile(
+    f: BooleanFunction, classification: NcfClassification | None, with_witnesses: bool,
+    with_block_sensitivity: bool, max_arity: int, block_max_arity: int,
+) -> ComplexityProfile:
+    """:func:`cert_profile`, reading ``c0, c1 = s0, s1`` off
+    :func:`_ncf_cover` when the caller's ``decompose(f)`` found an NCF, no
+    witnesses are asked for and the cover holds; the walk otherwise."""
     if f.arity > max_arity:
         raise GuardExceededError("certificate", f.arity, max_arity)
     if with_block_sensitivity and f.arity > block_max_arity:
@@ -400,11 +467,16 @@ def cert_profile(
     steps = _fold_steps(f)
     counts = _sensitivity_counts(steps)
     s0, s1 = (_max_count(counts, fiber) for fiber in fibers)
-    # Witnesses need every word's size.  With either heights, fiber b meets every
-    # level above n - s_b, and never[0] is 0: fixing all n variables certifies.
-    never = _never_constant(f, steps, (n, n) if with_witnesses else (n - s0, n - s1))
-    c0, c1 = (n - max(j for j in range(n + 1) if not b & never[j]) for b in fibers)
-    witnesses = _first_certificates(f, steps, never) if with_witnesses else None
+    if classification and classification.is_ncf and not with_witnesses and _ncf_cover(
+        f, steps, classification.decomposition.layers, (s0, s1)
+    ):
+        c0, c1, witnesses = s0, s1, None  # s_b <= C_b <= s_b
+    else:
+        # Witnesses need every word's size.  With either heights, fiber b meets every
+        # level above n - s_b, and never[0] is 0: fixing all n variables certifies.
+        never = _never_constant(f, steps, (n, n) if with_witnesses else (n - s0, n - s1))
+        c0, c1 = (n - max(j for j in range(n + 1) if not b & never[j]) for b in fibers)
+        witnesses = _first_certificates(f, steps, never) if with_witnesses else None
     s, c = max(s0, s1), max(c0, c1)
     bs = None
     if with_block_sensitivity:

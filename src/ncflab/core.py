@@ -205,9 +205,8 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     @classmethod
     def from_predicate(cls, arity, predicate) -> "BooleanFunction":
         """Build by evaluating ``predicate(word)`` over every word, in index order."""
-        table_words = words(arity)  # refuses a negative or non-int arity
-        _check_arity(arity)  # and a wide one, before the first call to predicate
-        return cls.from_values([1 if predicate(word) else 0 for word in table_words])
+        _check_arity(arity)  # before the first call to predicate
+        return cls.from_values([1 if predicate(word) else 0 for word in words(arity)])
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "BooleanFunction":

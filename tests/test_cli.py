@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncflab.cli as cli
+import ncflab.complexity
 import ncflab.ncf
 import ncflab.symmetry
 from ncflab import (
@@ -368,7 +369,7 @@ def test_analyze_automorphism_guard_before_certificates(capsys, monkeypatch):
     def no_analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the automorphism guard")
 
-    monkeypatch.setattr("ncflab.cli.cert_profile", no_analysis)
+    monkeypatch.setattr("ncflab.cli._cert_profile", no_analysis)
     monkeypatch.setattr("ncflab.symmetry.partition", no_analysis)
     anf = " + ".join(f"x{i}" for i in range(1, 12)) + " + x12*x1"
     code, out, err = run(capsys, "analyze", "--anf", anf)
@@ -384,7 +385,7 @@ def test_analyze_block_guard_before_any_analysis(capsys, monkeypatch):
     def no_analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the block-sensitivity guard")
 
-    for name in ("decompose", "_symmetry_report", "cert_profile"):
+    for name in ("decompose", "_symmetry_report", "_cert_profile"):
         monkeypatch.setattr(f"ncflab.cli.{name}", no_analysis)
     table = "9:8" + "0" * 127  # x1 x2 ... x9
     code, out, err = run(capsys, "analyze", "--table", table, "--block-sensitivity")
@@ -414,6 +415,63 @@ def test_analyze_ncf_above_guard_decomposes_and_partitions_once(capsys, monkeypa
     assert code == 0, err
     assert "ncf       yes" in out
     assert calls == {"decompose": 1, "partition": 1}
+
+
+def _count_walks(monkeypatch):
+    """A counter of the certificate walks run from now on."""
+    calls = Counter()
+    never_constant = ncflab.complexity._never_constant
+
+    def counted(*args):
+        calls["walk"] += 1
+        return never_constant(*args)
+
+    monkeypatch.setattr(ncflab.complexity, "_never_constant", counted)
+    return calls
+
+
+def test_analyze_reads_ncf_certificates_off_the_cover(capsys, monkeypatch):
+    # An NCF's c0/c1 come from the table-checked cover: no walk runs.  It
+    # runs for witnesses, for a non-NCF, and in public cert_profile, which
+    # verify's certificate_formula_vs_bruteforce uses.
+    calls = _count_walks(monkeypatch)
+    ncf = "x1*x2*x3 + x1*x2 + x3"
+    for argv, walks in (
+        (("--anf", ncf, "--json"), 0),
+        (("--anf", ncf, "--witnesses"), 1),
+        (("--anf", "x1+x2", "--json"), 1),
+    ):
+        calls.clear()
+        code, _, err = run(capsys, "analyze", *argv)
+        assert code == 0, err
+        assert calls["walk"] == walks, argv
+    calls.clear()
+    ncflab.cert_profile(BooleanFunction.from_hex("3:B0"))
+    assert calls["walk"] == 1
+
+
+def test_analyze_cover_path_prints_the_walk_path_bytes(capsys, monkeypatch):
+    # At n = 16 the report read off the cover is the report built with
+    # cert_profile's walk, byte for byte.
+    f = compose(parse_decomposition(
+        "1; [4:0 | 1:1, 9:0 | 2:1, 7:1, 12:0 | 3:0 | 5:1, 6:0, 8:1, 10:0, 11:1, "
+        "13:0, 14:1, 15:0, 16:1]"
+    ))
+    argv = ("analyze", "--table", f.to_hex(), "--max-n", "16", "--json")
+    calls = _count_walks(monkeypatch)
+    code, cover, err = run(capsys, *argv)
+    assert code == 0, err
+    assert calls["walk"] == 0
+
+    def walked(f, classification, **options):
+        return ncflab.cert_profile(f, **options)
+
+    monkeypatch.setattr(cli, "_cert_profile", walked)
+    code, walk, err = run(capsys, *argv)
+    assert code == 0, err
+    assert calls["walk"] == 1
+    assert cover == walk
+    assert json.loads(cover)["agreement"]["certificate_formula_matches_bruteforce"] is True
 
 
 def test_enumerate_counts_and_filters(capsys):

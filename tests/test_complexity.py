@@ -1,5 +1,6 @@
 """Certificate complexity, sensitivity, block sensitivity."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -26,14 +27,17 @@ from ncflab import (
     cert_profile,
     certificate_at,
     compose,
+    decompose,
     enumerate_ncfs,
     ncf_cert_formula,
+    parse_decomposition,
     sensitivity,
     sensitivity_at,
     words,
 )
 from ncflab import complexity
 from ncflab.core import InvalidInputError, full_mask, variable_mask
+from ncflab.ncf import NcfClassification
 
 CASCADE3 = reference_table([{1, 2, 3}, {1, 2}, {3}], 3)
 MONOMIAL3 = reference_table([{1, 2, 3}], 3)
@@ -452,3 +456,86 @@ def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
     monkeypatch.undo()
     assert never == reference_never_constant(f)
     assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b)
+
+
+#: The options of ``cert_profile``'s defaults, for calls to ``_cert_profile``.
+PROFILE_OPTIONS = dict(
+    with_witnesses=False,
+    with_block_sensitivity=False,
+    max_arity=complexity.MAX_CERTIFICATE_ARITY,
+    block_max_arity=complexity.MAX_BLOCK_SENSITIVITY_ARITY,
+)
+
+
+def _cover(f, layers):
+    """``_ncf_cover`` of ``f`` with the proposed ``layers``, told ``f``'s
+    per-fiber sensitivities."""
+    steps = complexity._fold_steps(f)
+    counts = complexity._sensitivity_counts(steps)
+    fibers = (full_mask(f.arity) ^ f.bits, f.bits)
+    s0, s1 = (complexity._max_count(counts, fiber) for fiber in fibers)
+    return complexity._ncf_cover(f, steps, layers, (s0, s1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 14), st.integers(0, 2**32 - 1), st.booleans())
+def test_ncf_cover_holds_and_matches_the_walk(n, seed, complement):
+    _, f = random_ncf(random.Random(seed), n)
+    if complement:
+        f = BooleanFunction(n, f.bits ^ full_mask(n))
+    classification = decompose(f)
+    assert classification.is_ncf
+    assert _cover(f, classification.decomposition.layers)
+    profile = complexity._cert_profile(f, classification, **PROFILE_OPTIONS)
+    assert profile == cert_profile(f)
+
+
+def test_ncf_cover_refuses_wrong_layers_and_the_walk_answers(monkeypatch):
+    calls = 0
+    never_constant = complexity._never_constant
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return never_constant(*args)
+
+    monkeypatch.setattr(complexity, "_never_constant", counted)
+    one_layer = parse_decomposition("0; [1:0, 2:0, 3:0, 4:0]")
+    four_layers = parse_decomposition("0; [1:1 | 2:0 | 3:1, 4:1]")
+    # 4:1BD8 is no NCF, and s = 2 < C = 3: no cover can certify it at s.
+    for f, wrong in (
+        (compose(four_layers), one_layer),
+        (BooleanFunction.from_hex("4:1BD8"), four_layers),
+    ):
+        assert not _cover(f, wrong.layers)
+        calls = 0
+        claimed = NcfClassification(True, wrong)
+        profile = complexity._cert_profile(f, claimed, **PROFILE_OPTIONS)
+        assert calls == 1, f
+        assert profile == cert_profile(f)
+        fiber_max = [0, 0]
+        for w in words(f.arity):
+            value = f.evaluate(w)
+            fiber_max[value] = max(fiber_max[value], certificate_at(f, w).size)
+        assert (profile.c0, profile.c1) == tuple(fiber_max)
+
+
+def test_ncf_cover_never_holds_where_s_is_below_c():
+    # The cover is checked on the table, so it is sound for any proposed
+    # layers: on a function with s_b < C_b for some b it must fail, whatever
+    # the layers.  Every table in the orbit of 4:1BD8 under input
+    # permutations, input negations and output complement has s = 2 < C = 3.
+    base = BooleanFunction.from_hex("4:1BD8")
+    orbit = {
+        base.transform(sigma, beta, c)
+        for sigma in itertools.permutations(range(1, 5))
+        for beta in itertools.product((0, 1), repeat=4)
+        for c in (0, 1)
+    }
+    orders = {tuple(tuple(v for v, _ in layer) for layer in d.layers) for d in enumerate_ncfs(4)}
+    assert len(orbit) == 24 and len(orders) == 23
+    for f in orbit:
+        p = cert_profile(f)
+        assert (p.sensitivity, p.c) == (2, 3)
+        for order in orders:
+            assert not _cover(f, [[(v, 0) for v in layer] for layer in order]), (f, order)

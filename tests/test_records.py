@@ -235,9 +235,15 @@ def test_record_validation_messages(build, error, message):
             "arity must lie in 0..24, got 25",
             id="from_predicate(25, p)",
         ),
-        (
+        pytest.param(
             lambda: BooleanFunction.from_predicate(1.5, lambda word: 0),
-            "arity must be nonnegative, got 1.5",
+            "arity must lie in 0..24, got 1.5",
+            id="from_predicate(1.5, p)",
+        ),
+        pytest.param(
+            lambda: BooleanFunction.from_predicate(-1, lambda word: 0),
+            "arity must lie in 0..24, got -1",
+            id="from_predicate(-1, p)",
         ),
         (
             lambda: BooleanFunction.from_values([0, 1, 1.0, 0]),
