@@ -9,18 +9,15 @@ Output is deterministic: two runs with the same arguments produce identical
 bytes.
 
 A well-formed command is read straight from ``_COMMANDS``, the one argument
-table: exact flag names in any order, as ``--flag value`` or
-``--flag=value``, positionals and ints through ``int()`` as argparse reads
-them.  That takes 8 and 4 us for an ``analyze`` and a ``count`` argv,
-against 214 and 134 us to build and run their argparse parsers in a warm
-process (2-vCPU Xeon, Python 3.11.7).  argparse, declared from the same
-table, is built only for help, errors and abbreviations: what the table
-parser declines goes to the command's own parser, and what only the top
-level answers (no arguments, ``ncflab -h``, ``ncflab foo``, tokens a command
-leaves over) to the full four-command tree, so every help text and error
-reads as before.  No parser is kept between calls of ``main()`` or built at
-import: a one-shot process pays for what it builds either way, so that would
-only hide the cost from in-process callers.
+table: exact flag names in any order, each as ``--flag value``, positionals
+and ints through ``int()`` as argparse reads them.  That takes 8 and 4 us for
+an ``analyze`` and a ``count`` argv.  Everything else (help, errors,
+abbreviations, ``--flag=value``, no arguments, ``ncflab foo``) goes to the
+full four-command argparse tree, declared from the same table, so every help
+text and error reads as before; building and running it takes about 1 ms in
+a warm process (2-vCPU Xeon, Python 3.11.7).  No parser is kept between
+calls of ``main()`` or built at import: a one-shot process pays for what it
+builds either way, so that would only hide the cost from in-process callers.
 """
 
 from __future__ import annotations
@@ -78,26 +75,18 @@ def main(argv=None) -> int:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``argv`` as ``ncflab`` parses it: from the argument table when it is a
-    well-formed command, else by argparse, with the full tree only where
-    needed."""
+    well-formed command, else by the full argparse tree."""
     args = _parse_table(argv)
-    if args is not None:
-        return args
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"ncflab {argv[0]}")
-        _add_arguments(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def _parse_table(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse would return for ``argv``, read from the
     argument table, or None where argparse must answer: help, ``--``, an
-    unknown, abbreviated or repeated flag, ``=value`` on a flag, a value or
-    positional that starts with ``-``, a failed ``int()``, a wrong count of
-    positionals, or not exactly one argument of a required one-of group."""
+    unknown, abbreviated or repeated flag, a ``--flag=value`` token (looked up
+    whole, so unknown), a value or positional that starts with ``-``, a failed
+    ``int()``, a wrong count of positionals, or not exactly one argument of a
+    required one-of group."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, handler, arguments = _COMMANDS[argv[0]]
@@ -108,20 +97,16 @@ def _parse_table(argv: list[str]) -> argparse.Namespace | None:
         if not token.startswith("-"):
             positionals.append(token)
             continue
-        name, equals, value = token.partition("=")
-        kind = kinds.get(name)
-        if kind is None or name in given:
+        kind = kinds.get(token)
+        if kind is None or token in given:
             return None
         if kind == "flag":
-            if equals:
-                return None
             value = True
         else:
-            if not equals:
-                value = next(tokens, "-")  # none left: declined as a "-" value
+            value = next(tokens, "-")  # none left: declined as a "-" value
             if value.startswith("-"):
                 return None
-        given[name] = value
+        given[token] = value
     names = [name for name in kinds if not name.startswith("-")]
     one_of = [name for name, kind in kinds.items() if kind == "one-of"]
     if len(positionals) != len(names) or (one_of and len(given.keys() & one_of) != 1):
@@ -140,6 +125,7 @@ def _parse_table(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The full four-command tree, declared from the argument table."""
     parser = argparse.ArgumentParser(
         prog="ncflab",
         description=(
@@ -148,23 +134,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_), name)
+    for name, (help_, handler, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_)
+        command.set_defaults(handler=handler)
+        group = None
+        for flag, kind, default, flag_help in arguments:
+            container = command
+            if kind == "one-of":
+                if group is None:
+                    group = command.add_mutually_exclusive_group(required=True)
+                container = group
+            container.add_argument(flag, default=default, help=flag_help, **_KINDS[kind])
     return parser
-
-
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
-    """Declare ``command``'s rows of the argument table to argparse."""
-    _, handler, arguments = _COMMANDS[command]
-    group = None
-    for name, kind, default, help_ in arguments:
-        container = parser
-        if kind == "one-of":
-            if group is None:
-                group = parser.add_mutually_exclusive_group(required=True)
-            container = group
-        container.add_argument(name, default=default, help=help_, **_KINDS[kind])
-    parser.set_defaults(handler=handler)
 
 
 # ----------------------------------------------------------------------
@@ -385,14 +366,15 @@ def _cmd_verify(args) -> int:
 # the argument table
 # ----------------------------------------------------------------------
 
-#: How ``_add_arguments`` declares each kind of argument to argparse.  A
+#: How ``_build_parser`` declares each kind of argument to argparse.  A
 #: "one-of" argument is text in the command's required group: exactly one
 #: of them must be given.
 _KINDS = {"flag": {"action": "store_true"}, "text": {}, "int": {"type": int}, "one-of": {}}
 
 #: Each command's help line in the full tree, its handler, and its arguments
 #: in the order ``-h`` lists them, as (name, kind, default, help).  A name
-#: without ``--`` is a positional.  Both parsers read this table.
+#: without ``--`` is a positional.  ``_parse_table`` and ``_build_parser``
+#: both read this table.
 _COMMANDS = {
     "analyze": (
         "full report for one function",

@@ -512,9 +512,9 @@ def ncf_cert_formula(structure, b: int) -> tuple[int, int, int]:
     convention (which carries an inner complement) it is ``b = 0``.
     Variable permutations and input negations never change the pair.
     """
-    k = tuple(int(size) for size in structure)
+    k = tuple(structure)
     r = len(k)
-    if r == 0 or any(size < 1 for size in k):
+    if r == 0 or any(not isinstance(size, int) or size < 1 for size in k):
         raise InvalidInputError(f"bad layer structure {structure!r}")
     if k[-1] < 2:
         raise InvalidInputError("the last layer must have at least two variables")

@@ -150,6 +150,12 @@ def _check_arity(arity: int) -> None:
         raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity}")
 
 
+def _check_int(value: int, name: str) -> int:
+    if not isinstance(value, int):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_bit(value: int, name: str) -> int:
     if not isinstance(value, int) or value not in (0, 1):
         raise InvalidInputError(f"{name} must be 0 or 1, got {value!r}")

@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from math import comb, factorial
 
-from .core import GuardExceededError, InvalidInputError
+from .core import GuardExceededError, InvalidInputError, _check_int
 from .complexity import cert_profile, ncf_cert_formula
 from .ncf import LayerDecomposition, compose, decompose
 from .symmetry import has_nontrivial_automorphism, symmetry_level
@@ -48,6 +48,7 @@ _CERT_EXHAUSTIVE_MAX, _CERT_SAMPLE_TARGET = 4, 500
 
 
 def _check_arity(n: int) -> None:
+    _check_int(n, "arity")
     if n < 2:
         raise InvalidInputError(f"need at least two variables, got {n}")
 
@@ -104,8 +105,10 @@ def enumerate_ncfs(
     _check_arity(n)
     if n > max_arity:
         raise GuardExceededError("enumeration", n, max_arity)
-    if layer_count is not None and not 1 <= layer_count <= n - 1:
-        return
+    if layer_count is not None:
+        _check_int(layer_count, "layer count")
+        if not 1 <= layer_count <= n - 1:
+            return
     for blocks in _partitions(n, layer_count):
         yield from _partition_stream(n, blocks)
 
@@ -180,6 +183,7 @@ def count_total(n: int) -> int:
 def count_by_layers(n: int, r: int) -> int:
     """Number of ``n``-variable functions with exactly ``r`` layers."""
     _check_arity(n)
+    _check_int(r, "layer count")
     if not 1 <= r <= n - 1:
         raise InvalidInputError(f"layer count {r} out of range 1..{n - 1}")
     return sum(count for (layers, _), count in _census(n).items() if layers == r)
@@ -191,6 +195,7 @@ def pell_like(m: int) -> int:
     Term ``m`` equals ``((1 + sqrt 2)**m - (1 - sqrt 2)**m) / sqrt 2``; the
     recurrence keeps everything in exact integers.
     """
+    _check_int(m, "index")
     if m < 0:
         raise InvalidInputError(f"index must be nonnegative, got {m}")
     a, b = 0, 2
@@ -228,6 +233,7 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
     _check_arity(n)
     if n > MAX_VERIFY_ARITY:
         raise GuardExceededError("verify", n, MAX_VERIFY_ARITY)
+    _check_int(s, "symmetry level")
     if not 1 <= s <= n:
         raise InvalidInputError(f"symmetry level {s} out of range 1..{n}")
     total = 0
@@ -244,6 +250,7 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
 def count_s_symmetric(n: int, s: int) -> int:
     """``N(n, s)``: the number of ``n``-variable s-symmetric functions."""
     _check_arity(n)
+    _check_int(s, "symmetry level")
     if not 1 <= s <= n:
         raise InvalidInputError(f"symmetry level {s} out of range 1..{n}")
     return sum(count for (_, level), count in _census(n).items() if level == s)
@@ -364,6 +371,7 @@ def verify(
     ``_CERT_SAMPLE_TARGET`` functions above that).  Larger arities run the
     formula-level identities only, up to ``MAX_VERIFY_ARITY``.
     """
+    _check_arity(n)
     if n > MAX_VERIFY_ARITY:
         raise GuardExceededError("verify", n, MAX_VERIFY_ARITY)
     table = count_table(n)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .core import BooleanFunction, InvalidInputError, _decimal, _literals, full_mask
+from .core import BooleanFunction, InvalidInputError, _check_int, _decimal, _literals, full_mask
 
 LayerEntries = tuple[tuple[int, int], ...]
 
@@ -42,8 +42,6 @@ class NotNcfReason(enum.Enum):
     """
 
     NO_CANALIZING_VARIABLE = "no canalizing variable"
-    # Never returned by decompose; kept so that callers naming it still work.
-    CONFLICTING_OUTPUTS = "conflicting canalized outputs"
     INESSENTIAL_VARIABLE = "inessential variable"
     CONSTANT = "constant function"
 
@@ -55,17 +53,18 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
     variable index; layer 0 is outermost.  Validity is enforced on
     construction: layers are nonempty, their variable sets partition
     ``1..arity``, the last layer has size at least two, and all inputs and
-    ``b`` are bits.
+    ``b`` are bits.  Every entry must be an ``int``; a bool is stored as 0
+    or 1, so the text form reads it back.
     """
 
     __slots__ = ()
 
     def __new__(cls, arity: int, layers: tuple[LayerEntries, ...], b: int):
-        if b not in (0, 1):
+        if not isinstance(b, int) or b not in (0, 1):
             raise InvalidInputError(f"output bit must be 0 or 1, got {b!r}")
         if not layers:
             raise InvalidInputError("a decomposition needs at least one layer")
-        seen: set[int] = set()
+        arity, seen = _check_int(arity, "arity"), set()
         for layer in layers:
             if not layer:
                 raise InvalidInputError("layers must be nonempty")
@@ -74,9 +73,9 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
                 if len(entry) != 2:
                     raise InvalidInputError(f"bad layer entry {entry!r}")
                 var, inp = entry
-                if not 1 <= var <= arity:
+                if not 1 <= _check_int(var, "variable index") <= arity:
                     raise InvalidInputError(f"variable index {var} out of range 1..{arity}")
-                if inp not in (0, 1):
+                if not isinstance(inp, int) or inp not in (0, 1):
                     raise InvalidInputError(f"canalizing input must be a bit: {inp!r}")
                 if var <= previous:
                     raise InvalidInputError(
@@ -90,7 +89,8 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
             raise InvalidInputError("layers must partition the full variable set")
         if len(layers[-1]) < 2:
             raise InvalidInputError("the last layer must contain at least two variables")
-        return tuple.__new__(cls, (arity, layers, b))
+        layers = tuple(tuple((int(var), int(inp)) for var, inp in layer) for layer in layers)
+        return tuple.__new__(cls, (arity, layers, int(b)))
 
     @classmethod
     def _unchecked(cls, arity: int, layers: tuple[LayerEntries, ...], b: int):
@@ -101,7 +101,8 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
     def from_pairs(cls, arity: int, layers, b: int) -> "LayerDecomposition":
         """Build from any iterable of iterables of pairs, sorting each layer."""
         normalized = tuple(
-            tuple(sorted((int(v), int(a)) for v, a in layer)) for layer in layers
+            tuple(sorted((_check_int(v, "variable index"), a) for v, a in layer))
+            for layer in layers
         )
         return cls(arity, normalized, b)
 

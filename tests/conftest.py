@@ -389,11 +389,10 @@ def reference_decompose(f: BooleanFunction) -> NcfClassification:
             return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
         outs = {out for _, _, out in pairs}
         if len(outs) > 1:
-            # Unreachable once inessential variables are ruled out (two
+            # Unreachable once inessential variables are ruled out: two
             # canalizing pairs on distinct variables force equal outputs,
-            # and a doubly-canalizing variable leaves the rest inessential);
-            # kept as a defensive classification.
-            return NcfClassification(False, reason=NotNcfReason.CONFLICTING_OUTPUTS)
+            # and a doubly-canalizing variable leaves the rest inessential.
+            raise NcflabError("internal error: peel found conflicting canalized outputs")
         if first_out is None:
             first_out = pairs[0][2]
         layers.append(tuple((remaining[i - 1], a) for i, a, _ in pairs))

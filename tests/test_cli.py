@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -636,6 +637,37 @@ def test_command_parser_parses_as_the_full_tree(argv):
     assert _parse_outcome(cli._parse, list(argv)) == full
 
 
+# argv whose help, usage and error texts argparse writes.  The equivalence
+# test above compares the full tree with itself wherever the table declines,
+# so only this golden pins those texts.
+_USAGE_ARGV = [
+    [],
+    ["-h"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["foo"],
+    ["count", "x"],
+    ["count", "3", "--ki", "total"],
+    ["analyze", "--anf", "x1", "--table", "2:8"],
+    ["analyze", "--json=1", "--anf", "x1"],
+    ["analyze", "--max-n=x", "--anf", "x1"],
+]
+
+
+def test_usage_texts_match_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    blocks = []
+    for argv in _USAGE_ARGV:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        command = shlex.join(["ncflab", *argv])
+        blocks.append(f"$ {command}\n[exit {code}]\n[stdout]\n{out}[stderr]\n{err}")
+    golden = Path(__file__).parent / "data" / "cli_usage.txt"
+    assert "\n".join(blocks) == golden.read_text(encoding="utf-8")
+
+
 def test_main_builds_no_parser_for_well_formed_commands(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -650,18 +682,22 @@ def test_main_builds_no_parser_for_well_formed_commands(capsys, monkeypatch):
         assert main(["analyze", "--anf", "x1*x2 + x3", "--json"]) == 0
         assert built == []
     capsys.readouterr()
-    # An abbreviated flag goes to the command's argparse parser, which
-    # reads it as the whole flag.
-    assert main(["count", "3", "--ki", "total"]) == 0
-    assert built == ["ncflab count"]
-    abbreviated = capsys.readouterr()
     assert main(["count", "3", "--kinds", "total"]) == 0
-    assert capsys.readouterr() == abbreviated
-    assert built == ["ncflab count"]
+    assert built == []
+    plain = capsys.readouterr()
+    # An abbreviated flag and ``--flag=value`` each go to the full tree,
+    # which reads them as ``--kinds total``.
+    tree = ["ncflab", *(f"ncflab {name}" for name in cli._COMMANDS)]
+    for argv in (["count", "3", "--ki", "total"], ["count", "3", "--kinds=total"]):
+        built.clear()
+        assert main(argv) == 0
+        assert built == tree
+        assert capsys.readouterr() == plain
+    built.clear()
     with pytest.raises(SystemExit) as exc:
         main(["-h"])
     assert exc.value.code == 0
-    assert len(built) == 1 + 1 + len(cli._COMMANDS)  # and the full tree
+    assert built == tree
     assert "analyze" in capsys.readouterr().out
 
 

@@ -1,7 +1,7 @@
 """Canonical layer decomposition: classify, rebuild, text form."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -171,6 +171,42 @@ def test_text_form_round_trip():
         parse_decomposition("1; [1:0, 0003:1]")
     with pytest.raises(InvalidInputError, match="variable index 0 out of range 1..2"):
         parse_decomposition("1; [1:0, 0:1]")
+
+
+_bits = st.sampled_from([0, 1, False, True])
+
+
+@st.composite
+def _constructor_arguments(draw):
+    """Arguments for ``LayerDecomposition``: 1..n in shuffled layers, each
+    sorted and the last of two or more, with bits and index 1 as ints or
+    bools; half the time one entry holds a float or a non-bit."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(c for c in draw(st.sets(st.integers(1, n - 1))) if c < n - 1)
+    layers = [
+        [(draw(st.sampled_from([v, v == 1 or v])), draw(_bits)) for v in sorted(order[i:j])]
+        for i, j in zip((0, *cuts), (*cuts, n))
+    ]
+    if draw(st.booleans()):
+        layer = draw(st.sampled_from(layers))
+        k = draw(st.integers(0, len(layer) - 1))
+        v, a = layer[k]
+        layer[k] = draw(st.sampled_from([(v + 0.5, a), (float(v), a), (v, 1.0), (v, 2)]))
+    return n, layers, draw(_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constructor_arguments())
+@example((2, (((1, True), (2, 0)),), True))  # stored, and written, as 1; [1:1, 2:0]
+def test_text_form_reads_back_every_accepted_decomposition(arguments):
+    try:
+        d = LayerDecomposition(*arguments)
+    except InvalidInputError:
+        return
+    text = format_decomposition(d)
+    assert parse_decomposition(text) == d
+    assert format_decomposition(parse_decomposition(text)) == text
 
 
 def test_round_trip_all_enumerated_small():

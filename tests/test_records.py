@@ -18,12 +18,17 @@ from ncflab import (
     cert_profile,
     certificate_at,
     compose,
+    count_by_layers,
+    count_s_symmetric,
+    count_total,
     enumerate_ncfs,
     index_of,
+    layer_structures,
     ncf_cert_formula,
     parse_decomposition,
     pell_like,
     s_symmetric_triple_sum,
+    verify,
     word_at,
     words,
 )
@@ -283,6 +288,93 @@ def test_record_validation_messages(build, error, message):
         (lambda: ncf_cert_formula((1, 2), 2), "output bit must be 0 or 1, got 2"),
         (lambda: pell_like(-1), "index must be nonnegative, got -1"),
         (lambda: s_symmetric_triple_sum(4, 5), "symmetry level 5 out of range 1..4"),
+        # Integers only: a float or a string is refused rather than truncated,
+        # matched against nothing, or left to a bare TypeError.
+        pytest.param(
+            lambda: LayerDecomposition.from_pairs(2, [[(1.0, 0), (2, 0)]], 0),
+            "variable index must be an integer, got 1.0",
+            id="LayerDecomposition.from_pairs(2, [[(1.0, 0), (2, 0)]], 0)",
+        ),
+        pytest.param(
+            lambda: LayerDecomposition.from_pairs(2, [[(1, 0.9), (2, 0)]], 0),
+            "canalizing input must be a bit: 0.9",
+            id="LayerDecomposition.from_pairs(2, [[(1, 0.9), (2, 0)]], 0)",
+        ),
+        pytest.param(
+            lambda: LayerDecomposition(2, (((1.5, 0), (2, 0)),), 0),
+            "variable index must be an integer, got 1.5",
+            id="LayerDecomposition(2, (((1.5, 0), (2, 0)),), 0)",
+        ),
+        pytest.param(
+            lambda: LayerDecomposition(2.5, (((1, 0), (2, 0)),), 0),
+            "arity must be an integer, got 2.5",
+            id="LayerDecomposition(2.5, (((1, 0), (2, 0)),), 0)",
+        ),
+        pytest.param(
+            lambda: ncf_cert_formula((2.9,), 0),
+            "bad layer structure (2.9,)",
+            id="ncf_cert_formula((2.9,), 0)",
+        ),
+        pytest.param(
+            lambda: ncf_cert_formula(("x",), 0),
+            "bad layer structure ('x',)",
+            id="ncf_cert_formula(('x',), 0)",
+        ),
+        pytest.param(
+            lambda: count_by_layers(3, 1.5),
+            "layer count must be an integer, got 1.5",
+            id="count_by_layers(3, 1.5)",
+        ),
+        pytest.param(
+            lambda: count_s_symmetric(3, 1.5),
+            "symmetry level must be an integer, got 1.5",
+            id="count_s_symmetric(3, 1.5)",
+        ),
+        pytest.param(
+            lambda: list(enumerate_ncfs(3, layer_count=1.5)),
+            "layer count must be an integer, got 1.5",
+            id="enumerate_ncfs(3, layer_count=1.5)",
+        ),
+        pytest.param(
+            lambda: list(enumerate_ncfs(3, layer_count="1")),
+            "layer count must be an integer, got '1'",
+            id="enumerate_ncfs(3, layer_count='1')",
+        ),
+        pytest.param(
+            lambda: count_total(2.5),
+            "arity must be an integer, got 2.5",
+            id="count_total(2.5)",
+        ),
+        pytest.param(
+            lambda: count_total("3"),
+            "arity must be an integer, got '3'",
+            id="count_total('3')",
+        ),
+        pytest.param(
+            lambda: verify(2.5),
+            "arity must be an integer, got 2.5",
+            id="verify(2.5)",
+        ),
+        pytest.param(
+            lambda: list(enumerate_ncfs(2.5)),
+            "arity must be an integer, got 2.5",
+            id="enumerate_ncfs(2.5)",
+        ),
+        pytest.param(
+            lambda: list(layer_structures(2.5)),
+            "arity must be an integer, got 2.5",
+            id="layer_structures(2.5)",
+        ),
+        pytest.param(
+            lambda: pell_like(2.5),
+            "index must be an integer, got 2.5",
+            id="pell_like(2.5)",
+        ),
+        pytest.param(
+            lambda: s_symmetric_triple_sum(3, "a"),
+            "symmetry level must be an integer, got 'a'",
+            id="s_symmetric_triple_sum(3, 'a')",
+        ),
     ],
 )
 def test_library_input_errors(call, message):
