@@ -33,7 +33,7 @@ from .anf import anf_text, check_anf, evaluate_anf
 from .complexity import (
     MAX_BLOCK_SENSITIVITY_ARITY,
     MAX_CERTIFICATE_ARITY,
-    _cert_profile,
+    cert_profile,
     ncf_cert_formula,
 )
 from .core import (
@@ -41,10 +41,11 @@ from .core import (
     GuardExceededError,
     InvalidInputError,
     NcflabError,
+    _check_guard,
 )
 from .enumeration import MAX_ENUMERATION_ARITY, count_table, enumerate_ncfs, verify
 from .ncf import decompose, format_decomposition
-from .symmetry import MAX_AUTOMORPHISM_ARITY, _layer_classes, _symmetry_report
+from .symmetry import MAX_AUTOMORPHISM_ARITY, _layer_classes, symmetry_report
 
 _TABLE_RE = re.compile(r"^\d+:[0-9A-Fa-f]+$")
 #: Lines ``enumerate`` writes at a time.
@@ -164,56 +165,43 @@ def _load_spec(spec: str, cert_guard: int, table: bool | None) -> BooleanFunctio
     arity, program = check_anf(spec)
     # Parse errors first, then the guard, then the table: no table is built
     # for text over the guard.
-    if arity > cert_guard:
-        raise GuardExceededError("certificate", arity, cert_guard)
+    _check_guard("certificate", arity, cert_guard)
     return evaluate_anf(arity, program)
 
 
-def _raise_guard(default: int, override: int | None) -> int:
-    return default if override is None else max(default, override)
-
-
-def _analysis_report(f: BooleanFunction, args) -> dict:
-    cert_guard = _raise_guard(MAX_CERTIFICATE_ARITY, args.max_n)
-    block_guard = _raise_guard(MAX_BLOCK_SENSITIVITY_ARITY, args.max_n)
-    perm_guard = _raise_guard(MAX_AUTOMORPHISM_ARITY, args.max_n)
-    # Guards first: the certificate and block-sensitivity guards here, and
-    # the automorphism guard, which needs to know whether f is an NCF, in
-    # _symmetry_report before any certificate is computed.  The symmetry
-    # report reuses this decomposition instead of decomposing f again, and
-    # _cert_profile reads an NCF's c0/c1 off the cover it proposes.
-    if f.arity > cert_guard:
-        raise GuardExceededError("certificate", f.arity, cert_guard)
-    if args.block_sensitivity and f.arity > block_guard:
-        raise GuardExceededError("block sensitivity", f.arity, block_guard)
-
+def _analysis_report(f: BooleanFunction, args, guards: tuple[int, int, int]) -> dict:
+    cert_guard, block_guard, perm_guard = guards
+    # Guards first, the automorphism guard once f is known to be an NCF or not,
+    # all before any partition or certificate.  An NCF's decomposition lets
+    # symmetry_report pass it above that guard and cert_profile read c0/c1
+    # off the cover it proposes.
+    _check_guard("certificate", f.arity, cert_guard)
+    if args.block_sensitivity:
+        _check_guard("block sensitivity", f.arity, block_guard)
     classification = decompose(f) if f.arity >= 2 else None
-    ncf_section = formula = None
-    if classification is not None and classification.is_ncf:
-        d = classification.decomposition
-        ncf_section = {
-            "is_ncf": True,
-            "reason": None,
-            "decomposition": format_decomposition(d),
-            "layer_structure": list(d.structure()),
-        }
-        formula = ncf_cert_formula(d.structure(), d.b)
-    elif classification is not None:
-        ncf_section = {
-            "is_ncf": False,
-            "reason": classification.reason.value,
-            "decomposition": None,
-            "layer_structure": None,
-        }
+    d = classification.decomposition if classification is not None else None
+    if d is None:
+        _check_guard("automorphism", f.arity, perm_guard)
 
-    report, classes = _symmetry_report(f, perm_guard, classification)
-    profile = _cert_profile(
+    ncf_section = formula = None
+    if classification is not None:
+        ncf_section = {
+            "is_ncf": classification.is_ncf,
+            "reason": None if d else classification.reason.value,
+            "decomposition": format_decomposition(d) if d else None,
+            "layer_structure": list(d.structure()) if d else None,
+        }
+    if d is not None:
+        formula = ncf_cert_formula(d.structure(), d.b)
+
+    report, classes = symmetry_report(f, max_arity=perm_guard, decomposition=d)
+    profile = cert_profile(
         f,
-        classification,
         with_witnesses=args.witnesses,
         with_block_sensitivity=args.block_sensitivity,
         max_arity=cert_guard,
         block_max_arity=block_guard,
+        decomposition=d,
     )
 
     complexity_section = profile.to_json_dict()
@@ -292,10 +280,11 @@ def _cmd_analyze(args) -> int:
     table = None if args.file is not None else args.table is not None
 
     # Build every report before printing anything: no partial output on error.
-    cert_guard = _raise_guard(MAX_CERTIFICATE_ARITY, args.max_n)
+    defaults = MAX_CERTIFICATE_ARITY, MAX_BLOCK_SENSITIVITY_ARITY, MAX_AUTOMORPHISM_ARITY
+    guards = tuple(max(default, args.max_n or 0) for default in defaults)  # never lowered
     out: list[str] = []
     for spec in specs:
-        report = _analysis_report(_load_spec(spec, cert_guard, table), args)
+        report = _analysis_report(_load_spec(spec, guards[0], table), args, guards)
         if args.json:
             out.append(json.dumps(report, sort_keys=True))
         else:
@@ -313,7 +302,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    guard = _raise_guard(MAX_ENUMERATION_ARITY, args.max_n)
+    guard = max(MAX_ENUMERATION_ARITY, args.max_n or 0)
     # Levels asked for; on NCFs strong asymmetry is exactly n-symmetry.
     levels = {args.symmetry, args.n if args.strongly_asymmetric else None} - {None}
     lines = (

@@ -28,14 +28,14 @@ its oracle.  Since ``s <= bs <= C`` for every function (Nisan 1991),
 :func:`cert_profile` reads ``bs = s`` off the profile whenever ``s = C``, as
 on every NCF, and runs the dynamic program only when ``s < C``.
 
-``analyze`` reads an NCF's ``C0``/``C1`` off :func:`_ncf_cover` instead of
-the walk, unless witnesses are asked for.  The caller's decomposition only
-proposes the n + 1 certificates of the closed form; each is checked on the
-table, and once every word of fiber ``b`` is certified by one of at most
-``s_b`` variables, ``s_b <= C_b <= s_b``.  Both bounds come from the table.
-The walk is the fallback, should the cover fail.  There the report's
-``certificate_formula_matches_bruteforce`` compares the formula with this
-table-checked value; :func:`cert_profile`, and so ``verify``, still walk.
+:func:`cert_profile` walks unless it is given a decomposition whose cover
+holds and no witnesses are asked for.  The decomposition only proposes the
+n + 1 certificates of the closed form to :func:`_ncf_cover`, each checked on
+the table: once every word of fiber ``b`` is certified by one of at most
+``s_b`` variables, ``s_b <= C_b <= s_b``, both bounds from the table, so a
+wrong decomposition costs only the walk.  ``analyze`` passes an NCF's, and
+its ``certificate_formula_matches_bruteforce`` compares the formula with
+this table-checked value; ``verify`` passes none, so it stays a search.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from collections import namedtuple
 
 from .core import (
     BooleanFunction,
-    GuardExceededError,
     InvalidInputError,
     NcflabError,
     Word,
+    _check_guard,
     _literals,
     _one_indices,
     full_mask,
@@ -57,7 +57,7 @@ from .core import (
     variable_mask,
     words,
 )
-from .ncf import NcfClassification
+from .ncf import LayerDecomposition, _check_decomposition
 
 #: The certificate sweep folds one table of 2^n bits for each of up to 2^n free
 #: sets, about seven big-integer operations each.  At n = 14 its prune and its
@@ -294,8 +294,7 @@ def certificate_at(
     exactly ``C(f, word)``.  This per-word scan shares no kernel with the
     sweep of :func:`cert_profile`, for which it is the oracle.
     """
-    if f.arity > max_arity:
-        raise GuardExceededError("certificate", f.arity, max_arity)
+    _check_guard("certificate", f.arity, max_arity)
     word = tuple(word)
     value = f.evaluate(word)  # checks the word's length and bits
     n, full = f.arity, full_mask(f.arity)
@@ -368,8 +367,7 @@ def block_sensitivity(
     is built from the one below in about ``3^n / 2`` AND/OR operations.
     The answer is the last ``k`` at which the full set still holds a word.
     """
-    if f.arity > max_arity:
-        raise GuardExceededError("block sensitivity", f.arity, max_arity)
+    _check_guard("block sensitivity", f.arity, max_arity)
     n, bits = f.arity, f.bits
     size = 1 << n
     highs = [variable_mask(n, i) for i in range(1, n + 1)]
@@ -411,6 +409,7 @@ def cert_profile(
     with_block_sensitivity: bool = False,
     max_arity: int = MAX_CERTIFICATE_ARITY,
     block_max_arity: int = MAX_BLOCK_SENSITIVITY_ARITY,
+    decomposition: LayerDecomposition | None = None,
 ) -> ComplexityProfile:
     """Exact complexity profile of ``f`` from one walk over free sets.
 
@@ -442,33 +441,22 @@ def cert_profile(
     before the walk either way, so whether ``bs`` is reported never depends
     on the function.
 
-    This function always walks, so ``verify`` stays an independent search.
-    ``analyze`` reads an NCF's ``c0``/``c1`` off the table-checked cover of
-    :func:`_ncf_cover` instead, with the same result.
+    It walks unless it is given a decomposition of ``f``'s arity whose cover
+    holds, with no witnesses asked for: then ``c0, c1 = s0, s1`` is read off
+    :func:`_ncf_cover`, which checks the proposed certificates on the table.
+    ``analyze`` passes an NCF's; ``verify`` passes none, so it still searches.
     """
-    return _cert_profile(
-        f, None, with_witnesses, with_block_sensitivity, max_arity, block_max_arity
-    )
-
-
-def _cert_profile(
-    f: BooleanFunction, classification: NcfClassification | None, with_witnesses: bool,
-    with_block_sensitivity: bool, max_arity: int, block_max_arity: int,
-) -> ComplexityProfile:
-    """:func:`cert_profile`, reading ``c0, c1 = s0, s1`` off
-    :func:`_ncf_cover` when the caller's ``decompose(f)`` found an NCF, no
-    witnesses are asked for and the cover holds; the walk otherwise."""
-    if f.arity > max_arity:
-        raise GuardExceededError("certificate", f.arity, max_arity)
-    if with_block_sensitivity and f.arity > block_max_arity:
-        raise GuardExceededError("block sensitivity", f.arity, block_max_arity)
+    _check_guard("certificate", f.arity, max_arity)
+    if with_block_sensitivity:
+        _check_guard("block sensitivity", f.arity, block_max_arity)
+    _check_decomposition(decomposition, f.arity)
     n = f.arity
     fibers = (full_mask(n) ^ f.bits, f.bits)
     steps = _fold_steps(f)
     counts = _sensitivity_counts(steps)
     s0, s1 = (_max_count(counts, fiber) for fiber in fibers)
-    if classification and classification.is_ncf and not with_witnesses and _ncf_cover(
-        f, steps, classification.decomposition.layers, (s0, s1)
+    if decomposition is not None and not with_witnesses and _ncf_cover(
+        f, steps, decomposition.layers, (s0, s1)
     ):
         c0, c1, witnesses = s0, s1, None  # s_b <= C_b <= s_b
     else:

@@ -156,6 +156,19 @@ def _check_int(value: int, name: str) -> int:
     return value
 
 
+def _check_limit(limit: int, name: str) -> int:
+    """``limit`` if it is a plain ``int``; a bool, float, str or None is refused."""
+    if type(limit) is not int:
+        raise InvalidInputError(f"{name} must be an integer, got {limit!r}")
+    return limit
+
+
+def _check_guard(guard: str, arity: int, limit: int) -> None:
+    """Raise :class:`GuardExceededError` if ``arity`` is above ``limit``, a plain ``int``."""
+    if arity > _check_limit(limit, f"guard '{guard}' limit"):
+        raise GuardExceededError(guard, arity, limit)
+
+
 def _check_bit(value: int, name: str) -> int:
     if not isinstance(value, int) or value not in (0, 1):
         raise InvalidInputError(f"{name} must be 0 or 1, got {value!r}")

@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from math import comb, factorial
 
-from .core import GuardExceededError, InvalidInputError, _check_int
+from .core import InvalidInputError, _check_guard, _check_int, _check_limit
 from .complexity import cert_profile, ncf_cert_formula
 from .ncf import LayerDecomposition, compose, decompose
 from .symmetry import has_nontrivial_automorphism, symmetry_level
@@ -103,8 +103,7 @@ def enumerate_ncfs(
     :class:`LayerDecomposition`'s validation.
     """
     _check_arity(n)
-    if n > max_arity:
-        raise GuardExceededError("enumeration", n, max_arity)
+    _check_guard("enumeration", n, max_arity)
     if layer_count is not None:
         _check_int(layer_count, "layer count")
         if not 1 <= layer_count <= n - 1:
@@ -162,8 +161,7 @@ def _census(n: int) -> dict[tuple[int, int], int]:
     The second term (zero at ``a = 0``) drops sequences ending in one variable.
     """
     _check_arity(n)
-    if n > MAX_COUNT_ARITY:
-        raise GuardExceededError("count", n, MAX_COUNT_ARITY)
+    _check_guard("count", n, MAX_COUNT_ARITY)
     below, row = _stirling_rows(n)
     census = {}
     for r in range(1, n):
@@ -231,8 +229,7 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
     assumes.
     """
     _check_arity(n)
-    if n > MAX_VERIFY_ARITY:
-        raise GuardExceededError("verify", n, MAX_VERIFY_ARITY)
+    _check_guard("verify", n, MAX_VERIFY_ARITY)
     _check_int(s, "symmetry level")
     if not 1 <= s <= n:
         raise InvalidInputError(f"symmetry level {s} out of range 1..{n}")
@@ -264,8 +261,7 @@ def strongly_asymmetric_structure_sum(n: int) -> int:
     recurrence form ``n! * pell_like(n - 1)``.
     """
     _check_arity(n)
-    if n > MAX_VERIFY_ARITY:
-        raise GuardExceededError("verify", n, MAX_VERIFY_ARITY)
+    _check_guard("verify", n, MAX_VERIFY_ARITY)
     total = 0
     for r in range(-(-n // 2), n):
         for sizes in _compositions(n, r):
@@ -372,8 +368,8 @@ def verify(
     formula-level identities only, up to ``MAX_VERIFY_ARITY``.
     """
     _check_arity(n)
-    if n > MAX_VERIFY_ARITY:
-        raise GuardExceededError("verify", n, MAX_VERIFY_ARITY)
+    _check_guard("verify", n, MAX_VERIFY_ARITY)
+    _check_limit(exhaustive_max, "exhaustive_max")
     table = count_table(n)
     total, by_layers, by_symmetry = table.total, table.by_layers, table.by_symmetry
     checks: dict[str, CheckResult] = {}

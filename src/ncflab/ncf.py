@@ -70,9 +70,10 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
                 raise InvalidInputError("layers must be nonempty")
             previous = 0
             for entry in layer:
-                if len(entry) != 2:
-                    raise InvalidInputError(f"bad layer entry {entry!r}")
-                var, inp = entry
+                try:
+                    var, inp = entry
+                except (TypeError, ValueError):
+                    raise InvalidInputError(f"bad layer entry {entry!r}") from None
                 if not 1 <= _check_int(var, "variable index") <= arity:
                     raise InvalidInputError(f"variable index {var} out of range 1..{arity}")
                 if not isinstance(inp, int) or inp not in (0, 1):
@@ -109,6 +110,14 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
     def structure(self) -> tuple[int, ...]:
         """The layer structure ``<k1, ..., kr>`` (sizes of the layers)."""
         return tuple(len(layer) for layer in self.layers)
+
+
+def _check_decomposition(d: LayerDecomposition | None, arity: int) -> None:
+    """Refuse a decomposition hint that is not None or one of ``arity`` variables."""
+    if d is not None and not (isinstance(d, LayerDecomposition) and d.arity == arity):
+        raise InvalidInputError(
+            f"decomposition must be a LayerDecomposition of arity {arity}, got {d!r}"
+        )
 
 
 class NcfClassification(namedtuple(

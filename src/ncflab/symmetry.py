@@ -29,11 +29,12 @@ from .core import (
     GuardExceededError,
     InvalidInputError,
     NcflabError,
+    _check_guard,
     _literals,
     _swap_bits,
     permutation_cycles,
 )
-from .ncf import LayerDecomposition, NcfClassification, decompose
+from .ncf import LayerDecomposition, _check_decomposition, compose, decompose
 
 #: Above this arity only NCFs pass, witnessed by a transposition in a
 #: symmetric class; raising it would change the witness of NCFs with n >= 9.
@@ -265,7 +266,10 @@ def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
 
 
 def symmetry_report(
-    f: BooleanFunction, *, max_arity: int = MAX_AUTOMORPHISM_ARITY
+    f: BooleanFunction,
+    *,
+    max_arity: int = MAX_AUTOMORPHISM_ARITY,
+    decomposition: LayerDecomposition | None = None,
 ) -> tuple[SymmetryReport, SymmetryPartition]:
     """Full symmetry summary plus the underlying partition.
 
@@ -273,19 +277,17 @@ def symmetry_report(
     automorphism whose cycle-notation string sorts first.  Above it only a
     nested canalizing input passes: for an NCF, strong asymmetry is being
     n-symmetric, and the witness otherwise swaps the first two members of
-    the first class with two or more members.
+    the first class with two or more members.  A ``decomposition`` of ``f``'s
+    arity may be passed as a hint: above the guard it shows ``f`` an NCF
+    only if it composes to ``f``, else ``decompose(f)`` decides.
     """
-    return _symmetry_report(f, max_arity, None)
-
-
-def _symmetry_report(
-    f: BooleanFunction, max_arity: int, classification: NcfClassification | None
-) -> tuple[SymmetryReport, SymmetryPartition]:
-    """:func:`symmetry_report`, reusing the caller's ``decompose(f)`` if any;
-    ``partition`` runs once, after the automorphism guard."""
     n = f.arity
-    if n > max_arity and not (classification or decompose(f)).is_ncf:
-        raise GuardExceededError("automorphism", n, max_arity)
+    _check_decomposition(decomposition, n)
+    try:
+        _check_guard("automorphism", n, max_arity)
+    except GuardExceededError:
+        if not (decomposition and compose(decomposition) == f or decompose(f).is_ncf):
+            raise
     classes = partition(f)
     wide = [cls for cls in classes.classes if len(cls) >= 2]
     if n <= max_arity:

@@ -370,7 +370,8 @@ def test_analyze_automorphism_guard_before_certificates(capsys, monkeypatch):
     def no_analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the automorphism guard")
 
-    monkeypatch.setattr("ncflab.cli._cert_profile", no_analysis)
+    monkeypatch.setattr("ncflab.cli.cert_profile", no_analysis)
+    monkeypatch.setattr("ncflab.cli.symmetry_report", no_analysis)
     monkeypatch.setattr("ncflab.symmetry.partition", no_analysis)
     anf = " + ".join(f"x{i}" for i in range(1, 12)) + " + x12*x1"
     code, out, err = run(capsys, "analyze", "--anf", anf)
@@ -386,7 +387,7 @@ def test_analyze_block_guard_before_any_analysis(capsys, monkeypatch):
     def no_analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the block-sensitivity guard")
 
-    for name in ("decompose", "_symmetry_report", "_cert_profile"):
+    for name in ("decompose", "symmetry_report", "cert_profile"):
         monkeypatch.setattr(f"ncflab.cli.{name}", no_analysis)
     table = "9:8" + "0" * 127  # x1 x2 ... x9
     code, out, err = run(capsys, "analyze", "--table", table, "--block-sensitivity")
@@ -464,10 +465,10 @@ def test_analyze_cover_path_prints_the_walk_path_bytes(capsys, monkeypatch):
     assert code == 0, err
     assert calls["walk"] == 0
 
-    def walked(f, classification, **options):
+    def walked(f, *, decomposition, **options):
         return ncflab.cert_profile(f, **options)
 
-    monkeypatch.setattr(cli, "_cert_profile", walked)
+    monkeypatch.setattr(cli, "cert_profile", walked)
     code, walk, err = run(capsys, *argv)
     assert code == 0, err
     assert calls["walk"] == 1

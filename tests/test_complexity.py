@@ -33,11 +33,11 @@ from ncflab import (
     parse_decomposition,
     sensitivity,
     sensitivity_at,
+    symmetry_report,
     words,
 )
 from ncflab import complexity
 from ncflab.core import InvalidInputError, full_mask, variable_mask
-from ncflab.ncf import NcfClassification
 
 CASCADE3 = reference_table([{1, 2, 3}, {1, 2}, {3}], 3)
 MONOMIAL3 = reference_table([{1, 2, 3}], 3)
@@ -458,15 +458,6 @@ def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
     assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b)
 
 
-#: The options of ``cert_profile``'s defaults, for calls to ``_cert_profile``.
-PROFILE_OPTIONS = dict(
-    with_witnesses=False,
-    with_block_sensitivity=False,
-    max_arity=complexity.MAX_CERTIFICATE_ARITY,
-    block_max_arity=complexity.MAX_BLOCK_SENSITIVITY_ARITY,
-)
-
-
 def _cover(f, layers):
     """``_ncf_cover`` of ``f`` with the proposed ``layers``, told ``f``'s
     per-fiber sensitivities."""
@@ -486,8 +477,30 @@ def test_ncf_cover_holds_and_matches_the_walk(n, seed, complement):
     classification = decompose(f)
     assert classification.is_ncf
     assert _cover(f, classification.decomposition.layers)
-    profile = complexity._cert_profile(f, classification, **PROFILE_OPTIONS)
+    profile = cert_profile(f, decomposition=classification.decomposition)
     assert profile == cert_profile(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_decomposition_hints_change_no_answer(n, seed, complement):
+    # cert_profile and symmetry_report check a decomposition hint on the
+    # table: f's own, another NCF's of the same arity and none give the same
+    # answers, and a decomposition of another arity is refused.
+    rng = random.Random(seed)
+    _, f = random_ncf(rng, n)
+    if complement:
+        f = BooleanFunction(n, f.bits ^ full_mask(n))
+    other, _ = random_ncf(rng, n)
+    wider, _ = random_ncf(rng, n + 1)
+    profile, report = cert_profile(f), symmetry_report(f, max_arity=2)
+    for hint in (decompose(f).decomposition, other):
+        assert cert_profile(f, decomposition=hint) == profile
+        assert symmetry_report(f, max_arity=2, decomposition=hint) == report
+    with pytest.raises(InvalidInputError):
+        cert_profile(f, decomposition=wider)
+    with pytest.raises(InvalidInputError):
+        symmetry_report(f, max_arity=2, decomposition=wider)
 
 
 def test_ncf_cover_refuses_wrong_layers_and_the_walk_answers(monkeypatch):
@@ -509,8 +522,7 @@ def test_ncf_cover_refuses_wrong_layers_and_the_walk_answers(monkeypatch):
     ):
         assert not _cover(f, wrong.layers)
         calls = 0
-        claimed = NcfClassification(True, wrong)
-        profile = complexity._cert_profile(f, claimed, **PROFILE_OPTIONS)
+        profile = cert_profile(f, decomposition=wrong)
         assert calls == 1, f
         assert profile == cert_profile(f)
         fiber_max = [0, 0]

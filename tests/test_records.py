@@ -15,6 +15,7 @@ from ncflab import (
     NcflabError,
     NcfClassification,
     NotNcfReason,
+    block_sensitivity,
     cert_profile,
     certificate_at,
     compose,
@@ -23,11 +24,13 @@ from ncflab import (
     count_total,
     enumerate_ncfs,
     index_of,
+    is_strongly_asymmetric,
     layer_structures,
     ncf_cert_formula,
     parse_decomposition,
     pell_like,
     s_symmetric_triple_sum,
+    symmetry_report,
     verify,
     word_at,
     words,
@@ -36,6 +39,9 @@ from ncflab.cli import main
 from ncflab.complexity import CertificateWitness, ComplexityProfile
 from ncflab.enumeration import CheckResult, CountTable, VerificationReport, _result
 from ncflab.symmetry import NcfSymmetryChecks, SymmetryPartition, SymmetryReport, partition
+
+#: x1*x2*x3 + x2*x3 + x3, a three-variable function for the library calls below.
+CASCADE = BooleanFunction.from_hex("3:B0")
 
 #: One value of each record type, and its fields in order.
 RECORDS = [
@@ -374,6 +380,71 @@ def test_record_validation_messages(build, error, message):
             lambda: s_symmetric_triple_sum(3, "a"),
             "symmetry level must be an integer, got 'a'",
             id="s_symmetric_triple_sum(3, 'a')",
+        ),
+        pytest.param(
+            lambda: list(enumerate_ncfs(3, max_arity="x")),
+            "guard 'enumeration' limit must be an integer, got 'x'",
+            id="enumerate_ncfs(3, max_arity='x')",
+        ),
+        pytest.param(
+            lambda: list(enumerate_ncfs(3, max_arity=True)),
+            "guard 'enumeration' limit must be an integer, got True",
+            id="enumerate_ncfs(3, max_arity=True)",
+        ),
+        pytest.param(
+            lambda: verify(3, exhaustive_max="x"),
+            "exhaustive_max must be an integer, got 'x'",
+            id="verify(3, exhaustive_max='x')",
+        ),
+        pytest.param(
+            lambda: verify(3, exhaustive_max=True),
+            "exhaustive_max must be an integer, got True",
+            id="verify(3, exhaustive_max=True)",
+        ),
+        pytest.param(
+            lambda: cert_profile(CASCADE, max_arity="x"),
+            "guard 'certificate' limit must be an integer, got 'x'",
+            id="cert_profile(f, max_arity='x')",
+        ),
+        pytest.param(
+            lambda: cert_profile(CASCADE, max_arity=2.5),
+            "guard 'certificate' limit must be an integer, got 2.5",
+            id="cert_profile(f, max_arity=2.5)",
+        ),
+        pytest.param(
+            lambda: cert_profile(CASCADE, with_block_sensitivity=True, block_max_arity=None),
+            "guard 'block sensitivity' limit must be an integer, got None",
+            id="cert_profile(f, with_block_sensitivity=True, block_max_arity=None)",
+        ),
+        pytest.param(
+            lambda: symmetry_report(CASCADE, max_arity=None),
+            "guard 'automorphism' limit must be an integer, got None",
+            id="symmetry_report(f, max_arity=None)",
+        ),
+        pytest.param(
+            lambda: is_strongly_asymmetric(CASCADE, max_arity="8"),
+            "guard 'automorphism' limit must be an integer, got '8'",
+            id="is_strongly_asymmetric(f, max_arity='8')",
+        ),
+        pytest.param(
+            lambda: certificate_at(CASCADE, (0, 0, 0), max_arity="x"),
+            "guard 'certificate' limit must be an integer, got 'x'",
+            id="certificate_at(f, w, max_arity='x')",
+        ),
+        pytest.param(
+            lambda: block_sensitivity(CASCADE, max_arity=8.0),
+            "guard 'block sensitivity' limit must be an integer, got 8.0",
+            id="block_sensitivity(f, max_arity=8.0)",
+        ),
+        pytest.param(
+            lambda: cert_profile(CASCADE, decomposition="1; [3:1 | 1:0, 2:0]"),
+            "decomposition must be a LayerDecomposition of arity 3, got '1; [3:1 | 1:0, 2:0]'",
+            id="cert_profile(f, decomposition=str)",
+        ),
+        pytest.param(
+            lambda: LayerDecomposition(2, ((1, (2, 0)),), 0),
+            "bad layer entry 1",
+            id="LayerDecomposition(2, ((1, (2, 0)),), 0)",
         ),
     ],
 )

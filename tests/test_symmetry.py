@@ -15,6 +15,7 @@ from conftest import (
     nested_canalizing_functions,
     planted_symmetric_functions,
     planted_table,
+    random_ncf,
     reference_automorphisms,
     reference_table,
 )
@@ -142,6 +143,22 @@ def test_strong_asymmetry_guard_and_ncf_fast_path():
     with pytest.raises(GuardExceededError) as err:
         is_strongly_asymmetric(parity9)
     assert err.value.guard == "automorphism"
+
+
+def test_decomposition_hint_never_passes_a_non_ncf_above_the_guard(monkeypatch):
+    # A hint passes the automorphism guard only if it composes to the table:
+    # an NCF's decomposition does not make the 9-variable parity one, and the
+    # guard fires before any symmetry class is computed.
+    def no_partition(f):
+        raise AssertionError("partition ran before the automorphism guard")
+
+    monkeypatch.setattr(symmetry, "partition", no_partition)
+    parity9 = BooleanFunction.from_predicate(9, lambda w: sum(w) % 2 == 1)
+    assert not decompose(parity9).is_ncf
+    d, _ = random_ncf(random.Random(9), 9)
+    with pytest.raises(GuardExceededError) as err:
+        symmetry_report(parity9, decomposition=d)
+    assert (err.value.guard, err.value.arity) == ("automorphism", 9)
 
 
 @settings(max_examples=60, deadline=None)
