@@ -40,6 +40,9 @@ from .core import (
     BooleanFunction,
     InvalidInputError,
     ParseError,
+    _check_arity,
+    _check_int,
+    _check_var,
     _decimal,
     _one_indices,
     _swap_bits,
@@ -56,10 +59,9 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
     __slots__ = ()
 
     def __new__(cls, arity: int, monomials: frozenset[Monomial]):
-        for monomial in monomials:
-            for i in monomial:
-                if not 1 <= i <= arity:
-                    raise InvalidInputError(f"variable index {i} out of range 1..{arity}")
+        _check_int(arity, "arity")
+        for i in chain.from_iterable(monomials):
+            _check_var(i, arity)
         return tuple.__new__(cls, (arity, monomials))
 
     @classmethod
@@ -212,7 +214,7 @@ def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
     anywhere in the text, else of the first token that breaks the grammar or
     names a variable outside ``1..arity``.
     """
-    cap = MAX_TABLE_ARITY if arity is None else arity
+    cap = MAX_TABLE_ARITY if arity is None else _check_int(arity, "arity")
     # (kind, text, 1-based column, variable); a variable has kind "x", its
     # digits as text and (name, index) from _decimal, read once
     tokens = []
@@ -261,10 +263,9 @@ def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
 
 
 def _check_table_arity(arity: int) -> None:
-    if arity < 0:
-        raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity}")
-    if arity > MAX_TABLE_ARITY:
+    if type(arity) is int and arity > MAX_TABLE_ARITY:
         raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
+    _check_arity(arity)
 
 
 def evaluate_anf(arity: int, program: list) -> BooleanFunction:
@@ -274,7 +275,7 @@ def evaluate_anf(arity: int, program: list) -> BooleanFunction:
     are ANDed, so ``*`` tokens may be left out.  Each open parenthesis pushes
     a frame ``(total, product)``: the XOR of the finished terms and the AND
     of the current term's factors so far.  Raises :class:`InvalidInputError`
-    for a negative arity or one above the table cap.
+    for an arity that is not an ``int`` in ``0..`` the table cap.
     """
     _check_table_arity(arity)
     ones = full_mask(arity)

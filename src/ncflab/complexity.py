@@ -49,6 +49,7 @@ from .core import (
     InvalidInputError,
     NcflabError,
     Word,
+    _check_bit,
     _check_guard,
     _literals,
     _one_indices,
@@ -304,7 +305,7 @@ def certificate_at(
         for subset in itertools.combinations(range(1, n + 1), k):
             cube = functools.reduce(int.__and__, (agree[i - 1] for i in subset), full)
             if f.bits & cube == (cube if value else 0):
-                return CertificateWitness(word, k, subset)
+                return CertificateWitness(tuple(map(int, word)), k, subset)  # bools as 0/1
     raise NcflabError("internal error: the full variable set is always a certificate")
 
 
@@ -502,12 +503,11 @@ def ncf_cert_formula(structure, b: int) -> tuple[int, int, int]:
     """
     k = tuple(structure)
     r = len(k)
-    if r == 0 or any(not isinstance(size, int) or size < 1 for size in k):
+    if r == 0 or any(type(size) is not int or size < 1 for size in k):
         raise InvalidInputError(f"bad layer structure {structure!r}")
     if k[-1] < 2:
         raise InvalidInputError("the last layer must have at least two variables")
-    if b not in (0, 1):
-        raise InvalidInputError(f"output bit must be 0 or 1, got {b!r}")
+    _check_bit(b, "output bit")
     if r == 1:
         c0, c1 = 1, k[0]
     elif r % 2 == 1:

@@ -10,6 +10,10 @@ mask/shift operations on the table integer (the delta-swap :func:`_swap_bits`).
 All values are immutable; every operation returns a new value.  The package's
 records are ``collections.namedtuple`` subclasses with empty ``__slots__``:
 assigning a field raises :class:`AttributeError`, and ``__new__`` validates.
+
+One argument rule holds across the package: a count, arity, index or guard
+limit is a plain ``int``, and a bool, float, string or None raises
+:class:`InvalidInputError`; a bit is 0 or 1, and a bool is taken as one.
 """
 
 from __future__ import annotations
@@ -135,37 +139,37 @@ def word_at(index: int, arity: int) -> Word:
 
 def words(arity: int) -> Iterator[Word]:
     """All words of the given arity, in table-index order (x1 varies fastest)."""
-    if not isinstance(arity, int) or arity < 0:
-        raise InvalidInputError(f"arity must be nonnegative, got {arity}")
+    if type(arity) is not int or arity < 0:
+        raise InvalidInputError(f"arity must be nonnegative, got {arity!r}")
     return (word[::-1] for word in product((0, 1), repeat=arity))
 
 
 def _check_index(index: int, arity: int) -> None:
-    if not isinstance(index, int) or arity < 0 or not 0 <= index < 1 << arity:
-        raise InvalidInputError(f"table index {index} out of range for arity {arity}")
+    if not (type(index) is type(arity) is int and arity >= 0 and 0 <= index < 1 << arity):
+        raise InvalidInputError(f"table index {index!r} out of range for arity {arity!r}")
 
 
 def _check_arity(arity: int) -> None:
-    if not isinstance(arity, int) or not 0 <= arity <= MAX_TABLE_ARITY:
-        raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity}")
+    if type(arity) is not int or not 0 <= arity <= MAX_TABLE_ARITY:
+        raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity!r}")
 
 
-def _check_int(value: int, name: str) -> int:
-    if not isinstance(value, int):
+def _check_int(value: int, name: str, low: int | None = None, high: int | None = None) -> int:
+    if type(value) is not int:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if low is not None and not low <= value <= high:
+        raise InvalidInputError(f"{name} {value} out of range {low}..{high}")
     return value
 
 
-def _check_limit(limit: int, name: str) -> int:
-    """``limit`` if it is a plain ``int``; a bool, float, str or None is refused."""
-    if type(limit) is not int:
-        raise InvalidInputError(f"{name} must be an integer, got {limit!r}")
-    return limit
+def _check_var(i: int, arity: int) -> None:
+    if type(i) is not int or not 1 <= i <= arity:
+        raise InvalidInputError(f"variable index {i!r} out of range 1..{arity}")
 
 
 def _check_guard(guard: str, arity: int, limit: int) -> None:
     """Raise :class:`GuardExceededError` if ``arity`` is above ``limit``, a plain ``int``."""
-    if arity > _check_limit(limit, f"guard '{guard}' limit"):
+    if arity > _check_int(limit, f"guard '{guard}' limit"):
         raise GuardExceededError(guard, arity, limit)
 
 
@@ -191,7 +195,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
 
     def __post_init__(self):
         _check_arity(self.arity)
-        if not isinstance(self.bits, int) or not 0 <= self.bits <= full_mask(self.arity):
+        if type(self.bits) is not int or not 0 <= self.bits <= full_mask(self.arity):
             raise InvalidInputError(
                 f"table value out of range for arity {self.arity}"
             )
@@ -236,8 +240,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     def projection(cls, arity: int, i: int) -> "BooleanFunction":
         """The function ``x_i``."""
         _check_arity(arity)  # before variable_mask builds the table
-        if not isinstance(i, int) or not 1 <= i <= arity:
-            raise InvalidInputError(f"variable index {i} out of range 1..{arity}")
+        _check_var(i, arity)
         return cls(arity, variable_mask(arity, i))
 
     @classmethod
@@ -307,12 +310,6 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     def essential_variables(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.arity + 1) if self.is_essential(i))
 
-    def _check_var(self, i: int) -> None:
-        if not isinstance(i, int) or not 1 <= i <= self.arity:
-            raise InvalidInputError(
-                f"variable index {i} out of range 1..{self.arity}"
-            )
-
     # ------------------------------------------------------------------
     # Restriction
     # ------------------------------------------------------------------
@@ -327,7 +324,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
         index first, adjacent swaps carry each to the top, and one half stays."""
         seen = set()
         for i, _ in assignments:
-            self._check_var(i)
+            _check_var(i, self.arity)
             if i in seen:
                 raise InvalidInputError(f"variable {i} restricted twice")
             seen.add(i)
@@ -349,7 +346,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
 
     def flip_input(self, i: int) -> "BooleanFunction":
         """Replace ``x_i`` by ``x_i + 1``."""
-        self._check_var(i)
+        _check_var(i, self.arity)
         return self.negate_inputs([int(j == i) for j in range(1, self.arity + 1)])
 
     def negate_inputs(self, beta: Sequence[int]) -> "BooleanFunction":
@@ -367,8 +364,8 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
 
     def swap_inputs(self, i: int, j: int) -> "BooleanFunction":
         """Exchange the roles of ``x_i`` and ``x_j``."""
-        self._check_var(i)
-        self._check_var(j)
+        _check_var(i, self.arity)
+        _check_var(j, self.arity)
         if i == j:
             return self
         i, j = min(i, j), max(i, j)
@@ -407,7 +404,8 @@ def permutation_cycles(sigma: Sequence[int], arity: int) -> list[list[int]]:
     smallest member; fixed points are omitted.
     """
     sigma = tuple(sigma)
-    if len(sigma) != arity or sorted(sigma) != list(range(1, arity + 1)):
+    kinds = set(map(type, sigma))  # checked before sorted compares the entries
+    if len(sigma) != arity or not kinds <= {int} or sorted(sigma) != list(range(1, arity + 1)):
         raise InvalidInputError(f"{sigma!r} is not a permutation of 1..{arity}")
     seen = [False] * (arity + 1)
     cycles = []

@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from math import comb, factorial
 
-from .core import InvalidInputError, _check_guard, _check_int, _check_limit
+from .core import InvalidInputError, _check_guard, _check_int
 from .complexity import cert_profile, ncf_cert_formula
 from .ncf import LayerDecomposition, compose, decompose
 from .symmetry import has_nontrivial_automorphism, symmetry_level
@@ -181,9 +181,7 @@ def count_total(n: int) -> int:
 def count_by_layers(n: int, r: int) -> int:
     """Number of ``n``-variable functions with exactly ``r`` layers."""
     _check_arity(n)
-    _check_int(r, "layer count")
-    if not 1 <= r <= n - 1:
-        raise InvalidInputError(f"layer count {r} out of range 1..{n - 1}")
+    _check_int(r, "layer count", 1, n - 1)
     return sum(count for (layers, _), count in _census(n).items() if layers == r)
 
 
@@ -230,9 +228,7 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
     """
     _check_arity(n)
     _check_guard("verify", n, MAX_VERIFY_ARITY)
-    _check_int(s, "symmetry level")
-    if not 1 <= s <= n:
-        raise InvalidInputError(f"symmetry level {s} out of range 1..{n}")
+    _check_int(s, "symmetry level", 1, n)
     total = 0
     for r in range(-(-s // 2), s + 1):
         if r > n - 1:
@@ -247,9 +243,7 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
 def count_s_symmetric(n: int, s: int) -> int:
     """``N(n, s)``: the number of ``n``-variable s-symmetric functions."""
     _check_arity(n)
-    _check_int(s, "symmetry level")
-    if not 1 <= s <= n:
-        raise InvalidInputError(f"symmetry level {s} out of range 1..{n}")
+    _check_int(s, "symmetry level", 1, n)
     return sum(count for (_, level), count in _census(n).items() if level == s)
 
 
@@ -369,7 +363,7 @@ def verify(
     """
     _check_arity(n)
     _check_guard("verify", n, MAX_VERIFY_ARITY)
-    _check_limit(exhaustive_max, "exhaustive_max")
+    _check_int(exhaustive_max, "exhaustive_max")
     table = count_table(n)
     total, by_layers, by_symmetry = table.total, table.by_layers, table.by_symmetry
     checks: dict[str, CheckResult] = {}

@@ -28,7 +28,8 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .core import BooleanFunction, InvalidInputError, _check_int, _decimal, _literals, full_mask
+from .core import BooleanFunction, InvalidInputError, _check_bit, _check_int, _decimal, _literals
+from .core import full_mask
 
 LayerEntries = tuple[tuple[int, int], ...]
 
@@ -53,31 +54,23 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
     variable index; layer 0 is outermost.  Validity is enforced on
     construction: layers are nonempty, their variable sets partition
     ``1..arity``, the last layer has size at least two, and all inputs and
-    ``b`` are bits.  Every entry must be an ``int``; a bool is stored as 0
-    or 1, so the text form reads it back.
+    ``b`` are bits.  The arity and variables are plain ints; a bool bit is
+    stored as 0 or 1, so the text form reads it back.
     """
 
     __slots__ = ()
 
     def __new__(cls, arity: int, layers: tuple[LayerEntries, ...], b: int):
-        if not isinstance(b, int) or b not in (0, 1):
-            raise InvalidInputError(f"output bit must be 0 or 1, got {b!r}")
+        _check_bit(b, "output bit")
         if not layers:
             raise InvalidInputError("a decomposition needs at least one layer")
         arity, seen = _check_int(arity, "arity"), set()
+        layers = tuple(_entries(layer, arity) for layer in layers)
         for layer in layers:
             if not layer:
                 raise InvalidInputError("layers must be nonempty")
             previous = 0
-            for entry in layer:
-                try:
-                    var, inp = entry
-                except (TypeError, ValueError):
-                    raise InvalidInputError(f"bad layer entry {entry!r}") from None
-                if not 1 <= _check_int(var, "variable index") <= arity:
-                    raise InvalidInputError(f"variable index {var} out of range 1..{arity}")
-                if not isinstance(inp, int) or inp not in (0, 1):
-                    raise InvalidInputError(f"canalizing input must be a bit: {inp!r}")
+            for var, _ in layer:
                 if var <= previous:
                     raise InvalidInputError(
                         "layer entries must be strictly increasing by variable"
@@ -90,7 +83,6 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
             raise InvalidInputError("layers must partition the full variable set")
         if len(layers[-1]) < 2:
             raise InvalidInputError("the last layer must contain at least two variables")
-        layers = tuple(tuple((int(var), int(inp)) for var, inp in layer) for layer in layers)
         return tuple.__new__(cls, (arity, layers, int(b)))
 
     @classmethod
@@ -101,15 +93,31 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
     @classmethod
     def from_pairs(cls, arity: int, layers, b: int) -> "LayerDecomposition":
         """Build from any iterable of iterables of pairs, sorting each layer."""
-        normalized = tuple(
-            tuple(sorted((_check_int(v, "variable index"), a) for v, a in layer))
-            for layer in layers
-        )
-        return cls(arity, normalized, b)
+        arity = _check_int(arity, "arity")
+        return cls(arity, tuple(tuple(sorted(_entries(layer, arity))) for layer in layers), b)
 
     def structure(self) -> tuple[int, ...]:
         """The layer structure ``<k1, ..., kr>`` (sizes of the layers)."""
         return tuple(len(layer) for layer in self.layers)
+
+
+def _entries(layer, arity: int) -> LayerEntries:
+    """A layer's ``(variable, input)`` pairs in its order, each checked, as ints."""
+    try:
+        entries = tuple(layer)
+    except TypeError:
+        raise InvalidInputError(f"bad layer {layer!r}") from None
+    pairs = []
+    for entry in entries:
+        try:
+            var, inp = entry
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"bad layer entry {entry!r}") from None
+        _check_int(var, "variable index", 1, arity)
+        if not isinstance(inp, int) or inp not in (0, 1):
+            raise InvalidInputError(f"canalizing input must be a bit: {inp!r}")
+        pairs.append((var, int(inp)))
+    return tuple(pairs)
 
 
 def _check_decomposition(d: LayerDecomposition | None, arity: int) -> None:

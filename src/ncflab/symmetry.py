@@ -21,7 +21,7 @@ function in the tests).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import chain, combinations
 from math import ceil
 
 from .core import (
@@ -30,6 +30,8 @@ from .core import (
     InvalidInputError,
     NcflabError,
     _check_guard,
+    _check_int,
+    _check_var,
     _literals,
     _swap_bits,
     permutation_cycles,
@@ -47,19 +49,16 @@ class SymmetryPartition(namedtuple("SymmetryPartition", "arity classes")):
     __slots__ = ()
 
     def __new__(cls, arity: int, classes: tuple[tuple[int, ...], ...]):
-        seen: set[int] = set()
-        previous_min = 0
+        arity, previous_min = _check_int(arity, "arity"), 0
         for members in classes:
+            for i in members:  # before sorted compares them
+                _check_var(i, arity)
             if not members or list(members) != sorted(members):
                 raise InvalidInputError(f"bad symmetry class {members!r}")
             if members[0] <= previous_min:
                 raise InvalidInputError("classes must be sorted by smallest member")
             previous_min = members[0]
-            for i in members:
-                if not 1 <= i <= arity or i in seen:
-                    raise InvalidInputError(f"classes do not partition 1..{arity}")
-                seen.add(i)
-        if len(seen) != arity:
+        if sorted(chain.from_iterable(classes)) != list(range(1, arity + 1)):
             raise InvalidInputError(f"classes do not partition 1..{arity}")
         return tuple.__new__(cls, (arity, classes))
 

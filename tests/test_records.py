@@ -21,8 +21,12 @@ from ncflab import (
     compose,
     count_by_layers,
     count_s_symmetric,
+    count_strongly_asym_max_layers,
+    count_table,
     count_total,
+    cycle_notation,
     enumerate_ncfs,
+    equivalent,
     index_of,
     is_strongly_asymmetric,
     layer_structures,
@@ -30,11 +34,14 @@ from ncflab import (
     parse_decomposition,
     pell_like,
     s_symmetric_triple_sum,
+    sensitivity_at,
+    strongly_asymmetric_structure_sum,
     symmetry_report,
     verify,
     word_at,
     words,
 )
+from ncflab.anf import check_anf, evaluate_anf
 from ncflab.cli import main
 from ncflab.complexity import CertificateWitness, ComplexityProfile
 from ncflab.enumeration import CheckResult, CountTable, VerificationReport, _result
@@ -446,6 +453,57 @@ def test_record_validation_messages(build, error, message):
             "bad layer entry 1",
             id="LayerDecomposition(2, ((1, (2, 0)),), 0)",
         ),
+        # These ended in a bare TypeError, or in an answer for a float bit.
+        pytest.param(
+            lambda: word_at(1, 2.5),
+            "table index 1 out of range for arity 2.5",
+            id="word_at(1, 2.5)",
+        ),
+        pytest.param(
+            lambda: AnfPolynomial.parse("x1", 2.5),
+            "arity must be an integer, got 2.5",
+            id="AnfPolynomial.parse('x1', 2.5)",
+        ),
+        pytest.param(
+            lambda: check_anf("x1", "2"),
+            "arity must be an integer, got '2'",
+            id="check_anf('x1', '2')",
+        ),
+        pytest.param(
+            lambda: CASCADE.permute_inputs((1.0, 2, 3)),
+            "(1.0, 2, 3) is not a permutation of 1..3",
+            id="f.permute_inputs((1.0, 2, 3))",
+        ),
+        pytest.param(
+            lambda: cycle_notation(("2", 1)),
+            "('2', 1) is not a permutation of 1..2",
+            id="cycle_notation(('2', 1))",
+        ),
+        pytest.param(
+            lambda: SymmetryPartition("2", ((1,),)),
+            "arity must be an integer, got '2'",
+            id="SymmetryPartition('2', ((1,),))",
+        ),
+        pytest.param(
+            lambda: SymmetryPartition(1.0, ((1,),)),
+            "arity must be an integer, got 1.0",
+            id="SymmetryPartition(1.0, ((1,),))",
+        ),
+        pytest.param(
+            lambda: ncf_cert_formula((2,), 1.0),
+            "output bit must be 0 or 1, got 1.0",
+            id="ncf_cert_formula((2,), 1.0)",
+        ),
+        pytest.param(
+            lambda: LayerDecomposition(2, (5,), 0),
+            "bad layer 5",
+            id="LayerDecomposition(2, (5,), 0)",
+        ),
+        pytest.param(
+            lambda: LayerDecomposition.from_pairs(2, [[1, (2, 0)]], 0),
+            "bad layer entry 1",
+            id="LayerDecomposition.from_pairs(2, [[1, (2, 0)]], 0)",
+        ),
     ],
 )
 def test_library_input_errors(call, message):
@@ -453,6 +511,138 @@ def test_library_input_errors(call, message):
         call()
     assert type(excinfo.value) is InvalidInputError
     assert str(excinfo.value) == message
+
+
+def test_from_pairs_sorts_each_layer():
+    # parse_decomposition reads entries in text order and relies on this.
+    want = LayerDecomposition(2, (((1, 1), (2, 0)),), 0)
+    assert parse_decomposition("0; [2:0, 1:1]") == want
+    assert LayerDecomposition.from_pairs(2, [[(2, 0), (1, 1)]], 0) == want
+
+
+#: Every public integer parameter: an arity, table index, variable index,
+#: layer count, symmetry level, layer size, permutation entry or guard limit,
+#: as a call of the value under test.  Each must be a plain ``int``.
+INTEGER_ARGUMENTS = {
+    "BooleanFunction(x, 0)": lambda x: BooleanFunction(x, 0),
+    "BooleanFunction(2, x)": lambda x: BooleanFunction(2, x),
+    "constant(x, 1)": lambda x: BooleanFunction.constant(x, 1),
+    "projection(x, 1)": lambda x: BooleanFunction.projection(x, 1),
+    "projection(3, x)": lambda x: BooleanFunction.projection(3, x),
+    "from_predicate(x, p)": lambda x: BooleanFunction.from_predicate(x, lambda word: 0),
+    "words(x)": lambda x: words(x),
+    "word_at(x, 2)": lambda x: word_at(x, 2),
+    "word_at(1, x)": lambda x: word_at(1, x),
+    "f.bit(x)": lambda x: CASCADE.bit(x),
+    "f.restrict(x, 0)": lambda x: CASCADE.restrict(x, 0),
+    "f.restrict_many([(x, 0)])": lambda x: CASCADE.restrict_many([(x, 0)]),
+    "f.flip_input(x)": lambda x: CASCADE.flip_input(x),
+    "f.is_essential(x)": lambda x: CASCADE.is_essential(x),
+    "f.swap_inputs(x, 2)": lambda x: CASCADE.swap_inputs(x, 2),
+    "f.swap_inputs(2, x)": lambda x: CASCADE.swap_inputs(2, x),
+    "equivalent(f, x, 2)": lambda x: equivalent(CASCADE, x, 2),
+    "f.permute_inputs((x, 2, 3))": lambda x: CASCADE.permute_inputs((x, 2, 3)),
+    "f.transform((x, 2, 3), beta, 0)": lambda x: CASCADE.transform((x, 2, 3), (0, 0, 0), 0),
+    "cycle_notation((2, x))": lambda x: cycle_notation((2, x)),
+    "AnfPolynomial(x, {}).to_function()": lambda x: AnfPolynomial(x, frozenset()).to_function(),
+    "AnfPolynomial(3, {{x}})": lambda x: AnfPolynomial(3, frozenset({frozenset({x})})),
+    "AnfPolynomial.from_terms(x, [])": lambda x: AnfPolynomial.from_terms(x, []),
+    "evaluate_anf(x, [])": lambda x: evaluate_anf(x, []),
+    "LayerDecomposition(x, L, 0)": lambda x: LayerDecomposition(x, (((1, 0), (2, 0)),), 0),
+    "LayerDecomposition(2, ((x, 0), (2, 0)), 0)": (
+        lambda x: LayerDecomposition(2, (((x, 0), (2, 0)),), 0)
+    ),
+    "from_pairs(x, L, 0)": lambda x: LayerDecomposition.from_pairs(x, [[(1, 0), (2, 0)]], 0),
+    "from_pairs(2, [(2, 0), (x, 0)], 0)": (
+        lambda x: LayerDecomposition.from_pairs(2, [[(2, 0), (x, 0)]], 0)
+    ),
+    "ncf_cert_formula((x, 2), 0)": lambda x: ncf_cert_formula((x, 2), 0),
+    "ncf_cert_formula((1, x), 0)": lambda x: ncf_cert_formula((1, x), 0),
+    "SymmetryPartition(x, ((1,),))": lambda x: SymmetryPartition(x, ((1,),)),
+    "SymmetryPartition(2, ((x, 2),))": lambda x: SymmetryPartition(2, ((x, 2),)),
+    "count_total(x)": lambda x: count_total(x),
+    "count_table(x)": lambda x: count_table(x),
+    "count_by_layers(x, 1)": lambda x: count_by_layers(x, 1),
+    "count_by_layers(3, x)": lambda x: count_by_layers(3, x),
+    "count_s_symmetric(x, 1)": lambda x: count_s_symmetric(x, 1),
+    "count_s_symmetric(3, x)": lambda x: count_s_symmetric(3, x),
+    "s_symmetric_triple_sum(x, 1)": lambda x: s_symmetric_triple_sum(x, 1),
+    "s_symmetric_triple_sum(3, x)": lambda x: s_symmetric_triple_sum(3, x),
+    "strongly_asymmetric_structure_sum(x)": lambda x: strongly_asymmetric_structure_sum(x),
+    "count_strongly_asym_max_layers(x)": lambda x: count_strongly_asym_max_layers(x),
+    "pell_like(x)": lambda x: pell_like(x),
+    "layer_structures(x)": lambda x: list(layer_structures(x)),
+    "enumerate_ncfs(x)": lambda x: list(enumerate_ncfs(x)),
+    "verify(x)": lambda x: verify(x),
+    "enumerate_ncfs(3, max_arity=x)": lambda x: list(enumerate_ncfs(3, max_arity=x)),
+    "verify(3, exhaustive_max=x)": lambda x: verify(3, exhaustive_max=x),
+    "cert_profile(f, max_arity=x)": lambda x: cert_profile(CASCADE, max_arity=x),
+    "cert_profile(f, block_max_arity=x)": (
+        lambda x: cert_profile(CASCADE, with_block_sensitivity=True, block_max_arity=x)
+    ),
+    "certificate_at(f, w, max_arity=x)": (
+        lambda x: certificate_at(CASCADE, (0, 0, 0), max_arity=x)
+    ),
+    "block_sensitivity(f, max_arity=x)": lambda x: block_sensitivity(CASCADE, max_arity=x),
+    "symmetry_report(f, max_arity=x)": lambda x: symmetry_report(CASCADE, max_arity=x),
+    "is_strongly_asymmetric(f, max_arity=x)": (
+        lambda x: is_strongly_asymmetric(CASCADE, max_arity=x)
+    ),
+}
+#: Integer parameters whose None is documented: all layer counts, or the
+#: arity read off the text.
+OPTIONAL_INTEGER_ARGUMENTS = {
+    "enumerate_ncfs(3, layer_count=x)": lambda x: list(enumerate_ncfs(3, layer_count=x)),
+    "check_anf('x1', x)": lambda x: check_anf("x1", x),
+    "AnfPolynomial.parse('x1', x)": lambda x: AnfPolynomial.parse("x1", x),
+}
+#: Every bit parameter: an output bit, canalizing input, word entry, table
+#: entry, restricted value, output flip or offset entry.  A bool is a bit.
+BIT_ARGUMENTS = {
+    "LayerDecomposition(2, L, x)": lambda x: LayerDecomposition(2, (((1, 0), (2, 0)),), x),
+    "LayerDecomposition(2, ((1, x), (2, 0)), 0)": (
+        lambda x: LayerDecomposition(2, (((1, x), (2, 0)),), 0)
+    ),
+    "from_pairs(2, [(2, 0), (1, x)], 0)": (
+        lambda x: LayerDecomposition.from_pairs(2, [[(2, 0), (1, x)]], 0)
+    ),
+    "ncf_cert_formula((1, 2), x)": lambda x: ncf_cert_formula((1, 2), x),
+    "index_of((x, 0))": lambda x: index_of((x, 0)),
+    "f.evaluate((x, 0, 0))": lambda x: CASCADE.evaluate((x, 0, 0)),
+    "certificate_at(f, (x, 0, 0))": lambda x: certificate_at(CASCADE, (x, 0, 0)),
+    "sensitivity_at(f, (x, 0, 0))": lambda x: sensitivity_at(CASCADE, (x, 0, 0)),
+    "from_values([0, x])": lambda x: BooleanFunction.from_values([0, x]),
+    "constant(2, x)": lambda x: BooleanFunction.constant(2, x),
+    "f.restrict(1, x)": lambda x: CASCADE.restrict(1, x),
+    "f.transform(sigma, beta, x)": lambda x: CASCADE.transform((1, 2, 3), (0, 0, 0), x),
+    "f.negate_inputs((x, 0, 0))": lambda x: CASCADE.negate_inputs((x, 0, 0)),
+}
+
+
+def _argument_cases(rule, calls, values):
+    return [
+        pytest.param(rule, call, value, id=f"{name}-{value!r}")
+        for name, call in calls.items()
+        for value in values
+    ]
+
+
+@pytest.mark.parametrize(
+    "rule, call, value",
+    [
+        *_argument_cases("refused", INTEGER_ARGUMENTS, (True, False, 1.0, "1", None)),
+        *_argument_cases("refused", OPTIONAL_INTEGER_ARGUMENTS, (True, False, 1.0, "1")),
+        *_argument_cases("refused", BIT_ARGUMENTS, (1.0, "1", None)),
+        *_argument_cases("a bit", BIT_ARGUMENTS, (True, False)),
+    ],
+)
+def test_one_argument_rule(rule, call, value):
+    # A refusal is the typed error, never a bare TypeError or an answer.
+    if rule == "refused":
+        with pytest.raises(InvalidInputError):
+            call(value)
+    else:  # taken as 0 or 1 and stored as an int, so the reprs match too
+        assert repr(call(value)) == repr(call(int(value)))
 
 
 def test_constructors_check_arity_before_building_the_table():
