@@ -263,7 +263,7 @@ def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
 
 
 def _check_table_arity(arity: int) -> None:
-    if type(arity) is int and arity > MAX_TABLE_ARITY:
+    if _check_int(arity, "arity") > MAX_TABLE_ARITY:
         raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
     _check_arity(arity)
 
