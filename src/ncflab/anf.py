@@ -42,6 +42,7 @@ from .core import (
     ParseError,
     _check_arity,
     _check_int,
+    _check_items,
     _check_var,
     _decimal,
     _one_indices,
@@ -60,8 +61,9 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
 
     def __new__(cls, arity: int, monomials: frozenset[Monomial]):
         _check_int(arity, "arity")
-        for i in chain.from_iterable(monomials):
-            _check_var(i, arity)
+        for monomial in _check_items(monomials, "monomials"):
+            for i in _check_items(monomial, "monomial"):
+                _check_var(i, arity)
         return tuple.__new__(cls, (arity, monomials))
 
     @classmethod
@@ -105,12 +107,13 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
         return _monomial_text(self.arity, masks)
 
     @classmethod
-    def parse(cls, text: str, arity: int) -> "AnfPolynomial":
+    def parse(cls, text: str, arity: int | None) -> "AnfPolynomial":
         """Parse the grammar above into canonical ANF.
 
         Evaluates the text on a truth table of ``arity`` variables and reads
         the ANF back off it, so ``arity`` must be within the table cap:
-        above it :class:`InvalidInputError` names the cap.  Raises
+        above it :class:`InvalidInputError` names the cap.  With ``arity``
+        None it is read off the text, as :func:`check_anf` does.  Raises
         :class:`ParseError` (with a 1-based column) on syntax errors and on
         variable indices outside ``1..arity``.
         """

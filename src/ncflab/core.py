@@ -14,6 +14,8 @@ assigning a field raises :class:`AttributeError`, and ``__new__`` validates.
 One argument rule holds across the package: a count, arity, index or guard
 limit is a plain ``int``, and a bool, float, string or None raises
 :class:`InvalidInputError`; a bit is 0 or 1, and a bool is taken as one.
+A container (a layer list, a layer, a class list, a monomial set) that is
+not iterable raises ``InvalidInputError("bad <what> <value>")``.
 """
 
 from __future__ import annotations
@@ -171,6 +173,14 @@ def _check_guard(guard: str, arity: int, limit: int) -> None:
     """Raise :class:`GuardExceededError` if ``arity`` is above ``limit``, a plain ``int``."""
     if arity > _check_int(limit, f"guard '{guard}' limit"):
         raise GuardExceededError(guard, arity, limit)
+
+
+def _check_items(value, name: str) -> tuple:
+    """``value``'s items as a tuple; ``bad {name} {value!r}`` if it has none to give."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidInputError(f"bad {name} {value!r}") from None
 
 
 def _check_bit(value: int, name: str) -> int:

@@ -121,11 +121,24 @@ def _partitions(n: int, layer_count: int | None = None):
 
 
 def _partition_stream(n: int, blocks) -> Iterator[LayerDecomposition]:
-    """The ``2**(n+1)`` functions of one ordered variable partition, in stream order."""
-    for counter in range(1 << n):
-        layers = tuple(
-            tuple((v, (counter >> (v - 1)) & 1) for v in block) for block in blocks
-        )
+    """The ``2**(n+1)`` functions of one ordered variable partition, in stream order.
+
+    Each block's layer depends only on the counter bits of its variables,
+    ``counter & mask``, so the block's layer is built once for each of its
+    ``2**k`` input settings.  Its frame lists, for every counter, the layer
+    of that counter's setting, and zipping the frames yields each counter's
+    layer tuple with no layer rebuilt.
+    """
+    frames = []
+    for block in blocks:
+        mask = sum(1 << (v - 1) for v in block)
+        layers = {
+            sum(inp << (v - 1) for v, inp in layer): layer
+            for layer in (tuple(zip(block, inputs))
+                          for inputs in itertools.product((0, 1), repeat=len(block)))
+        }
+        frames.append([layers[counter & mask] for counter in range(1 << n)])
+    for layers in zip(*frames):
         for b in (0, 1):
             yield LayerDecomposition._unchecked(n, layers, b)
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .core import BooleanFunction, InvalidInputError, _check_bit, _check_int, _decimal, _literals
-from .core import full_mask
+from .core import BooleanFunction, InvalidInputError, _check_bit, _check_int, _check_items
+from .core import _decimal, _literals, full_mask
 
 LayerEntries = tuple[tuple[int, int], ...]
 
@@ -62,6 +62,7 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
 
     def __new__(cls, arity: int, layers: tuple[LayerEntries, ...], b: int):
         _check_bit(b, "output bit")
+        layers = _check_items(layers, "layers")
         if not layers:
             raise InvalidInputError("a decomposition needs at least one layer")
         arity, seen = _check_int(arity, "arity"), set()
@@ -94,6 +95,7 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
     def from_pairs(cls, arity: int, layers, b: int) -> "LayerDecomposition":
         """Build from any iterable of iterables of pairs, sorting each layer."""
         arity = _check_int(arity, "arity")
+        layers = _check_items(layers, "layers")
         return cls(arity, tuple(tuple(sorted(_entries(layer, arity))) for layer in layers), b)
 
     def structure(self) -> tuple[int, ...]:
@@ -103,12 +105,8 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
 
 def _entries(layer, arity: int) -> LayerEntries:
     """A layer's ``(variable, input)`` pairs in its order, each checked, as ints."""
-    try:
-        entries = tuple(layer)
-    except TypeError:
-        raise InvalidInputError(f"bad layer {layer!r}") from None
     pairs = []
-    for entry in entries:
+    for entry in _check_items(layer, "layer"):
         try:
             var, inp = entry
         except (TypeError, ValueError):

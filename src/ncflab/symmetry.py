@@ -7,6 +7,14 @@ form a group), and its classes partition the variables.  A function with
 and ``s = 1`` totally symmetric.  A function is *strongly asymmetric* when
 the identity is its only variable permutation fixing the table.
 
+A permutation fixing the table keeps the weight ``|f & x_i|`` of every
+variable, so both pair kernels filter by it: :func:`partition` compares a
+variable only with class leaders of its own weight, and
+:func:`has_nontrivial_automorphism` tries only transpositions of equal
+weights.  The filter only skips pairs; each kernel still decides every pair
+it keeps by its own table test, so ``verify`` still sets the two against
+each other.
+
 The automorphism search writes cycle strings in increasing order and maps
 a variable only to one with the same weight and the same pair weights with
 the variables already mapped, so its first hit is the reported witness, and
@@ -31,6 +39,7 @@ from .core import (
     NcflabError,
     _check_guard,
     _check_int,
+    _check_items,
     _check_var,
     _literals,
     _swap_bits,
@@ -50,6 +59,10 @@ class SymmetryPartition(namedtuple("SymmetryPartition", "arity classes")):
 
     def __new__(cls, arity: int, classes: tuple[tuple[int, ...], ...]):
         arity, previous_min = _check_int(arity, "arity"), 0
+        classes = tuple(
+            _check_items(members, "symmetry class")
+            for members in _check_items(classes, "symmetry classes")
+        )
         for members in classes:
             for i in members:  # before sorted compares them
                 _check_var(i, arity)
@@ -120,23 +133,27 @@ def partition(f: BooleanFunction) -> SymmetryPartition:
     Symmetry of variables is an equivalence relation, so a variable joins a
     class as soon as it is equivalent to the class's first (smallest) member
     ``x_i``: the entries with ``x_i = 1, x_j = 0``, moved up by
-    ``2**(j-1) - 2**(i-1)``, must equal those with ``x_i = 0, x_j = 1``.  The
-    test runs inline on the raw table with the per-arity literal masks.
-    Variables join classes in increasing order, so the classes come out
-    sorted and partition ``1..n``: the result skips validation.
+    ``2**(j-1) - 2**(i-1)``, must equal those with ``x_i = 0, x_j = 1``.
+    The test runs inline on the raw table with the per-arity literal masks,
+    and only against leaders of ``x_j``'s weight ``|f & x_j|``, since a swap
+    that fixes ``f`` keeps every weight: the weights skip tests but decide
+    none.  Variables join classes in increasing order, so the classes come
+    out sorted and partition ``1..n``: the result skips validation.
     """
     n, bits = f.arity, f.bits
-    # Each class: its leader's masks for x_i = 1 and x_i = 0, 2**(i-1), members.
-    classes: list[tuple[int, int, int, list[int]]] = []
+    # Each class: its leader's weight, masks for x_i = 1 and x_i = 0,
+    # 2**(i-1), members.
+    classes: list[tuple[int, int, int, int, list[int]]] = []
     for j, (low, high) in enumerate(_literals(n), 1):
         off, on, span = bits & low, bits & high, 1 << (j - 1)
-        for high_i, low_i, span_i, members in classes:
-            if (off & high_i) << (span - span_i) == on & low_i:
+        weight = on.bit_count()
+        for weight_i, high_i, low_i, span_i, members in classes:
+            if weight_i == weight and (off & high_i) << (span - span_i) == on & low_i:
                 members.append(j)
                 break
         else:
-            classes.append((high, low, span, [j]))
-    return SymmetryPartition._unchecked(n, tuple(tuple(c[3]) for c in classes))
+            classes.append((weight, high, low, span, [j]))
+    return SymmetryPartition._unchecked(n, tuple(tuple(c[4]) for c in classes))
 
 
 def symmetry_level(f: BooleanFunction) -> int:
@@ -252,14 +269,21 @@ def is_strongly_asymmetric(
 
 def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
     """Whether a non-identity permutation fixes ``f``: a transposition, tried
-    first, or else the automorphism search.  Transposed tables are rebuilt
-    whole by ``core._swap_bits``, the kernel of ``permute_inputs``, while
+    first, or else the automorphism search.
+
+    A transposition that fixes ``f`` keeps the weight ``|f & x_i|`` of every
+    variable, so only pairs of equal weight are tried: an ``f`` whose
+    weights are all distinct, such as an n-symmetric NCF, goes straight to
+    the search, which returns at once.  Each tried pair is still decided by
+    its own table test: the transposed table is rebuilt whole by
+    ``core._swap_bits``, the kernel of ``permute_inputs``, while
     ``partition`` compares two quarters of the table in place; both read
     the per-arity literal masks, and ``verify`` still sets them against
     each other."""
     n, bits = f.arity, f.bits
+    weights = [(bits & high).bit_count() for _, high in _literals(n)]
     for i, j in combinations(range(1, n + 1), 2):
-        if _swap_bits(bits, n, i, j) == bits:
+        if weights[i - 1] == weights[j - 1] and _swap_bits(bits, n, i, j) == bits:
             return True
     return next(_automorphisms(f), None) is not None
 

@@ -91,6 +91,42 @@ def test_stream_items_pass_public_validation():
             assert LayerDecomposition(d.arity, d.layers, d.b) == d
 
 
+def _stream_by_rule(n, layer_count=None):
+    """``enumerate_ncfs``' documented order, rebuilt from scratch as
+    ``(layers, b)`` items: structures by layer count, then lexicographic;
+    ordered variable partitions colexicographic, block by block; the counter
+    with bit ``i-1`` as the input of ``x_i``; then the output bit."""
+    structures = sorted(
+        (sizes for r in range(1, n) for sizes in itertools.product(range(1, n + 1), repeat=r)
+         if sum(sizes) == n and sizes[-1] >= 2),
+        key=lambda sizes: (len(sizes), sizes),
+    )
+    items = []
+    for sizes in structures:
+        if layer_count is not None and len(sizes) != layer_count:
+            continue
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        partitions = {
+            tuple(tuple(sorted(order[a:b])) for a, b in zip(cuts, cuts[1:]))
+            for order in itertools.permutations(range(1, n + 1))
+        }
+        for blocks in sorted(partitions, key=lambda blocks: [b[::-1] for b in blocks]):
+            for counter in range(1 << n):
+                layers = tuple(
+                    tuple((v, counter >> (v - 1) & 1) for v in block) for block in blocks
+                )
+                items += [(layers, 0), (layers, 1)]
+    return items
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stream_order_follows_the_documented_rule(n):
+    assert [(d.layers, d.b) for d in enumerate_ncfs(n)] == _stream_by_rule(n)
+    for r in range(1, n):
+        stream = [(d.layers, d.b) for d in enumerate_ncfs(n, layer_count=r)]
+        assert stream == _stream_by_rule(n, r), r
+
+
 def test_stream_is_deterministic():
     first = list(itertools.islice(enumerate_ncfs(4), 60))
     second = list(itertools.islice(enumerate_ncfs(4), 60))

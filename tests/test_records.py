@@ -504,6 +504,37 @@ def test_record_validation_messages(build, error, message):
             "bad layer entry 1",
             id="LayerDecomposition.from_pairs(2, [[1, (2, 0)]], 0)",
         ),
+        # A container that is not iterable ended in a bare TypeError.
+        pytest.param(
+            lambda: LayerDecomposition(2, 5, 0),
+            "bad layers 5",
+            id="LayerDecomposition(2, 5, 0)",
+        ),
+        pytest.param(
+            lambda: LayerDecomposition.from_pairs(2, 5, 0),
+            "bad layers 5",
+            id="LayerDecomposition.from_pairs(2, 5, 0)",
+        ),
+        pytest.param(
+            lambda: SymmetryPartition(2, 5),
+            "bad symmetry classes 5",
+            id="SymmetryPartition(2, 5)",
+        ),
+        pytest.param(
+            lambda: SymmetryPartition(2, (5,)),
+            "bad symmetry class 5",
+            id="SymmetryPartition(2, (5,))",
+        ),
+        pytest.param(
+            lambda: AnfPolynomial(2, 5),
+            "bad monomials 5",
+            id="AnfPolynomial(2, 5)",
+        ),
+        pytest.param(
+            lambda: AnfPolynomial(2, frozenset([5])),
+            "bad monomial 5",
+            id="AnfPolynomial(2, frozenset([5]))",
+        ),
     ],
 )
 def test_library_input_errors(call, message):

@@ -229,6 +229,47 @@ def test_search_runs_when_no_transposition_fixes_the_table(monkeypatch):
     assert permutes[0] == 1
 
 
+def _count_swaps(monkeypatch):
+    """Patch a counter into the transposition pre-pass's ``_swap_bits``."""
+    swaps, swap_bits = [0], symmetry._swap_bits
+
+    def counting_swap_bits(bits, arity, i, j):
+        swaps[0] += 1
+        return swap_bits(bits, arity, i, j)
+
+    monkeypatch.setattr(symmetry, "_swap_bits", counting_swap_bits)
+    return swaps
+
+
+def test_transpositions_try_only_pairs_of_equal_weight(monkeypatch):
+    # In an NCF two variables have equal weights only if they are symmetric,
+    # so the pre-pass swaps nothing on an n-symmetric NCF and swaps exactly
+    # one pair, which fixes the table, on every other.
+    swaps = _count_swaps(monkeypatch)
+    for d in enumerate_ncfs(5):
+        f = compose(d)
+        swaps[0] = 0
+        symmetric_pair = symmetry_level(f) < 5
+        assert has_nontrivial_automorphism(f) == symmetric_pair
+        assert swaps[0] == symmetric_pair, d
+
+
+def test_equal_weights_still_need_the_table_test(monkeypatch):
+    # The multiplexer x3 ? x1 : x2 gives x1 and x2 the weight 3, yet swapping
+    # them changes the table: both kernels must test the pair and keep the
+    # two apart, and the search, which the weights cannot skip, finds no
+    # automorphism.
+    f = reference_table([{1, 3}, {2, 3}, {2}], 3)
+    assert [(f.bits & variable_mask(3, i)).bit_count() for i in (1, 2, 3)] == [3, 3, 2]
+    assert partition(f).classes == ((1,), (2,), (3,))
+    assert reference_automorphisms(f) == []
+    swaps = _count_swaps(monkeypatch)
+    searched, _ = _count_search_and_permutes(monkeypatch)
+    assert not has_nontrivial_automorphism(f)
+    assert swaps[0] == 1
+    assert searched == [f]
+
+
 @pytest.mark.parametrize(
     "f, group_order",
     [
