@@ -175,10 +175,10 @@ def _check_guard(guard: str, arity: int, limit: int) -> None:
         raise GuardExceededError(guard, arity, limit)
 
 
-def _check_items(value, name: str) -> tuple:
-    """``value``'s items as a tuple; ``bad {name} {value!r}`` if it has none to give."""
+def _check_items(value, name: str) -> Iterator:
+    """An iterator over ``value``; ``bad {name} {value!r}`` if it is not iterable."""
     try:
-        return tuple(value)
+        return iter(value)
     except TypeError:
         raise InvalidInputError(f"bad {name} {value!r}") from None
 

@@ -28,6 +28,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterator
 from math import comb, factorial
+from operator import itemgetter
 
 from .core import InvalidInputError, _check_guard, _check_int
 from .complexity import cert_profile, ncf_cert_formula
@@ -123,22 +124,20 @@ def _partitions(n: int, layer_count: int | None = None):
 def _partition_stream(n: int, blocks) -> Iterator[LayerDecomposition]:
     """The ``2**(n+1)`` functions of one ordered variable partition, in stream order.
 
-    Each block's layer depends only on the counter bits of its variables,
-    ``counter & mask``, so the block's layer is built once for each of its
-    ``2**k`` input settings.  Its frame lists, for every counter, the layer
-    of that counter's setting, and zipping the frames yields each counter's
-    layer tuple with no layer rebuilt.
+    The ``(v, bit)`` pairs are built once: a product over ``x_n .. x_1`` of
+    their two pairs runs the counter in order, ``x_1`` fastest, and each
+    block reads its layer off a setting with one ``itemgetter``.  A variable
+    alone in its block contributes its one-pair layer directly, so every
+    getter returns a layer tuple.  Memory stays ``O(n)``.
     """
-    frames = []
-    for block in blocks:
-        mask = sum(1 << (v - 1) for v in block)
-        layers = {
-            sum(inp << (v - 1) for v, inp in layer): layer
-            for layer in (tuple(zip(block, inputs))
-                          for inputs in itertools.product((0, 1), repeat=len(block)))
-        }
-        frames.append([layers[counter & mask] for counter in range(1 << n)])
-    for layers in zip(*frames):
+    single = {block[0] for block in blocks if len(block) == 1}
+    pools = [
+        (((v, 0),), ((v, 1),)) if v in single else ((v, 0), (v, 1))
+        for v in range(n, 0, -1)
+    ]
+    getters = [itemgetter(*(n - v for v in block)) for block in blocks]
+    for setting in itertools.product(*pools):
+        layers = tuple([get(setting) for get in getters])
         for b in (0, 1):
             yield LayerDecomposition._unchecked(n, layers, b)
 

@@ -62,7 +62,7 @@ class LayerDecomposition(namedtuple("LayerDecomposition", "arity layers b")):
 
     def __new__(cls, arity: int, layers: tuple[LayerEntries, ...], b: int):
         _check_bit(b, "output bit")
-        layers = _check_items(layers, "layers")
+        layers = tuple(_check_items(layers, "layers"))
         if not layers:
             raise InvalidInputError("a decomposition needs at least one layer")
         arity, seen = _check_int(arity, "arity"), set()

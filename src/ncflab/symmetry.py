@@ -60,7 +60,7 @@ class SymmetryPartition(namedtuple("SymmetryPartition", "arity classes")):
     def __new__(cls, arity: int, classes: tuple[tuple[int, ...], ...]):
         arity, previous_min = _check_int(arity, "arity"), 0
         classes = tuple(
-            _check_items(members, "symmetry class")
+            tuple(_check_items(members, "symmetry class"))
             for members in _check_items(classes, "symmetry classes")
         )
         for members in classes:

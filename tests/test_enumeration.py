@@ -5,6 +5,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 import types
 import warnings
 from math import factorial
@@ -125,6 +126,20 @@ def test_stream_order_follows_the_documented_rule(n):
     for r in range(1, n):
         stream = [(d.layers, d.b) for d in enumerate_ncfs(n, layer_count=r)]
         assert stream == _stream_by_rule(n, r), r
+
+
+def test_stream_starts_lazily_in_linear_memory():
+    # The first partition is one block of all n variables; a per-setting
+    # table of its layers would hold 2**20 tuples of 20 pairs before the
+    # first item.
+    tracemalloc.start()
+    try:
+        first = next(enumerate_ncfs(20, max_arity=20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.layers == (tuple((v, 0) for v in range(1, 21)),) and first.b == 0
+    assert peak < 1024 * 1024
 
 
 def test_stream_is_deterministic():
