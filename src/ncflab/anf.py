@@ -70,8 +70,8 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
     def from_terms(cls, arity: int, terms) -> "AnfPolynomial":
         """Build from an iterable of index collections, cancelling duplicates."""
         acc: set[Monomial] = set()
-        for term in terms:
-            acc ^= {frozenset(term)}
+        for term in _check_items(terms, "terms"):
+            acc ^= {frozenset(_check_items(term, "term"))}
         return cls(arity, frozenset(acc))
 
     # ------------------------------------------------------------------

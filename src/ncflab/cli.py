@@ -30,12 +30,7 @@ import re
 import sys
 
 from .anf import anf_text, check_anf, evaluate_anf
-from .complexity import (
-    MAX_BLOCK_SENSITIVITY_ARITY,
-    MAX_CERTIFICATE_ARITY,
-    cert_profile,
-    ncf_cert_formula,
-)
+from .complexity import MAX_BLOCK_SENSITIVITY_ARITY, MAX_CERTIFICATE_ARITY, cert_profile
 from .core import (
     BooleanFunction,
     GuardExceededError,
@@ -44,8 +39,8 @@ from .core import (
     _check_guard,
 )
 from .enumeration import MAX_ENUMERATION_ARITY, count_table, enumerate_ncfs, verify
-from .ncf import decompose, format_decomposition
-from .symmetry import MAX_AUTOMORPHISM_ARITY, _layer_classes, symmetry_report
+from .ncf import _layer_classes, decompose, format_decomposition, ncf_cert_formula
+from .symmetry import MAX_AUTOMORPHISM_ARITY, symmetry_report
 
 _TABLE_RE = re.compile(r"^\d+:[0-9A-Fa-f]+$")
 #: Lines ``enumerate`` writes at a time.

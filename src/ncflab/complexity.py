@@ -6,20 +6,17 @@ fixed to the word's bits, force the function constant (the constant is then
 ``C1(f)`` maximize it over the words of each output fiber, and
 ``C(f) = max(C0, C1)``.
 
-For nested canalizing functions the pair ``(C0, C1)`` depends only on the
-layer structure and the output bit; :func:`ncf_cert_formula` evaluates that
-closed form.  :func:`cert_profile` finds every word's certificate size in
-one depth-first walk over sets of free variables, each tested against the
-whole truth table at once, and the test suite checks the formula against
-it.  The walk skips every subtree that can no longer change an answer:
-freeing more variables never makes a nonconstant subcube constant, so a
-subtree's tables contain its root's, and the per-size masks of words found
-nowhere constant only shrink.  It is also bounded by sensitivity: every
-certificate of a word holds all of the word's sensitive positions, so
-``C_b >= s_b`` for any function, and the walk only has to look for
-``C_b`` at or above the largest sensitivity on fiber ``b``, stopping once
-both fibers are certified.  On NCFs ``s = C``, so it confirms a bound it
-already knows; the bound is read off the table, not the formula, so the
+:func:`cert_profile`, the oracle of ``ncf.ncf_cert_formula``, finds every
+word's certificate size in one depth-first walk over free sets, each tested
+on the whole table at once.  It skips every subtree that can no longer
+change an answer: freeing more variables never makes a nonconstant subcube
+constant, so a subtree's tables contain its root's, and the per-size masks
+of words found nowhere constant only shrink.  It is also bounded by
+sensitivity: every certificate of a word holds all of the word's sensitive
+positions, so ``C_b >= s_b`` for any function, and the walk only has to look
+for ``C_b`` at or above the largest sensitivity on fiber ``b``, stopping
+once both fibers are certified.  On NCFs ``s = C``, so it confirms a bound
+it already knows; the bound is read off the table, not the formula, so the
 walk stays a brute-force check of the formula and of ``s = C``.  The
 per-word scans :func:`certificate_at` and :func:`sensitivity_at` serve as
 its oracles.  :func:`block_sensitivity` is likewise one whole-table dynamic
@@ -46,11 +43,10 @@ from collections import namedtuple
 
 from .core import (
     BooleanFunction,
-    InvalidInputError,
     NcflabError,
     Word,
-    _check_bit,
     _check_guard,
+    _check_items,
     _literals,
     _one_indices,
     full_mask,
@@ -296,7 +292,7 @@ def certificate_at(
     sweep of :func:`cert_profile`, for which it is the oracle.
     """
     _check_guard("certificate", f.arity, max_arity)
-    word = tuple(word)
+    word = tuple(_check_items(word, "word"))
     value = f.evaluate(word)  # checks the word's length and bits
     n, full = f.arity, full_mask(f.arity)
     # agree[i - 1]: the words whose x_i equals word's
@@ -311,7 +307,7 @@ def certificate_at(
 
 def sensitivity_at(f: BooleanFunction, word) -> int:
     """Number of single-bit flips of ``word`` that change the output."""
-    word = tuple(word)
+    word = tuple(_check_items(word, "word"))
     value = f.evaluate(word)  # checks the word's length and bits
     idx = index_of(word)
     return sum(1 for p in range(f.arity) if f.bit(idx ^ (1 << p)) != value)
@@ -479,43 +475,3 @@ def cert_profile(
         witnesses=witnesses,
         degenerate=not all(fibers),
     )
-
-
-# ----------------------------------------------------------------------
-# Closed form for nested canalizing functions
-# ----------------------------------------------------------------------
-
-
-def ncf_cert_formula(structure, b: int) -> tuple[int, int, int]:
-    """``(C0, C1, C)`` of a nested canalizing function from its layer sizes.
-
-    For the positive nested form (output bit absorbed), with layer sizes
-    ``k1..kr``:
-
-        r odd:  C0 = k2 + k4 + ... + k_{r-1} + 1,  C1 = k1 + k3 + ... + kr
-        r even: C0 = k2 + k4 + ... + kr,           C1 = k1 + k3 + ... + k_{r-1} + 1
-        r = 1:  (C0, C1) = (1, k1)
-
-    The stored output bit swaps the pair exactly when it complements the
-    positive form: with ``r >= 2`` that is ``b = 1``, and in the one-layer
-    convention (which carries an inner complement) it is ``b = 0``.
-    Variable permutations and input negations never change the pair.
-    """
-    k = tuple(structure)
-    r = len(k)
-    if r == 0 or any(type(size) is not int or size < 1 for size in k):
-        raise InvalidInputError(f"bad layer structure {structure!r}")
-    if k[-1] < 2:
-        raise InvalidInputError("the last layer must have at least two variables")
-    _check_bit(b, "output bit")
-    if r == 1:
-        c0, c1 = 1, k[0]
-    elif r % 2 == 1:
-        c0 = sum(k[1::2]) + 1
-        c1 = sum(k[0::2])
-    else:
-        c0 = sum(k[1::2])
-        c1 = sum(k[0::2]) + 1
-    if (r == 1 and b == 0) or (r >= 2 and b == 1):
-        c0, c1 = c1, c0
-    return c0, c1, max(c0, c1)

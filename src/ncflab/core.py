@@ -14,8 +14,9 @@ assigning a field raises :class:`AttributeError`, and ``__new__`` validates.
 One argument rule holds across the package: a count, arity, index or guard
 limit is a plain ``int``, and a bool, float, string or None raises
 :class:`InvalidInputError`; a bit is 0 or 1, and a bool is taken as one.
-A container (a layer list, a layer, a class list, a monomial set) that is
-not iterable raises ``InvalidInputError("bad <what> <value>")``.
+A container that is not iterable (a word, offset, value column, assignment,
+layer, class, monomial or term, or a list of them) raises
+``InvalidInputError("bad <what> <value>")``; a non-permutation says so.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _decimal(digits: str, cap: int) -> tuple[str, int]:
 def index_of(word: Sequence[int]) -> int:
     """Encode a word (a1, ..., an) as a table index."""
     idx = 0
-    for p, bit in enumerate(word):
+    for p, bit in enumerate(_check_items(word, "word")):
         if not isinstance(bit, int) or bit not in (0, 1):
             raise InvalidInputError(f"word entries must be bits, got {bit!r}")
         idx |= bit << p
@@ -220,6 +221,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "BooleanFunction":
         """Build from the value column listed in table-index order."""
+        values = tuple(_check_items(values, "table values"))
         size = len(values)
         arity = size.bit_length() - 1
         if size < 1 or size != 1 << arity:
@@ -298,6 +300,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
 
     def evaluate(self, word: Sequence[int]) -> int:
         """Value at a word; rejects words of the wrong length."""
+        word = tuple(_check_items(word, "word"))
         if len(word) != self.arity:
             raise InvalidInputError(
                 f"word length {len(word)} does not match arity {self.arity}"
@@ -332,14 +335,18 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     def restrict_many(self, assignments: Sequence[tuple[int, int]]) -> "BooleanFunction":
         """Restrict several variables at once (indices refer to ``self``): highest
         index first, adjacent swaps carry each to the top, and one half stays."""
-        seen = set()
-        for i, _ in assignments:
+        pairs: dict[int, int] = {}
+        for entry in _check_items(assignments, "assignments"):
+            try:
+                i, value = entry
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"bad assignment {entry!r}") from None
             _check_var(i, self.arity)
-            if i in seen:
+            if i in pairs:
                 raise InvalidInputError(f"variable {i} restricted twice")
-            seen.add(i)
+            pairs[i] = value
         n, bits = self.arity, self.bits
-        for i, value in sorted(assignments, reverse=True):
+        for i, value in sorted(pairs.items(), reverse=True):
             _check_bit(value, "value")
             for j in range(i, n):
                 bits = _swap_bits(bits, n, j, j + 1)
@@ -362,6 +369,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
     def negate_inputs(self, beta: Sequence[int]) -> "BooleanFunction":
         """Return ``g`` with ``g(x) = f(x xor beta)``: each flipped ``x_i``
         trades the halves ``x_i = 0`` and ``x_i = 1`` through the literal masks."""
+        beta = tuple(_check_items(beta, "offset"))
         if len(beta) != self.arity:
             raise InvalidInputError(
                 f"offset length {len(beta)} does not match arity {self.arity}"
@@ -413,9 +421,12 @@ def permutation_cycles(sigma: Sequence[int], arity: int) -> list[list[int]]:
     Each cycle starts at its smallest member and the cycles are listed by
     smallest member; fixed points are omitted.
     """
-    sigma = tuple(sigma)
-    kinds = set(map(type, sigma))  # checked before sorted compares the entries
-    if len(sigma) != arity or not kinds <= {int} or sorted(sigma) != list(range(1, arity + 1)):
+    try:
+        sigma = tuple(sigma)
+        ints = set(map(type, sigma)) <= {int}  # checked before sorted compares the entries
+    except TypeError:  # not iterable
+        ints = False
+    if not ints or len(sigma) != arity or sorted(sigma) != list(range(1, arity + 1)):
         raise InvalidInputError(f"{sigma!r} is not a permutation of 1..{arity}")
     seen = [False] * (arity + 1)
     cycles = []

@@ -31,8 +31,8 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .core import InvalidInputError, _check_guard, _check_int
-from .complexity import cert_profile, ncf_cert_formula
-from .ncf import LayerDecomposition, compose, decompose
+from .complexity import cert_profile
+from .ncf import LayerDecomposition, compose, decompose, ncf_cert_formula
 from .symmetry import has_nontrivial_automorphism, symmetry_level
 
 #: Exhaustive enumeration feeds downstream exponential analyses.

@@ -17,10 +17,13 @@ factor ``(x + a)`` vanishes exactly when ``x = a``.  The degenerate one-layer
 reading keeps the innermost ``(M_r + 1)`` wrapper, so a bare product such as
 ``x1*x2*x3`` is stored with ``b = 1``.
 
-A variable's influence depends only on its layer (Li, Adeyeye, Murrugarra,
-Aguilar and Laubenbacher, TCS 2013), so :func:`decompose` reads the only
-candidate off the influences and confirms it on the raw table through
-:func:`compose`'s kernel, building no table.
+The layer form alone decides the paper's results on one NCF, each held to
+a table oracle.  A variable's influence depends only on its layer (Li,
+Adeyeye, Murrugarra, Aguilar and Laubenbacher, TCS 2013): :func:`decompose`
+reads its candidate off the influences and confirms it through
+:func:`compose`'s kernel, building no table.  :func:`ncf_cert_formula`
+gives ``(C0, C1)``, and the symmetric classes are the variables of one
+layer with one input, one or two per layer (:func:`_layer_classes`).
 """
 
 from __future__ import annotations
@@ -250,6 +253,43 @@ def _nested_bits(n: int, layers, b: int) -> int:
             acc ^= full
         assert acc == value, "nested and expanded readings disagree"
     return value
+
+
+# ----------------------------------------------------------------------
+# What the layer form decides
+# ----------------------------------------------------------------------
+
+
+def ncf_cert_formula(structure, b: int) -> tuple[int, int, int]:
+    """``(C0, C1, C)`` of a nested canalizing function from its layer sizes.
+
+    For the positive nested form (output bit absorbed), with layer sizes
+    ``k1..kr``:
+
+        r odd:  C0 = k2 + k4 + ... + k_{r-1} + 1,  C1 = k1 + k3 + ... + kr
+        r even: C0 = k2 + k4 + ... + kr,           C1 = k1 + k3 + ... + k_{r-1} + 1
+
+    so one layer gives ``(1, k1)``.  ``b`` swaps the pair exactly when it
+    complements the positive form, ``b == (r > 1)`` (the one-layer reading
+    carries an inner complement); relabelling or negating inputs never does.
+    """
+    k = tuple(_check_items(structure, "layer structure"))
+    r = len(k)
+    if r == 0 or any(type(size) is not int or size < 1 for size in k):
+        raise InvalidInputError(f"bad layer structure {structure!r}")
+    if k[-1] < 2:
+        raise InvalidInputError("the last layer must have at least two variables")
+    _check_bit(b, "output bit")
+    odd, even = sum(k[0::2]), sum(k[1::2])
+    c0, c1 = (even + 1, odd) if r % 2 else (even, odd + 1)
+    if b == (r > 1):
+        c0, c1 = c1, c0
+    return c0, c1, max(c0, c1)
+
+
+def _layer_classes(d: LayerDecomposition) -> list[int]:
+    """Symmetric classes per layer of an NCF: its distinct stored inputs."""
+    return [len({inp for _, inp in layer}) for layer in d.layers]
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ function in the tests).
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, combinations
 from math import ceil
 
@@ -45,7 +45,7 @@ from .core import (
     _swap_bits,
     permutation_cycles,
 )
-from .ncf import LayerDecomposition, _check_decomposition, compose, decompose
+from .ncf import LayerDecomposition, _check_decomposition, _layer_classes, compose, decompose
 
 #: Above this arity only NCFs pass, witnessed by a transposition in a
 #: symmetric class; raising it would change the witness of NCFs with n >= 9.
@@ -167,7 +167,7 @@ def cycle_notation(sigma) -> str:
     Cycles start at their smallest member and are listed by smallest member;
     fixed points are omitted.  The identity renders as ``"()"``.
     """
-    sigma = tuple(sigma)
+    sigma = tuple(_check_items(sigma, "permutation"))
     cycles = permutation_cycles(sigma, len(sigma))
     return "".join("(" + " ".join(map(str, cycle)) + ")" for cycle in cycles) or "()"
 
@@ -368,11 +368,6 @@ class NcfSymmetryChecks(namedtuple("NcfSymmetryChecks", (
         )
 
 
-def _layer_classes(d: LayerDecomposition) -> list[int]:
-    """Symmetric classes per layer of an NCF: its distinct stored inputs."""
-    return [len({inp for _, inp in layer}) for layer in d.layers]
-
-
 def ncf_symmetry_checks(
     d: LayerDecomposition, p: SymmetryPartition
 ) -> NcfSymmetryChecks:
@@ -381,45 +376,22 @@ def ncf_symmetry_checks(
         raise InvalidInputError(
             f"decomposition arity {d.arity} does not match partition arity {p.arity}"
         )
-    n = d.arity
-    layer_of: dict[int, int] = {}
-    input_of: dict[int, int] = {}
-    for layer_index, layer in enumerate(d.layers):
-        for var, inp in layer:
-            layer_of[var] = layer_index
-            input_of[var] = inp
-
-    classes_within_layers = all(
-        len({layer_of[v] for v in cls}) == 1 and len({input_of[v] for v in cls}) == 1
-        for cls in p.classes
-    )
-
-    classes_touching: dict[int, set[int]] = {i: set() for i in range(len(d.layers))}
-    for class_index, cls in enumerate(p.classes):
-        for v in cls:
-            classes_touching[layer_of[v]].add(class_index)
-    classes_per_layer = all(
-        len(touching) in (1, 2) for touching in classes_touching.values()
-    )
-
-    r = len(d.layers)
+    n, r, s = d.arity, len(d.layers), p.level
+    # Each variable's (layer, input) cell, and the cells each class meets.
+    cell = {var: (t, inp) for t, layer in enumerate(d.layers) for var, inp in layer}
+    cells = [{cell[v] for v in members} for members in p.classes]
+    touching = Counter(t for here in cells for t in {t for t, _ in here})
     per_layer = _layer_classes(d)
     r1, r2 = per_layer.count(1), per_layer.count(2)
-    s = p.level
-    class_count_rule = s == r1 + 2 * r2
-
-    layer_count_bounds = ceil(s / 2) <= r <= min(n - 1, s)
-    symmetry_level_bounds = r <= s <= min(2 * r, n)
-
     return NcfSymmetryChecks(
         arity=n,
         s=s,
         r=r,
         r1=r1,
         r2=r2,
-        classes_within_layers=classes_within_layers,
-        classes_per_layer=classes_per_layer,
-        class_count_rule=class_count_rule,
-        layer_count_bounds=layer_count_bounds,
-        symmetry_level_bounds=symmetry_level_bounds,
+        classes_within_layers=all(len(here) == 1 for here in cells),
+        classes_per_layer=all(touching[t] in (1, 2) for t in range(r)),
+        class_count_rule=s == r1 + 2 * r2,
+        layer_count_bounds=ceil(s / 2) <= r <= min(n - 1, s),
+        symmetry_level_bounds=r <= s <= min(2 * r, n),
     )

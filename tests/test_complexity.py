@@ -29,6 +29,7 @@ from ncflab import (
     compose,
     decompose,
     enumerate_ncfs,
+    layer_structures,
     ncf_cert_formula,
     parse_decomposition,
     sensitivity,
@@ -124,6 +125,26 @@ def test_formula_matches_bruteforce_small():
             f = compose(d)
             p = cert_profile(f)
             assert ncf_cert_formula(d.structure(), d.b) == (p.c0, p.c1, p.c)
+
+
+def test_formula_matches_the_case_split_of_the_paper():
+    # One layer, odd r and even r stated apart, as in the paper, with the
+    # output bit swapping the pair for b = 1, or for b = 0 with one layer.
+    cases = 0
+    for n in range(2, 15):
+        for k in layer_structures(n):
+            r = len(k)
+            if r == 1:
+                pair = (1, k[0])
+            elif r % 2:
+                pair = (sum(k[1::2]) + 1, sum(k[0::2]))
+            else:
+                pair = (sum(k[1::2]), sum(k[0::2]) + 1)
+            for b in (0, 1, False, True):
+                c0, c1 = pair[::-1] if (r == 1 and b == 0) or (r >= 2 and b == 1) else pair
+                assert ncf_cert_formula(k, b) == (c0, c1, max(c0, c1)), (k, b)
+                cases += 1
+    assert cases == 32764
 
 
 def test_sensitivity_examples():

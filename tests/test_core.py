@@ -229,6 +229,8 @@ def test_restrict_many_matches_evaluate_and_chained_restrict():
                 chained = chained.restrict(left.index(i) + 1, a)
                 left.remove(i)
             assert chained == g, (n, assignments)
+            # Any iterable of pairs, read once (an iterator left nothing to restrict).
+            assert f.restrict_many(iter(assignments)) == g
 
 
 def test_values_and_from_values_round_trip_with_bool_entries():

@@ -44,6 +44,7 @@ from ncflab import (
 from ncflab.anf import check_anf, evaluate_anf
 from ncflab.cli import main
 from ncflab.complexity import CertificateWitness, ComplexityProfile
+from ncflab.core import permutation_cycles
 from ncflab.enumeration import CheckResult, CountTable, VerificationReport, _result
 from ncflab.symmetry import NcfSymmetryChecks, SymmetryPartition, SymmetryReport, partition
 
@@ -534,6 +535,87 @@ def test_record_validation_messages(build, error, message):
             lambda: AnfPolynomial(2, frozenset([5])),
             "bad monomial 5",
             id="AnfPolynomial(2, frozenset([5]))",
+        ),
+        # These containers ended in a bare TypeError too.
+        pytest.param(
+            lambda: ncf_cert_formula(5, 0),
+            "bad layer structure 5",
+            id="ncf_cert_formula(5, 0)",
+        ),
+        pytest.param(
+            lambda: ncf_cert_formula(None, 0),
+            "bad layer structure None",
+            id="ncf_cert_formula(None, 0)",
+        ),
+        pytest.param(
+            lambda: index_of(5),
+            "bad word 5",
+            id="index_of(5)",
+        ),
+        pytest.param(
+            lambda: CASCADE.evaluate(5),
+            "bad word 5",
+            id="f.evaluate(5)",
+        ),
+        pytest.param(
+            lambda: certificate_at(CASCADE, 5),
+            "bad word 5",
+            id="certificate_at(f, 5)",
+        ),
+        pytest.param(
+            lambda: sensitivity_at(CASCADE, 5),
+            "bad word 5",
+            id="sensitivity_at(f, 5)",
+        ),
+        pytest.param(
+            lambda: permutation_cycles(5, 3),
+            "5 is not a permutation of 1..3",
+            id="permutation_cycles(5, 3)",
+        ),
+        pytest.param(
+            lambda: cycle_notation(5),
+            "bad permutation 5",
+            id="cycle_notation(5)",
+        ),
+        pytest.param(
+            lambda: CASCADE.permute_inputs(5),
+            "5 is not a permutation of 1..3",
+            id="f.permute_inputs(5)",
+        ),
+        pytest.param(
+            lambda: CASCADE.transform(5, (0, 0, 0), 0),
+            "5 is not a permutation of 1..3",
+            id="f.transform(5, (0, 0, 0), 0)",
+        ),
+        pytest.param(
+            lambda: CASCADE.negate_inputs(5),
+            "bad offset 5",
+            id="f.negate_inputs(5)",
+        ),
+        pytest.param(
+            lambda: CASCADE.restrict_many(5),
+            "bad assignments 5",
+            id="f.restrict_many(5)",
+        ),
+        pytest.param(
+            lambda: CASCADE.restrict_many([5]),
+            "bad assignment 5",
+            id="f.restrict_many([5])",
+        ),
+        pytest.param(
+            lambda: BooleanFunction.from_values(5),
+            "bad table values 5",
+            id="BooleanFunction.from_values(5)",
+        ),
+        pytest.param(
+            lambda: AnfPolynomial.from_terms(2, 5),
+            "bad terms 5",
+            id="AnfPolynomial.from_terms(2, 5)",
+        ),
+        pytest.param(
+            lambda: AnfPolynomial.from_terms(2, [5]),
+            "bad term 5",
+            id="AnfPolynomial.from_terms(2, [5])",
         ),
     ],
 )

@@ -3,7 +3,9 @@
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
+from math import ceil, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from ncflab import (
     GuardExceededError,
     InvalidInputError,
     LayerDecomposition,
+    NcfSymmetryChecks,
     SymmetryPartition,
     compose,
     cycle_notation,
@@ -445,6 +448,48 @@ def test_ncf_symmetry_checks_all_enumerated():
         for d in enumerate_ncfs(n):
             f = compose(d)
             assert ncf_symmetry_checks(d, partition(f)).all_pass
+
+
+def _reference_symmetry_checks(d, p):
+    """The five checks, read off the docstring of :class:`NcfSymmetryChecks`."""
+    n, r, s = d.arity, len(d.layers), p.level
+    layer_of = {v: t for t, layer in enumerate(d.layers) for v, _ in layer}
+    input_of = {v: a for layer in d.layers for v, a in layer}
+    within = all(
+        len({layer_of[v] for v in cls}) == 1 and len({input_of[v] for v in cls}) == 1
+        for cls in p.classes
+    )
+    held = [sum(any(layer_of[v] == t for v in cls) for cls in p.classes) for t in range(r)]
+    inputs = [len({a for _, a in layer}) for layer in d.layers]
+    r1, r2 = inputs.count(1), inputs.count(2)
+    return NcfSymmetryChecks(
+        n, s, r, r1, r2, within, all(h in (1, 2) for h in held), s == r1 + 2 * r2,
+        ceil(s / 2) <= r <= min(n - 1, s), r <= s <= min(2 * r, n),
+    )
+
+
+def test_ncf_symmetry_checks_match_the_reference_where_checks_fail():
+    # Each NCF against every partition of an NCF of its arity: most pairs
+    # fail one check or more, which the enumerated pairs above never do.
+    pairs = failing = 0
+    for n in (2, 3, 4):
+        ncfs = list(enumerate_ncfs(n))
+        for p in sorted({partition(compose(d)) for d in ncfs}):
+            for d in ncfs:
+                checks = ncf_symmetry_checks(d, p)
+                assert checks == _reference_symmetry_checks(d, p), (d, p)
+                pairs, failing = pairs + 1, failing + (not checks.all_pass)
+    assert (pairs, failing) == (11376, 10568)
+
+
+def test_automorphism_count_is_the_product_of_cell_factorials():
+    # An NCF's automorphisms are the permutations within its cells, the
+    # variables of one layer with one stored input: |Aut(f)| = prod (size)!.
+    for n in (2, 3, 4, 5):
+        for d in enumerate_ncfs(n):
+            cells = Counter((t, a) for t, layer in enumerate(d.layers) for _, a in layer)
+            want = prod(factorial(size) for size in cells.values())
+            assert 1 + sum(1 for _ in _automorphisms(compose(d))) == want, d
 
 
 def test_pair_kernels_keep_no_per_pair_masks():
