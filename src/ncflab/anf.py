@@ -15,7 +15,8 @@ The text grammar (read by :meth:`AnfPolynomial.parse`):
 Text is not expanded term by term: :func:`check_anf` checks it and
 :func:`evaluate_anf` computes its truth table in one pass with an explicit
 stack, so products of sums cost one table operation per token and nesting
-depth is unbounded.  The canonical ANF, with duplicate terms cancelled in
+depth is unbounded; the check reads the tokens with one ``findall``, and a
+column only to raise.  The canonical ANF, with duplicate terms cancelled in
 pairs, is read back off that table by the binary Moebius transform.
 
 Canonical text lists the terms by descending degree, then by index list.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 from .core import (
     MAX_TABLE_ARITY,
@@ -45,6 +46,7 @@ from .core import (
     _check_items,
     _check_var,
     _decimal,
+    _literals,
     _one_indices,
     _swap_bits,
     full_mask,
@@ -69,9 +71,10 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
     @classmethod
     def from_terms(cls, arity: int, terms) -> "AnfPolynomial":
         """Build from an iterable of index collections, cancelling duplicates."""
+        _check_int(arity, "arity")
         acc: set[Monomial] = set()
-        for term in _check_items(terms, "terms"):
-            acc ^= {frozenset(_check_items(term, "term"))}
+        for term in _check_items(terms, "terms"):  # indices are checked before hashing
+            acc ^= {frozenset([_check_var(i, arity) for i in _check_items(term, "term")])}
         return cls(arity, frozenset(acc))
 
     # ------------------------------------------------------------------
@@ -204,7 +207,7 @@ def _monomial_text(arity: int, masks) -> str:
 
 
 # A variable with its decimal digits, or any other character but whitespace.
-_TOKEN = re.compile(r"[xX](\d*)|\S")
+_TOKEN = re.compile(r"[xX]\d*|\S")
 
 
 def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
@@ -215,54 +218,56 @@ def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
     at :data:`MAX_TABLE_ARITY` so that a larger index is out of range.
     :class:`ParseError` names the 1-based column of the first bad character
     anywhere in the text, else of the first token that breaks the grammar or
-    names a variable outside ``1..arity``.
+    names a variable outside ``1..arity``.  One ``findall`` reads the token
+    texts; a column is read, off ``finditer``, only to raise.
     """
     cap = MAX_TABLE_ARITY if arity is None else _check_int(arity, "arity")
-    # (kind, text, 1-based column, variable); a variable has kind "x", its
-    # digits as text and (name, index) from _decimal, read once
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind, digits, column = match.group(), match.group(1), match.start() + 1
-        if digits == "":
-            raise ParseError("expected digits after 'x'", column)
-        if digits:
-            tokens.append(("x", digits, column, _decimal(digits, cap)))
-        elif kind in "+*()01":
-            tokens.append((kind, kind, column, None))
-        else:
-            raise ParseError(f"unexpected character {kind!r}", column)
-    if arity is None:
-        indices = (variable[1] for kind, _, _, variable in tokens if kind == "x")
-        arity = min(max(indices, default=0), MAX_TABLE_ARITY)
+    texts = _TOKEN.findall(text)
     program = []
+    for k, token in enumerate(texts):
+        if token in "+*()01":
+            program.append(token)
+        elif digits := token[1:]:
+            program.append(_decimal(digits, cap)[1])
+        elif token in "xX":
+            raise ParseError("expected digits after 'x'", _column(text, k))
+        else:
+            raise ParseError(f"unexpected character {token!r}", _column(text, k))
+    if arity is None:
+        indices = (token for token in program if token.__class__ is int)
+        arity = min(max(indices, default=0), MAX_TABLE_ARITY)
     depth = 0  # open parentheses
     operand = True  # whether a factor must come next
-    for kind, payload, column, variable in tokens:
+    for k, token in enumerate(program):
         if operand:
-            if kind in "+*)":
-                raise ParseError(f"unexpected token {payload!r}", column)
-            if kind == "(":
+            if token.__class__ is int:
+                if not 1 <= token <= arity:
+                    name = _decimal(texts[k][1:], cap)[0]
+                    raise ParseError(f"variable x{name} out of range 1..{arity}", _column(text, k))
+                operand = False
+            elif token in "+*)":
+                raise ParseError(f"unexpected token {token!r}", _column(text, k))
+            elif token == "(":
                 depth += 1
             else:
                 operand = False
-            if kind == "x":
-                name, payload = variable
-                if not 1 <= payload <= arity:
-                    raise ParseError(f"variable x{name} out of range 1..{arity}", column)
-        elif kind in "+*":
+        elif token in ("+", "*"):
             operand = True
-        elif kind == ")" and depth:
+        elif token == ")" and depth:
             depth -= 1
-        elif depth:
-            raise ParseError("expected ')'", column)
-        else:
-            raise ParseError(f"unexpected token {payload!r}", column)
-        program.append(payload)
+        else:  # a variable's token is its digits
+            error = "expected ')'" if depth else f"unexpected token {texts[k][1:] or texts[k]!r}"
+            raise ParseError(error, _column(text, k))
     if operand:
         raise ParseError("expected a factor, found end of input", len(text) + 1)
     if depth:
         raise ParseError("expected ')'", len(text) + 1)
     return arity, program
+
+
+def _column(text: str, k: int) -> int:
+    """The 1-based column of token ``k`` of ``text``."""
+    return next(islice(_TOKEN.finditer(text), k, None)).start() + 1
 
 
 def _check_table_arity(arity: int) -> None:
@@ -282,10 +287,13 @@ def evaluate_anf(arity: int, program: list) -> BooleanFunction:
     """
     _check_table_arity(arity)
     ones = full_mask(arity)
+    masks = [None, *(mask for _, mask in _literals(arity))]  # masks[i]: x_i's table
     frames = []
     total, product = 0, ones
     for token in program:
-        if token == "+":
+        if token.__class__ is int:
+            product &= masks[token]
+        elif token == "+":
             total, product = total ^ product, ones
         elif token == "(":
             frames.append((total, product))
@@ -296,6 +304,4 @@ def evaluate_anf(arity: int, program: list) -> BooleanFunction:
             product &= value
         elif token == "0":
             product = 0
-        elif isinstance(token, int):
-            product &= variable_mask(arity, token)
     return BooleanFunction(arity, total ^ product)

@@ -152,6 +152,13 @@ def _fold(table: int, step: tuple[int, int, int]) -> int:
     return t | t << span
 
 
+def _fold_free(table: int, steps: list, positions) -> int:
+    """``table`` with the variables at ``positions`` freed, one :func:`_fold` each."""
+    for p in positions:
+        table = _fold(table, steps[p])
+    return table
+
+
 def _never_constant(f: BooleanFunction, steps: list, heights: tuple[int, int]) -> list[int]:
     """``never[j]``: the words at which ``f`` is constant on no subcube with
     ``j`` free variables, from a depth-first walk over free sets that folds
@@ -230,8 +237,8 @@ def _ncf_cover(
     """
     uncovered = [full_mask(f.arity)] * 2
 
-    def cover(size: int, free, table: int = 0) -> None:
-        table = functools.reduce(_fold, (steps[p] for p in free), table)
+    def cover(size: int, free: list, table: int = 0) -> None:
+        table = _fold_free(table, steps, free)
         for b in (0, 1):
             if size <= sensitivities[b]:
                 uncovered[b] &= table
@@ -241,15 +248,14 @@ def _ncf_cover(
     later = 0  # every layer after t free
     for t in reversed(range(r)):
         own = positions[t]
-        same = (p for layer in positions[t % 2 : t : 2] for p in layer)
-        shared = functools.reduce(_fold, (steps[p] for p in same), later)
+        shared = _fold_free(later, steps, [p for layer in positions[t % 2 : t : 2] for p in layer])
         size = 1 + sum(map(len, positions[1 - t % 2 : t : 2]))
         for v in own:
-            cover(size, (p for p in own if p != v), shared)
+            cover(size, [p for p in own if p != v], shared)
         if t:
-            later = functools.reduce(_fold, (steps[p] for p in own), later)
+            later = _fold_free(later, steps, own)
     held, free = positions[(r - 1) % 2 :: 2], positions[r % 2 :: 2]
-    cover(sum(map(len, held)), (p for layer in free for p in layer))
+    cover(sum(map(len, held)), [p for layer in free for p in layer])
     return not (uncovered[0] & ~f.bits or uncovered[1] & f.bits)
 
 
@@ -268,8 +274,7 @@ def _first_certificates(f: BooleanFunction, steps: list, never: list[int]) -> tu
         for subset in itertools.combinations(range(1, n + 1), k):
             if not pending:
                 break
-            free = (steps[p] for p in range(n) if p + 1 not in subset)
-            table = functools.reduce(_fold, free, 0)
+            table = _fold_free(0, steps, [p for p in range(n) if p + 1 not in subset])
             new = pending & ~table
             for idx in _one_indices(new):
                 first[idx] = subset

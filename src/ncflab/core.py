@@ -165,9 +165,10 @@ def _check_int(value: int, name: str, low: int | None = None, high: int | None =
     return value
 
 
-def _check_var(i: int, arity: int) -> None:
+def _check_var(i: int, arity: int) -> int:
     if type(i) is not int or not 1 <= i <= arity:
         raise InvalidInputError(f"variable index {i!r} out of range 1..{arity}")
+    return i
 
 
 def _check_guard(guard: str, arity: int, limit: int) -> None:

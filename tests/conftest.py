@@ -6,7 +6,7 @@ from math import comb
 from hypothesis import strategies as st
 
 from ncflab import BooleanFunction, ParseError, index_of
-from ncflab.core import InvalidInputError, NcflabError, full_mask, word_at
+from ncflab.core import MAX_TABLE_ARITY, InvalidInputError, NcflabError, full_mask, word_at
 from ncflab.ncf import (
     LayerDecomposition,
     LayerEntries,
@@ -250,14 +250,55 @@ def reference_census(n):
 def reference_anf_parse(text, arity):
     """Monomial set of ANF text by recursive descent, expanding every product.
 
-    Raises :class:`ParseError` like ``AnfPolynomial.parse``.  Independent of
-    the table evaluator; the set expansion is exponential in the number of
-    parenthesized sums multiplied together, so keep inputs small.
+    Raises :class:`ParseError` like ``AnfPolynomial.parse``.  With ``arity``
+    None it is the largest variable index in the text, capped at
+    ``MAX_TABLE_ARITY``.  Independent of the table evaluator; the set
+    expansion is exponential in the number of parenthesized sums multiplied
+    together, so keep inputs small.
     """
-    parser = _Parser(_tokenize(text), arity, len(text))
+    tokens = _tokenize(text)
+    if arity is None:
+        indices = (int(payload) for kind, payload, _ in tokens if kind == "var")
+        arity = min(max(indices, default=0), MAX_TABLE_ARITY)
+    parser = _Parser(tokens, arity, len(text))
     monomials = parser.expression()
     parser.expect_end()
     return frozenset(monomials)
+
+
+#: The alphabet of the parser's property test.  Digits are decimal only: the
+#: reference tokenizer reads them with str.isdigit, so a superscript digit
+#: would make it fail outside ParseError.
+ANF_DIGITS = "0123456789\u0663\uff10\uff11\u07c1"
+ANF_LEAVES = ["0", "1", "x1", "x2", "X3", "x4", "x01", "x\u0663", "x\uff12"]
+ANF_PIECES = ["+", "*", "(", ")", "0", "1", " ", "x1", "x2", "X3", "?", "2"]
+
+
+def random_anf_text(rng) -> str:
+    """A seeded text from the property test's alphabet: a well-formed
+    expression of up to 10 leaves, or up to 8 pieces run together."""
+    if rng.random() < 0.5:
+        return _random_well_formed(rng, rng.randint(1, 10))
+    pieces = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            pieces.append(rng.choice(ANF_PIECES))
+        elif kind == 1:
+            pieces.append("x" + "".join(rng.choices(ANF_DIGITS, k=rng.randint(0, 4))))
+        else:
+            pieces.append(_random_well_formed(rng, rng.randint(1, 4)))
+    return "".join(pieces)
+
+
+def _random_well_formed(rng, leaves: int) -> str:
+    if leaves == 1:
+        text = rng.choice(ANF_LEAVES)
+    else:
+        left = rng.randint(1, leaves - 1)
+        op = rng.choice([" + ", "*"])
+        text = _random_well_formed(rng, left) + op + _random_well_formed(rng, leaves - left)
+    return f"({text})" if rng.random() < 0.3 else text
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boolean_functions, random_ncf, reference_anf_parse, reference_table
+from conftest import (
+    ANF_DIGITS,
+    ANF_LEAVES,
+    ANF_PIECES,
+    boolean_functions,
+    random_ncf,
+    reference_anf_parse,
+    reference_table,
+)
 
 from ncflab import (
     MAX_TABLE_ARITY,
@@ -115,11 +123,9 @@ def test_evaluate_long_product_and_deep_nesting():
     assert err.value.position == 2001
 
 
-# Decimal digits only: the reference tokenizer reads digits with str.isdigit,
-# so a superscript digit makes it fail outside ParseError.
-_digits = st.text("0123456789\u0663\uff10\uff11\u07c1", max_size=4)
+_digits = st.text(ANF_DIGITS, max_size=4)
 _well_formed = st.recursive(
-    st.sampled_from(["0", "1", "x1", "x2", "X3", "x4", "x01", "x\u0663", "x\uff12"]),
+    st.sampled_from(ANF_LEAVES),
     lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from([" + ", "*"]), inner).map("".join),
         inner.map(lambda text: f"({text})"),
@@ -128,7 +134,7 @@ _well_formed = st.recursive(
 )
 _token_soup = st.lists(
     st.one_of(
-        st.sampled_from(["+", "*", "(", ")", "0", "1", " ", "x1", "x2", "X3", "?", "2"]),
+        st.sampled_from(ANF_PIECES),
         _digits.map(lambda digits: "x" + digits),
         _well_formed,
     ),
@@ -137,7 +143,7 @@ _token_soup = st.lists(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(_well_formed, _token_soup), st.integers(0, 4))
+@given(st.one_of(_well_formed, _token_soup), st.one_of(st.none(), st.integers(0, 4)))
 def test_parse_matches_reference_expansion(text, arity):
     try:
         expected = reference_anf_parse(text, arity)

@@ -572,3 +572,49 @@ def test_ncf_cover_never_holds_where_s_is_below_c():
         assert (p.sensitivity, p.c) == (2, 3)
         for order in orders:
             assert not _cover(f, [[(v, 0) for v in layer] for layer in order]), (f, order)
+
+
+def _reference_cover(f, layers, sensitivities):
+    """``_ncf_cover`` as its docstring states it: the n + 1 candidate fixed
+    sets, each free set's table built from 0 one ``_fold`` at a time, and
+    fiber ``b`` covered when each of its words lies outside the table (in a
+    constant subcube) of some candidate of at most ``s_b`` variables."""
+    variables = [[v for v, _ in layer] for layer in layers]
+    candidates = []
+    for t, layer in enumerate(variables):  # each variable with earlier layers of other parity
+        other = [u for k, earlier in enumerate(variables[:t]) if (t - k) % 2 for u in earlier]
+        candidates += [{v, *other} for v in layer]
+    last = len(variables) - 1  # and every layer of the last layer's parity
+    candidates.append({v for t, layer in enumerate(variables) if t % 2 == last % 2 for v in layer})
+    assert len(candidates) == f.arity + 1
+    steps = complexity._fold_steps(f)
+    uncovered = [full_mask(f.arity)] * 2
+    for fixed in candidates:
+        table = 0
+        for p in range(f.arity):
+            if p + 1 not in fixed:
+                table = complexity._fold(table, steps[p])
+        for b in (0, 1):
+            if len(fixed) <= sensitivities[b]:
+                uncovered[b] &= table
+    return not (uncovered[0] & (full_mask(f.arity) ^ f.bits) or uncovered[1] & f.bits)
+
+
+def test_ncf_cover_matches_a_plain_reference_on_every_small_ncf():
+    # Every NCF of 2 to 5 variables, covered with its own layers and with
+    # those of the next NCF of the same arity in the stream (the first,
+    # after the last); 191 of the 11,432 second pairings leave a word
+    # uncovered.
+    refused = 0
+    for n in range(2, 6):
+        stream = [(d, compose(d)) for d in enumerate_ncfs(n)]
+        for (d, f), (other, _) in zip(stream, stream[1:] + stream[:1]):
+            steps = complexity._fold_steps(f)
+            counts = complexity._sensitivity_counts(steps)
+            s = tuple(complexity._max_count(counts, b) for b in (full_mask(n) ^ f.bits, f.bits))
+            assert complexity._ncf_cover(f, steps, d.layers, s)
+            assert _reference_cover(f, d.layers, s), d
+            held = complexity._ncf_cover(f, steps, other.layers, s)
+            assert held == _reference_cover(f, other.layers, s), (d, other)
+            refused += not held
+    assert refused > 0

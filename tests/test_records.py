@@ -617,6 +617,11 @@ def test_record_validation_messages(build, error, message):
             "bad term 5",
             id="AnfPolynomial.from_terms(2, [5])",
         ),
+        pytest.param(
+            lambda: AnfPolynomial.from_terms(2, [[[1]]]),
+            "variable index [1] out of range 1..2",
+            id="AnfPolynomial.from_terms(2, [[[1]]])",
+        ),
     ],
 )
 def test_library_input_errors(call, message):
