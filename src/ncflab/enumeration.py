@@ -280,6 +280,7 @@ def strongly_asymmetric_structure_sum(n: int) -> int:
 def count_strongly_asym_max_layers(n: int) -> int:
     """Strongly asymmetric functions with the maximal ``n - 1`` layers."""
     _check_arity(n)
+    _check_guard("count", n, MAX_COUNT_ARITY)
     return factorial(n) << (n - 1)
 
 

@@ -140,6 +140,12 @@ class NcfClassification(namedtuple(
     reason: NotNcfReason | None
 
 
+# The not-NCF outcomes of :func:`decompose`, built once.
+_CONSTANT = NcfClassification(False, reason=NotNcfReason.CONSTANT)
+_INESSENTIAL = NcfClassification(False, reason=NotNcfReason.INESSENTIAL_VARIABLE)
+_NOT_CANALIZING = NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
+
+
 def canalizing_pairs(f: BooleanFunction) -> list[tuple[int, int, int]]:
     """All triples ``(i, a, out)`` with ``f`` restricted to ``x_i = a`` constant ``out``.
 
@@ -191,18 +197,20 @@ def decompose(f: BooleanFunction) -> NcfClassification:
         raise InvalidInputError("decomposition requires arity >= 2")
     bits = f.bits
     if bits == 0 or bits == full_mask(n):
-        return NcfClassification(False, reason=NotNcfReason.CONSTANT)
+        return _CONSTANT
     literals = _literals(n)
     ranked = []  # (-influence, variable, weight of its x_i = 1 half)
-    for span, (low, high) in enumerate(literals):
-        upper = (bits & high) >> (1 << span)
+    span = 1  # 2**(i-1)
+    for i, (low, high) in enumerate(literals, 1):
+        upper = (bits & high) >> span
         flips = (upper ^ (bits & low)).bit_count()
         if not flips:
-            return NcfClassification(False, reason=NotNcfReason.INESSENTIAL_VARIABLE)
-        ranked.append((-flips, span + 1, upper.bit_count()))
+            return _INESSENTIAL
+        ranked.append((-flips, i, upper.bit_count()))
+        span <<= 1
     ranked.sort()
     if ranked[-1][0] != ranked[-2][0]:  # the last layer has two or more variables
-        return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
+        return _NOT_CANALIZING
     ones = bits.bit_count()
     first_out = flip = int(2 * ones > 1 << n)
     layers, previous = [], 0  # ranks are negative, so the first opens a layer
@@ -211,14 +219,15 @@ def decompose(f: BooleanFunction) -> NcfClassification:
             previous, flip, layer = rank, flip ^ 1, []
             layers.append(layer)
         # 2 |f & x_i| > |f| exactly when the half x_i = 1 holds more ones.
-        layer.append((i, int(2 * w > ones) ^ flip))
+        layer.append((i, (2 * w > ones) ^ flip))
     b = first_out ^ (len(layers) == 1)
     i, a = layers[0][0]
     half = literals[i - 1][a]
     # A cheap test first: the first layer must canalize f.
     if bits & half != (half if first_out else 0) or _nested_bits(n, layers, b) != bits:
-        return NcfClassification(False, reason=NotNcfReason.NO_CANALIZING_VARIABLE)
-    return NcfClassification(True, LayerDecomposition._unchecked(n, tuple(map(tuple, layers)), b))
+        return _NOT_CANALIZING
+    d = LayerDecomposition._unchecked(n, tuple(map(tuple, layers)), b)
+    return tuple.__new__(NcfClassification, (True, d, None))
 
 
 def compose(d: LayerDecomposition) -> BooleanFunction:

@@ -8,12 +8,13 @@ and ``s = 1`` totally symmetric.  A function is *strongly asymmetric* when
 the identity is its only variable permutation fixing the table.
 
 A permutation fixing the table keeps the weight ``|f & x_i|`` of every
-variable, so both pair kernels filter by it: :func:`partition` compares a
-variable only with class leaders of its own weight, and
-:func:`has_nontrivial_automorphism` tries only transpositions of equal
-weights.  The filter only skips pairs; each kernel still decides every pair
-it keeps by its own table test, so ``verify`` still sets the two against
-each other.
+variable, so both pair kernels filter by it: :func:`_classes`, the class
+kernel of :func:`partition` and :func:`symmetry_level`, compares a variable
+only with class leaders of its own weight, and
+:func:`has_nontrivial_automorphism` answers ``False`` when the weights are
+pairwise distinct and else tries only transpositions of equal weights.  The
+filter only skips pairs; each kernel still decides every pair it keeps by
+its own table test, so ``verify`` still sets the two against each other.
 
 The automorphism search writes cycle strings in increasing order and maps
 a variable only to one with the same weight and the same pair weights with
@@ -127,8 +128,8 @@ def equivalent(f: BooleanFunction, i: int, j: int) -> bool:
     return f.swap_inputs(i, j).bits == f.bits
 
 
-def partition(f: BooleanFunction) -> SymmetryPartition:
-    """Symmetric classes of ``f``, each variable tested against class leaders.
+def _classes(f: BooleanFunction) -> list[list[int]]:
+    """Members of each symmetric class of ``f``, tested against class leaders.
 
     Symmetry of variables is an equivalence relation, so a variable joins a
     class as soon as it is equivalent to the class's first (smallest) member
@@ -138,7 +139,7 @@ def partition(f: BooleanFunction) -> SymmetryPartition:
     and only against leaders of ``x_j``'s weight ``|f & x_j|``, since a swap
     that fixes ``f`` keeps every weight: the weights skip tests but decide
     none.  Variables join classes in increasing order, so the classes come
-    out sorted and partition ``1..n``: the result skips validation.
+    out sorted and partition ``1..n``.
     """
     n, bits = f.arity, f.bits
     # Each class: its leader's weight, masks for x_i = 1 and x_i = 0,
@@ -153,12 +154,17 @@ def partition(f: BooleanFunction) -> SymmetryPartition:
                 break
         else:
             classes.append((weight, high, low, span, [j]))
-    return SymmetryPartition._unchecked(n, tuple(tuple(c[4]) for c in classes))
+    return [c[4] for c in classes]
+
+
+def partition(f: BooleanFunction) -> SymmetryPartition:
+    """Symmetric classes of ``f``: :func:`_classes`, valid by construction, unchecked."""
+    return SymmetryPartition._unchecked(f.arity, tuple(map(tuple, _classes(f))))
 
 
 def symmetry_level(f: BooleanFunction) -> int:
-    """The number of symmetric classes (``s`` in "s-symmetric")."""
-    return partition(f).level
+    """The number of symmetric classes (``s`` in "s-symmetric"), no partition built."""
+    return len(_classes(f))
 
 
 def cycle_notation(sigma) -> str:
@@ -271,17 +277,19 @@ def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
     """Whether a non-identity permutation fixes ``f``: a transposition, tried
     first, or else the automorphism search.
 
-    A transposition that fixes ``f`` keeps the weight ``|f & x_i|`` of every
-    variable, so only pairs of equal weight are tried: an ``f`` whose
-    weights are all distinct, such as an n-symmetric NCF, goes straight to
-    the search, which returns at once.  Each tried pair is still decided by
-    its own table test: the transposed table is rebuilt whole by
-    ``core._swap_bits``, the kernel of ``permute_inputs``, while
-    ``partition`` compares two quarters of the table in place; both read
-    the per-arity literal masks, and ``verify`` still sets them against
+    A permutation that fixes ``f`` keeps the weight ``|f & x_i|`` of every
+    variable.  So an ``f`` whose weights are pairwise distinct, such as an
+    n-symmetric NCF, is fixed by the identity alone and answered at once;
+    otherwise only transpositions of equal weights are tried.  Each tried
+    pair is still decided by its own table test: the transposed table is
+    rebuilt whole by ``core._swap_bits``, the kernel of ``permute_inputs``,
+    while ``_classes`` compares two quarters of the table in place; both
+    read the per-arity literal masks, and ``verify`` still sets them against
     each other."""
     n, bits = f.arity, f.bits
     weights = [(bits & high).bit_count() for _, high in _literals(n)]
+    if len(set(weights)) == n:
+        return False
     for i, j in combinations(range(1, n + 1), 2):
         if weights[i - 1] == weights[j - 1] and _swap_bits(bits, n, i, j) == bits:
             return True

@@ -3,6 +3,7 @@ and the typed errors of library calls."""
 
 import inspect
 import tracemalloc
+from math import factorial
 
 import pytest
 
@@ -784,6 +785,15 @@ def test_constructors_check_arity_before_building_the_table():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, build
+
+
+def test_max_layer_count_checks_the_count_guard():
+    # Like count_total and count_table, it refuses an arity above the count
+    # guard before computing anything, and answers at the guard itself.
+    with pytest.raises(GuardExceededError) as excinfo:
+        count_strongly_asym_max_layers(201)
+    assert (excinfo.value.guard, excinfo.value.arity) == ("count", 201)
+    assert count_strongly_asym_max_layers(200) == factorial(200) << 199
 
 
 def test_cert_profile_guard_and_empty_layer_counts(capsys):

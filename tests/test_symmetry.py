@@ -74,6 +74,7 @@ def test_partition_matches_transposition_oracle(f):
     n = f.arity
     table = [word_at(idx, n) for idx in range(1 << n)]
     classes = partition(f).classes
+    assert symmetry_level(f) == len(classes)
     class_of = {i: cls for cls in classes for i in cls}
     assert sorted(class_of) == list(range(1, n + 1))
     for i in range(1, n + 1):
@@ -206,16 +207,49 @@ def _count_search_and_permutes(monkeypatch):
     return searched, permutes
 
 
+def _weights(f):
+    """The weights ``|f & x_i|``."""
+    return [(f.bits & variable_mask(f.arity, i)).bit_count() for i in range(1, f.arity + 1)]
+
+
 def test_transpositions_short_circuit_the_search_on_ncfs(monkeypatch):
     # An NCF with s < n has a symmetric pair, so a transposition answers
-    # before the search; only the n-symmetric ones reach it, and none of
-    # them has a non-identity automorphism to compare a permuted table for.
+    # before the search; the n-symmetric ones have pairwise-distinct
+    # weights, so only the identity fixes them and none reaches the search.
     ncfs = [compose(d) for d in enumerate_ncfs(4)]
     expected = [bool(reference_automorphisms(f)) for f in ncfs]
     searched, permutes = _count_search_and_permutes(monkeypatch)
     assert [has_nontrivial_automorphism(f) for f in ncfs] == expected
     assert permutes[0] == 0
-    assert searched == [f for f in ncfs if symmetry_level(f) == 4]
+    assert searched == []
+    for f in ncfs:
+        if symmetry_level(f) == 4:
+            assert len(set(_weights(f))) == 4, f
+
+
+def test_distinct_weights_match_the_word_level_oracle():
+    # Pairwise-distinct weights are answered before any pair is tried: hold
+    # that answer to the oracle on every 4-variable table it covers, and
+    # every answer to it on every table with n <= 3.
+    distinct = 0
+    for bits in range(1 << 16):
+        f = BooleanFunction(4, bits)
+        if len(set(_weights(f))) == 4:
+            distinct += 1
+            assert reference_automorphisms(f) == [], f
+            assert has_nontrivial_automorphism(f) is False, f
+    assert distinct == 5952
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            f = BooleanFunction(n, bits)
+            assert has_nontrivial_automorphism(f) == bool(reference_automorphisms(f)), f
+
+
+def test_symmetry_level_is_the_partition_level_on_small_tables():
+    for n in range(5):
+        for bits in range(1 << (1 << n)):
+            f = BooleanFunction(n, bits)
+            assert symmetry_level(f) == partition(f).level, f
 
 
 def test_search_runs_when_no_transposition_fixes_the_table(monkeypatch):
