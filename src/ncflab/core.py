@@ -396,13 +396,8 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
         ``sigma`` is given in one-line notation, 1-based: ``sigma[i-1]`` is
         the image of ``i``.
         """
-        # The cycle (c1 c2 ... ct) is the swap chain (c1 c2), (c1 c3), ...,
-        # (c1 ct) applied in that order; c1 is the cycle's smallest member.
-        bits = self.bits
-        for cycle in permutation_cycles(sigma, self.arity):
-            for member in cycle[1:]:
-                bits = _swap_bits(bits, self.arity, cycle[0], member)
-        return BooleanFunction(self.arity, bits)
+        sigma = _permutation(sigma, self.arity)
+        return BooleanFunction(self.arity, _permute_bits(self.bits, self.arity, sigma))
 
     def transform(self, sigma: Sequence[int], beta: Sequence[int], c: int) -> "BooleanFunction":
         """Permute variables, negate inputs, then negate the output.
@@ -422,13 +417,7 @@ def permutation_cycles(sigma: Sequence[int], arity: int) -> list[list[int]]:
     Each cycle starts at its smallest member and the cycles are listed by
     smallest member; fixed points are omitted.
     """
-    try:
-        sigma = tuple(sigma)
-        ints = set(map(type, sigma)) <= {int}  # checked before sorted compares the entries
-    except TypeError:  # not iterable
-        ints = False
-    if not ints or len(sigma) != arity or sorted(sigma) != list(range(1, arity + 1)):
-        raise InvalidInputError(f"{sigma!r} is not a permutation of 1..{arity}")
+    sigma = _permutation(sigma, arity)
     seen = [False] * (arity + 1)
     cycles = []
     for start in range(1, arity + 1):
@@ -441,6 +430,32 @@ def permutation_cycles(sigma: Sequence[int], arity: int) -> list[list[int]]:
         if len(cycle) > 1:
             cycles.append(cycle)
     return cycles
+
+
+def _permutation(sigma: Sequence[int], arity: int) -> tuple[int, ...]:
+    """``sigma`` as a tuple, if it is a one-line permutation of ``1..arity``."""
+    try:
+        sigma = tuple(sigma)
+        ints = set(map(type, sigma)) <= {int}  # checked before sorted compares the entries
+    except TypeError:  # not iterable
+        ints = False
+    if not ints or len(sigma) != arity or sorted(sigma) != list(range(1, arity + 1)):
+        raise InvalidInputError(f"{sigma!r} is not a permutation of 1..{arity}")
+    return sigma
+
+
+def _permute_bits(bits: int, arity: int, sigma: Sequence[int]) -> int:
+    """``permute_inputs`` on a raw table, for a valid one-line ``sigma``: the
+    cycle (c1 c2 ... ct), c1 its least member, is the swap chain (c1 c2),
+    (c1 c3), ..., (c1 ct) applied in that order."""
+    seen = 0  # bit i: x_i is a later member of a cycle already applied
+    for c in range(1, arity + 1):
+        i = sigma[c - 1]
+        while i != c and not seen >> c & 1:
+            bits = _swap_bits(bits, arity, c, i)
+            seen |= 1 << i
+            i = sigma[i - 1]
+    return bits
 
 
 def _swap_bits(bits: int, arity: int, i: int, j: int) -> int:

