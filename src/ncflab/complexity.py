@@ -11,19 +11,14 @@ word's certificate size in one depth-first walk over free sets, each tested
 on the whole table at once.  It skips every subtree that can no longer
 change an answer: freeing more variables never makes a nonconstant subcube
 constant, so a subtree's tables contain its root's, and the per-size masks
-of words found nowhere constant only shrink.  It is also bounded by
-sensitivity: every certificate of a word holds all of the word's sensitive
-positions, so ``C_b >= s_b`` for any function, and the walk only has to look
-for ``C_b`` at or above the largest sensitivity on fiber ``b``, stopping
-once both fibers are certified.  On NCFs ``s = C``, so it confirms a bound
-it already knows; the bound is read off the table, not the formula, so the
-walk stays a brute-force check of the formula and of ``s = C``.  The
-per-word scans :func:`certificate_at` and :func:`sensitivity_at` serve as
-its oracles.  :func:`block_sensitivity` is likewise one whole-table dynamic
-program over variable sets; the test suite keeps a per-word block packer as
-its oracle.  Since ``s <= bs <= C`` for every function (Nisan 1991),
-:func:`cert_profile` reads ``bs = s`` off the profile whenever ``s = C``, as
-on every NCF, and runs the dynamic program only when ``s < C``.
+of words found nowhere constant only shrink.  Its height is bounded by the
+table's sensitivity, as :func:`cert_profile` states.  The per-word scans
+:func:`certificate_at` and :func:`sensitivity_at` serve as its oracles.
+:func:`block_sensitivity` is likewise one whole-table dynamic program over
+variable sets; the test suite keeps a per-word block packer as its oracle.
+Since ``s <= bs <= C`` for every function (Nisan 1991), :func:`cert_profile`
+reads ``bs = s`` off the profile whenever ``s = C``, as on every NCF, and
+runs the dynamic program only when ``s < C``.
 
 :func:`cert_profile` walks unless it is given a decomposition whose cover
 holds and no witnesses are asked for.  The decomposition only proposes the
@@ -58,8 +53,8 @@ from .ncf import LayerDecomposition, _check_decomposition
 
 #: The certificate sweep folds one table of 2^n bits for each of up to 2^n free
 #: sets, about seven big-integer operations each.  At n = 14 its prune and its
-#: sensitivity bound leave an NCF 280-470 folds (1-2 ms) and threshold-7 9,437
-#: (about 30 ms).
+#: sensitivity bound leave an NCF 355-662 folds (under 2 ms) and threshold-7
+#: 9,437 (about 20 ms).
 #: It keeps at most n(n + 1)/2 tables on its stack (about 210 KiB at n = 14).
 MAX_CERTIFICATE_ARITY = 14
 #: Block sensitivity keeps four lists of 2^n tables of 2^n bits (32 KiB at
@@ -159,10 +154,11 @@ def _fold_free(table: int, steps: list, positions) -> int:
     return table
 
 
-def _never_constant(f: BooleanFunction, steps: list, heights: tuple[int, int]) -> list[int]:
+def _never_constant(f: BooleanFunction, steps: list, height: int) -> list[int]:
     """``never[j]``: the words at which ``f`` is constant on no subcube with
-    ``j`` free variables, from a depth-first walk over free sets that folds
-    with ``steps``, the :func:`_fold_steps` of ``f``.
+    ``j`` free variables, for every ``j <= height``, from a depth-first walk
+    over free sets that folds with ``steps``, the :func:`_fold_steps` of
+    ``f``.  No level above ``height`` is folded: those stay full.
 
     A child adds one variable above its parent's top one, and its table is
     one :func:`_fold` of the parent's; only the tables on the stack are kept.
@@ -170,52 +166,32 @@ def _never_constant(f: BooleanFunction, steps: list, heights: tuple[int, int]) -
     first.
 
     The walk prunes a node whose table ``t`` already holds every word of
-    ``never[top]``, ``top`` being the size of its deepest descendants (a
-    full table is the plain case).  This is exact.  Freeing more variables
-    never makes a nonconstant subcube constant, so every descendant's table
-    contains ``t``, and the masks only shrink: no descendant could clear a
-    word from ``never[top]``.  Nor from any ``never[k]`` below it, because
-    the masks grow with ``k`` throughout the walk: a node's prefixes are
-    folded before it, and their tables lie inside its own.
-
-    ``heights = (h0, h1)`` bounds the walk: the words of fiber ``b`` are
-    tracked only at levels ``j <= h_b``, so levels up to the lower height
-    track every word, levels up to the higher one track that height's
-    fiber, and no level above is folded.  Folds still update whole tables,
-    so the masks grow with ``k`` as before, and the tracked set is constant
-    within each range: a node is pruned once its table holds the tracked
-    words of ``never`` at both ``min(top, lower)`` and ``min(top, higher)``.
-    The walk stops as soon as ``never[h_b]`` holds no word of fiber ``b``
-    for both ``b``, since every level below then holds none either.  Only
-    the tracked words of the returned table are exact; at heights ``(n, n)``
-    all of them are.
+    ``never[min(top, height)]``, ``top`` being the size of its deepest
+    descendants (a full table is the plain case).  This is exact.  Freeing
+    more variables never makes a nonconstant subcube constant, so every
+    descendant's table contains ``t``, and the masks only shrink: no
+    descendant could clear a word from that level.  Nor from any level below
+    it, because the masks grow with ``j`` throughout the walk: a node's
+    prefixes are folded before it, and their tables lie inside its own.  For
+    the same reason the walk stops once ``never[height]`` is empty.
     """
     n, full = f.arity, full_mask(f.arity)
     never = [0] + [full] * n
-    fibers = (full ^ f.bits, f.bits)
-    (lower, near), (higher, far) = sorted(zip(heights, fibers))
     stack = [(0, 0, 0)]  # (table, first variable to free, size of its free set)
-    while stack:
+    while stack and never[height]:
         table, start, size = stack.pop()
-        top = size + n - start
-        if never[min(top, lower)] | table == table and (
-            never[min(top, higher)] & far | table == table
-        ):
+        if never[min(size + n - start, height)] | table == table:
             continue
         size += 1
-        # A child at the higher height, or with no variable above it, has no
+        # A child at the height, or with no variable above it, has no
         # tracked descendant: it is folded but not pushed.
-        last = n - 1 if size < higher else 0
+        last = n - 1 if size < height else 0
         for p in range(n - 1, start - 1, -1):
             t = _fold(table, steps[p])
             if t != full:
                 never[size] &= t
                 if p < last:
                     stack.append((t, p + 1, size))
-        if (size == lower or size == higher) and not (
-            never[lower] & near or never[higher] & far
-        ):
-            break
     return never
 
 
@@ -420,20 +396,19 @@ def cert_profile(
     max{j : w not in never[j]}`` and ``c_b = n - max{j : fiber_b & never[j]
     == 0}``.  An empty fiber gives 0 and flags the profile degenerate.
 
-    Every certificate of a word holds all of its sensitive positions, so
-    ``C_b >= s_b``, the largest sensitivity on fiber ``b``, for every
-    function: the maximum above lies at or below ``h_b = n - s_b``.  The
-    walk is told these heights, tracks fiber ``b`` only up to ``h_b`` and
-    stops once both ``never[h_b]`` are clear of their fibers, which on an
-    NCF (where ``s = C``) it confirms early.  The same maximum reads the
-    answer: the walk clears only words it has seen certified, and fiber
-    ``b`` meets every level above ``h_b``.  The heights come from the table
+    The walk is bounded by sensitivity.  Every certificate of a word holds
+    all of its sensitive positions, so ``C_b >= s_b``, the largest
+    sensitivity on fiber ``b``, for every function, and the maximum above
+    lies at or below ``n - s_b``.  The walk runs to the height ``n -
+    min(s0, s1)``: every level up to it is exact, and a nonempty fiber meets
+    every level above it, which stay full.  On an NCF (where ``s = C``) it
+    confirms a bound it already knows.  The height comes from the table
     alone, so the result stays a brute-force answer, and a function with
     ``C_b > s_b`` still gets its larger ``c_b``.
 
     Witnesses come from a second pass in :func:`certificate_at`'s order, so
     they match it word for word; they need every word's size, so that path
-    walks to heights ``(n, n)``.  All three passes read one table of
+    walks to height ``n``.  All three passes read one table of
     :func:`_fold_steps`.  Witness collection and block sensitivity are
     optional because of their cost.
 
@@ -462,9 +437,9 @@ def cert_profile(
     ):
         c0, c1, witnesses = s0, s1, None  # s_b <= C_b <= s_b
     else:
-        # Witnesses need every word's size.  With either heights, fiber b meets every
+        # Witnesses need every word's size.  At either height, fiber b meets every
         # level above n - s_b, and never[0] is 0: fixing all n variables certifies.
-        never = _never_constant(f, steps, (n, n) if with_witnesses else (n - s0, n - s1))
+        never = _never_constant(f, steps, n if with_witnesses else n - min(s0, s1))
         c0, c1 = (n - max(j for j in range(n + 1) if not b & never[j]) for b in fibers)
         witnesses = _first_certificates(f, steps, never) if with_witnesses else None
     s, c = max(s0, s1), max(c0, c1)

@@ -141,9 +141,15 @@ def word_at(index: int, arity: int) -> Word:
 
 
 def words(arity: int) -> Iterator[Word]:
-    """All words of the given arity, in table-index order (x1 varies fastest)."""
+    """All words of the given arity, in table-index order (x1 varies fastest).
+
+    The arity is capped like a table's: ``product`` allocates one slot per
+    position before it yields anything.
+    """
     if type(arity) is not int or arity < 0:
         raise InvalidInputError(f"arity must be nonnegative, got {arity!r}")
+    if arity > MAX_TABLE_ARITY:
+        raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
     return (word[::-1] for word in product((0, 1), repeat=arity))
 
 

@@ -21,15 +21,12 @@ influence, both kept by every permutation fixing the table: pairwise-distinct
 keys end it at once, and otherwise it maps a variable only within its key
 cell, to one whose pair weights with the variables already mapped agree.  It
 writes cycle strings in increasing order, so its first hit is the reported
-witness, and a totally symmetric input makes one table comparison.  Against
-the search keyed by weight alone, it took the ``analyze-small-mixed``
-benchmark's median ``wall_s`` from 3.57 to 3.34 ms (``bench/run.py``, ten
-20 s runs each on a 2-vCPU Xeon).  Its slow case is a Fano-like table,
-whose weights, influences and pair weights are all equal while few
-permutations fix it.  For nested canalizing functions strong asymmetry is
-equivalent to being n-symmetric, which gives a path past that search above
-its guard; the equivalence genuinely fails outside that class (see the
-6-variable pentagon function in the tests).
+witness, and a totally symmetric input makes one table comparison.  Its
+slow case is a Fano-like table, whose weights, influences and pair weights
+are all equal while few permutations fix it.  For nested canalizing
+functions strong asymmetry is equivalent to being n-symmetric, which gives
+a path past that search above its guard; the equivalence genuinely fails
+outside that class (see the 6-variable pentagon function in the tests).
 """
 
 from __future__ import annotations
@@ -330,7 +327,10 @@ def symmetry_report(
     n = f.arity
     _check_decomposition(decomposition, n)
     above = n > _check_int(max_arity, "guard 'automorphism' limit")
-    if above and not (decomposition and compose(decomposition) == f or decompose(f).is_ncf):
+    # No NCF has fewer than two variables, and decompose refuses them.
+    if above and not (
+        decomposition and compose(decomposition) == f or n >= 2 and decompose(f).is_ncf
+    ):
         raise GuardExceededError("automorphism", n, max_arity)
     classes = partition(f)
     wide = [cls for cls in classes.classes if len(cls) >= 2]

@@ -43,6 +43,12 @@ from ncflab.core import InvalidInputError, full_mask, variable_mask
 CASCADE3 = reference_table([{1, 2, 3}, {1, 2}, {3}], 3)
 MONOMIAL3 = reference_table([{1, 2, 3}], 3)
 PARITY2 = reference_table([{1}, {2}], 2)
+# An NCF whose fibers' sensitivities differ widely (s0 = 4, s1 = 7), and its
+# complement, which swaps them.
+SKEWED_NCF = compose(
+    parse_decomposition("0; [1:0, 2:0, 3:0, 4:0 | 5:0, 6:0 | 7:0, 8:0 | 9:0, 10:0]")
+)
+SKEWED_NCF_COMPLEMENT = BooleanFunction(10, SKEWED_NCF.bits ^ full_mask(10))
 
 # (word, value, certificate size, deterministic witness)
 CASCADE3_ROWS = [
@@ -358,6 +364,8 @@ def test_transform_invariance_seeded():
         nested_canalizing_functions(8),
     )
 )
+@example(SKEWED_NCF)
+@example(SKEWED_NCF_COMPLEMENT)
 def test_cert_walk_matches_witness_pass_and_per_word_oracle(f):
     plain = cert_profile(f)
     full = cert_profile(f, with_witnesses=True)
@@ -419,14 +427,14 @@ def reference_never_constant(f):
     return never
 
 
-def _fiber_heights(f):
-    """``n - s_b`` per fiber ``b``, from the per-word sensitivity oracle
-    (``n`` for an empty fiber)."""
+def _fiber_sensitivities(f):
+    """``(s0, s1)``: the largest sensitivity on each fiber, from the per-word
+    oracle (0 for an empty fiber)."""
     s = [0, 0]
     for w in words(f.arity):
         value = f.evaluate(w)
         s[value] = max(s[value], sensitivity_at(f, w))
-    return f.arity - s[0], f.arity - s[1]
+    return tuple(s)
 
 
 @settings(max_examples=80, deadline=None)
@@ -437,23 +445,22 @@ def _fiber_heights(f):
         nested_canalizing_functions(10),
         flipped_nested_canalizing_functions(10),
     ),
-    st.tuples(st.integers(0, 10), st.integers(0, 10)),
+    st.integers(0, 10),
 )
-@example(BooleanFunction(0, 0), (0, 0))
-@example(BooleanFunction(1, 0b10), (1, 0))
+@example(BooleanFunction(0, 0), 0)
+@example(BooleanFunction(1, 0b10), 1)
+@example(SKEWED_NCF, 10)
+@example(SKEWED_NCF_COMPLEMENT, 10)
 def test_pruned_walk_matches_unpruned_reference(f, drawn):
     reference = reference_never_constant(f)
     steps = complexity._fold_steps(f)
-    assert complexity._never_constant(f, steps, (f.arity, f.arity)) == reference
-    # Bounded by any heights, the walk is exact on every tracked word: those
-    # of fiber b at the levels j <= h_b.  cert_profile passes n - s_b.
     n = f.arity
-    fibers = (full_mask(n) ^ f.bits, f.bits)
-    for heights in (_fiber_heights(f), tuple(min(h, n) for h in drawn)):
-        never = complexity._never_constant(f, steps, heights)
-        for fiber, h in zip(fibers, heights):
-            for j in range(h + 1):
-                assert never[j] & fiber == reference[j] & fiber, (heights, j)
+    assert complexity._never_constant(f, steps, n) == reference
+    # Bounded by any height, the walk is exact on every word at every level
+    # up to it.  cert_profile passes n - min(s0, s1).
+    for height in (n - min(_fiber_sensitivities(f)), min(drawn, n)):
+        never = complexity._never_constant(f, steps, height)
+        assert never[: height + 1] == reference[: height + 1], height
 
 
 def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
@@ -469,7 +476,7 @@ def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
         return fold(table, step)
 
     monkeypatch.setattr(complexity, "_fold", counted)
-    never = complexity._never_constant(f, complexity._fold_steps(f), (14, 14))
+    never = complexity._never_constant(f, complexity._fold_steps(f), 14)
     unbounded, folds = folds, 0
     p = cert_profile(f)
     assert unbounded < (2**14 - 1) // 3

@@ -21,6 +21,7 @@ def test_word_encoding_is_little_endian_in_x1():
     assert index_of((0, 0, 1)) == 4
     assert word_at(5, 3) == (1, 0, 1)
     assert list(words(2)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert next(words(24)) == (0,) * 24  # the table cap: above it, words raises
 
 
 def test_eval_cascade_rows():

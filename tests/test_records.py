@@ -227,6 +227,11 @@ def test_record_validation_messages(build, error, message):
         ),
         (lambda: list(words(-1)), "arity must be nonnegative, got -1"),
         (lambda: words(1.5), "arity must be nonnegative, got 1.5"),
+        # Capped before itertools.product allocates a slot per position.
+        pytest.param(lambda: words(25), "arity 25 is above the table cap 24", id="words(25)"),
+        pytest.param(
+            lambda: words(10**9), "arity 1000000000 is above the table cap 24", id="words(10**9)"
+        ),
         (lambda: BooleanFunction(1.5, 0), "arity must lie in 0..24, got 1.5"),
         (lambda: BooleanFunction(2, 1.5), "table value out of range for arity 2"),
         # Named: an automatic id repeating a message above would renumber that case.

@@ -172,6 +172,17 @@ def test_automorphism_guard_checks_its_limit_first(monkeypatch):
     assert report.strongly_asymmetric == (symmetry_level(f) == 9)
 
 
+def test_automorphism_guard_below_two_variables():
+    # No NCF has fewer than two variables, so above a guard lowered below 2
+    # the guard's error is raised, not decompose's refusal of the arity.
+    with pytest.raises(GuardExceededError) as err:
+        symmetry_report(BooleanFunction(1, 2), max_arity=0)
+    assert (err.value.guard, err.value.arity, err.value.limit) == ("automorphism", 1, 0)
+    with pytest.raises(GuardExceededError) as err:
+        is_strongly_asymmetric(BooleanFunction(0, 1), max_arity=-1)
+    assert (err.value.guard, err.value.arity, err.value.limit) == ("automorphism", 0, -1)
+
+
 def test_decomposition_hint_never_passes_a_non_ncf_above_the_guard(monkeypatch):
     # A hint passes the automorphism guard only if it composes to the table:
     # an NCF's decomposition does not make the 9-variable parity one, and the
