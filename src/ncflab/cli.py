@@ -263,23 +263,28 @@ def _cmd_analyze(args) -> int:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 specs = [
-                    line.strip()
-                    for line in handle
+                    (number, line.strip())
+                    for number, line in enumerate(handle, 1)
                     if line.strip() and not line.lstrip().startswith("#")
                 ]
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise InvalidInputError(f"cannot read {args.file}: {reason}") from None
     else:
-        specs = [args.anf if args.anf is not None else args.table]
+        specs = [(None, args.anf if args.anf is not None else args.table)]
     table = None if args.file is not None else args.table is not None
 
     # Build every report before printing anything: no partial output on error.
     defaults = MAX_CERTIFICATE_ARITY, MAX_BLOCK_SENSITIVITY_ARITY, MAX_AUTOMORPHISM_ARITY
     guards = tuple(max(default, args.max_n or 0) for default in defaults)  # never lowered
     out: list[str] = []
-    for spec in specs:
-        report = _analysis_report(_load_spec(spec, guards[0], table), args, guards)
+    for number, spec in specs:
+        try:
+            report = _analysis_report(_load_spec(spec, guards[0], table), args, guards)
+        except NcflabError as exc:
+            if number is not None:  # a --file line
+                exc.args = (f"line {number}: {exc}",)
+            raise
         if args.json:
             out.append(json.dumps(report, sort_keys=True))
         else:

@@ -14,18 +14,21 @@ closed form in Stirling numbers.  The paper's closed forms are its oracles:
   ``A(m) = 2*A(m-1) + A(m-2)``, ``A(0) = 0``, ``A(1) = 2``).
 
 :func:`verify` holds the census to these forms, the generator and the
-brute-force analyses and reports one pass/fail entry per identity.  With
-two CPUs, no other thread and ``n >= 4`` it deals the ordered variable
-partitions of the stream alternately to itself and a forked child; every
-partition holds ``2**(n+1)`` functions, so both halves know each function's
-stream index, and the merged walk, and so the report, is the same as one
-walk in one process.
+brute-force analyses and reports one pass/fail entry per identity.  One
+kernel, ``_check``, runs the per-function checks on each stream item and
+folds them into a record of builtins: a tally by kind, which counts every
+mismatch, the composed tables, and the first three faults of each kind.
+With two CPUs, no other thread and ``n >= 4`` it deals the ordered variable
+partitions alternately to itself and a forked child, and adds the child's
+record to its own; every partition holds ``2**(n+1)`` functions, so both
+halves know each function's stream index, and the report is the same as
+one walk in one process.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from math import comb, factorial
 from operator import itemgetter
@@ -46,6 +49,8 @@ MAX_VERIFY_ARITY = 22
 MAX_VERIFY_EXHAUSTIVE_ARITY = 5
 #: verify() checks every certificate up to here, a stride sample above.
 _CERT_EXHAUSTIVE_MAX, _CERT_SAMPLE_TARGET = 4, 500
+#: The kinds of fault verify's walk records, in the order it reports them.
+_FAULTS = ("iff", "roundtrip", "cert")
 
 
 def _check_arity(n: int) -> None:
@@ -343,11 +348,7 @@ class VerificationReport(namedtuple("VerificationReport", "n functions_checked c
 
     def to_json_dict(self) -> dict:
         return {
-            name: {
-                "pass": check.passed,
-                "expected": check.expected,
-                "actual": check.actual,
-            }
+            name: {"pass": check.passed, "expected": check.expected, "actual": check.actual}
             for name, check in sorted(self.checks.items())
         }
 
@@ -407,71 +408,71 @@ def verify(
         return VerificationReport(n, None, checks)
 
     stride = 1 if n <= _CERT_EXHAUSTIVE_MAX else max(1, total // _CERT_SAMPLE_TARGET)
-    walk = _split_walk(n, stride)
-    count, cert_checked = walk["count"], walk["cert_checked"]
-    iff, roundtrip, cert = ([t for _, t in walk[k]] for k in ("iff", "roundtrip", "cert"))
+    tally, tables, faults = _split_walk(n, stride)
+    tally, faults = Counter(tally), sorted(faults)
+    iff, roundtrip, cert = ([t for _, k, t in faults if k == kind][:3] for kind in _FAULTS)
+    cells = [(cell, c) for cell, c in tally.items() if type(cell) is tuple]
+    layers = {r: sum(c for (k, _, _), c in cells if k == r) for r in by_layers}
+    levels = {s: sum(c for (_, k, _), c in cells if k == s) for s in by_symmetry}
+    count, strong = sum(c for _, c in cells), sum(c for (_, _, a), c in cells if a)
 
     checks["stream_length_equals_total"] = _result(total, count)
-    checks["composed_tables_distinct"] = _result(total, len(set(walk["tables"])))
-    checks["layer_histogram_matches_formula"] = _result(by_layers, walk["layers"])
-    checks["symmetry_histogram_matches_formula"] = _result(by_symmetry, walk["levels"])
-    checks["strongly_asymmetric_census"] = _result(by_symmetry[n], walk["strong"])
+    checks["composed_tables_distinct"] = _result(total, len(set(tables)))
+    checks["layer_histogram_matches_formula"] = _result(by_layers, layers)
+    checks["symmetry_histogram_matches_formula"] = _result(by_symmetry, levels)
+    checks["strongly_asymmetric_census"] = _result(by_symmetry[n], strong)
     checks["strong_asymmetry_iff_n_symmetric"] = _result([], iff, "counterexamples")
     checks["decompose_roundtrip"] = _result([], roundtrip, "counterexamples")
     checks["certificate_formula_vs_bruteforce"] = CheckResult(
         not cert,
-        f"0 mismatches in {cert_checked} functions",
-        f"{len(cert)} mismatches in {cert_checked} functions"
-        + (f" (first: {cert[0]})" if cert else ""),
+        f"0 mismatches in {tally['sampled']} functions",
+        f"{tally['cert']} mismatches in {tally['sampled']} functions"
+        + (f" (first: {', '.join(cert)})" if cert else ""),
     )
     return VerificationReport(n, count, checks)
 
 
-def _walk(n: int, stride: int, first: int = 0, step: int = 1) -> dict:
-    """verify's per-function checks over every ``step``-th ordered variable
-    partition of the stream, from partition ``first``.
+def _check(record: tuple, stride: int, index: int, d: LayerDecomposition) -> None:
+    """verify's checks on stream item ``index``, ``d``, folded into ``record``:
+    a tally by kind (each function's cell ``(layers, level, strongly
+    asymmetric)``, certificate samples at every ``stride``-th index, each
+    fault), the composed tables, and ``(index, kind, hex)`` for the first
+    three faults of each kind.  Builtins only, so :mod:`marshal` carries it."""
+    tally, tables, faults = record
+    f = compose(d)
+    tables.append(f.bits)
+    s = symmetry_level(f)
+    strong = not has_nontrivial_automorphism(f)
+    cell = (len(d.layers), s, strong)
+    tally[cell] = tally.get(cell, 0) + 1
+    kinds = ["iff"] if strong != (s == d.arity) else []
+    back = decompose(f)
+    if not (back.is_ncf and back.decomposition == d):
+        kinds.append("roundtrip")
+    if index % stride == 0:
+        kinds.append("sampled")
+        profile = cert_profile(f)
+        if ncf_cert_formula(d.structure(), d.b) != (profile.c0, profile.c1, profile.c):
+            kinds.append("cert")
+    for kind in kinds:
+        tally[kind] = count = tally.get(kind, 0) + 1
+        if count <= 3 and kind in _FAULTS:
+            faults.append((index, kind, f.to_hex()))
 
-    Partition ``k`` starts at stream index ``k * 2**(n+1)``, so the
-    certificate stride samples the same functions however the partitions
-    are dealt; counterexamples carry their stream index.  The result holds
-    only builtins, so :mod:`marshal` can carry it.
-    """
-    layers, levels = dict.fromkeys(range(1, n), 0), dict.fromkeys(range(1, n + 1), 0)
-    tables, iff, roundtrip, cert = [], [], [], []
-    count = strong_census = cert_checked = 0
+
+def _walk(n: int, stride: int, first: int = 0, step: int = 1) -> tuple:
+    """:func:`_check`'s record of every ``step``-th ordered variable partition
+    of the stream, from partition ``first``.  Partition ``k`` starts at stream
+    index ``k * 2**(n+1)``, so the certificate stride samples the same
+    functions however the partitions are dealt."""
+    record = ({}, [], [])
     for k, blocks in itertools.islice(enumerate(_partitions(n)), first, None, step):
-        index = k << (n + 1)
-        for d in _partition_stream(n, blocks):
-            f = compose(d)
-            tables.append(f.bits)
-            layers[len(d.layers)] += 1
-            s = symmetry_level(f)
-            levels[s] += 1
-
-            strong = not has_nontrivial_automorphism(f)
-            strong_census += strong
-            if strong != (s == n) and len(iff) < 3:
-                iff.append((index, f.to_hex()))
-
-            back = decompose(f)
-            if not (back.is_ncf and back.decomposition == d) and len(roundtrip) < 3:
-                roundtrip.append((index, f.to_hex()))
-
-            if index % stride == 0:
-                cert_checked += 1
-                profile = cert_profile(f)
-                formula = ncf_cert_formula(d.structure(), d.b)
-                if formula != (profile.c0, profile.c1, profile.c) and len(cert) < 3:
-                    cert.append((index, f.to_hex()))
-            index += 1
-            count += 1
-    return dict(
-        count=count, tables=tables, layers=layers, levels=levels, strong=strong_census,
-        iff=iff, roundtrip=roundtrip, cert=cert, cert_checked=cert_checked,
-    )
+        for index, d in enumerate(_partition_stream(n, blocks), k << (n + 1)):
+            _check(record, stride, index, d)
+    return record
 
 
-def _split_walk(n: int, stride: int) -> dict:
+def _split_walk(n: int, stride: int) -> tuple:
     """:func:`_walk` over the whole stream, the odd partitions in a forked child.
 
     The child sends its walk through a pipe.  The parent reaps it on every
@@ -515,10 +516,9 @@ def _split_walk(n: int, stride: int) -> dict:
             status = os.waitpid(pid, 0)[1]
     ok = os.waitstatus_to_exitcode(status) == 0  # then it sent its whole walk
     odd = marshal.loads(data) if ok else _walk(n, stride, 1, 2)
-    for key in ("count", "strong", "cert_checked", "tables"):
-        walk[key] += odd[key]
-    for key in ("layers", "levels"):
-        walk[key] = {k: v + odd[key][k] for k, v in walk[key].items()}
-    for key in ("iff", "roundtrip", "cert"):  # the first three in stream order
-        walk[key] = sorted(walk[key] + odd[key])[:3]
+    for mine, theirs in zip(walk, odd):  # add the tallies, join the lists
+        if type(mine) is dict:
+            mine.update({kind: mine.get(kind, 0) + c for kind, c in theirs.items()})
+        else:
+            mine += theirs
     return walk

@@ -245,6 +245,22 @@ def test_analyze_batch_file(capsys, tmp_path):
     assert json.loads(lines[1])["input"]["table"] == "3:80"
 
 
+def test_analyze_file_errors_name_their_line(capsys, tmp_path):
+    # Lines count from 1, blank and comment lines included.
+    path = tmp_path / "specs.txt"
+    path.write_text("# header\nx1*x2\n\n3:80\n  # note\nx1 +")
+    code, out, err = run(capsys, "analyze", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 6: expected a factor, found end of input (column 5)\n"
+
+    path.write_text("# header\nx1*x2\n\nx20\n3:80\n")
+    code, out, err = run(capsys, "analyze", "--file", str(path), "--json")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: line 4: guard 'certificate' exceeded: arity 20 is above the limit 14\n"
+    )
+
+
 def test_analyze_parse_error_exit_2(capsys):
     code, out, err = run(capsys, "analyze", "--anf", "x1 + + x2")
     assert code == 2

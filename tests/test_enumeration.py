@@ -387,13 +387,18 @@ def test_verify_beside_another_thread_walks_in_process(monkeypatch):
 def test_split_verify_keeps_stream_order_of_faults(monkeypatch):
     # Each variable partition holds 64 stream items at n = 5, and the child
     # walks the odd partitions.  Roundtrip faults on items 5 and 130 (parent)
-    # and 70 and 200 (child): the report keeps the first three in stream
-    # order.  Certificate faults on the sampled items 84 (child) and 147
-    # (parent), stride 21, and the unsampled 85: the child's comes first.
+    # and 70 and 200 (child), and strong-asymmetry faults on items 3 and 129
+    # (parent) and 66 and 250 (child): the report keeps the first three of
+    # each in stream order.  Certificate faults on the sampled items 21 and
+    # 147 (parent) and 84, 105, 210 and 252 (child), stride 21, and the
+    # unsampled 85: all six are counted, though each half keeps only its
+    # first three, and the report names 21, 84 and 105.
     stream = list(enumerate_ncfs(5))
     bad_roundtrip = {compose(stream[i]).bits for i in (5, 70, 130, 200)}
-    bad_cert = {compose(stream[i]).bits for i in (84, 85, 147)}
+    bad_iff = {compose(stream[i]).bits for i in (3, 66, 129, 250)}
+    bad_cert = {compose(stream[i]).bits for i in (21, 84, 85, 105, 147, 210, 252)}
     real_decompose = ncflab.enumeration.decompose
+    real_automorphism = ncflab.enumeration.has_nontrivial_automorphism
     real_cert_profile = ncflab.enumeration.cert_profile
 
     def decompose(f):
@@ -401,24 +406,35 @@ def test_split_verify_keeps_stream_order_of_faults(monkeypatch):
             return types.SimpleNamespace(is_ncf=False)
         return real_decompose(f)
 
+    def has_nontrivial_automorphism(f):
+        return real_automorphism(f) != (f.bits in bad_iff)
+
     def cert_profile(f):
         p = real_cert_profile(f)
         if f.bits in bad_cert:
             return types.SimpleNamespace(c0=p.c0 + 1, c1=p.c1, c=p.c)
         return p
 
-    monkeypatch.setattr(ncflab.enumeration, "decompose", decompose)
-    monkeypatch.setattr(ncflab.enumeration, "cert_profile", cert_profile)
+    for name, fake in (
+        ("decompose", decompose),
+        ("has_nontrivial_automorphism", has_nontrivial_automorphism),
+        ("cert_profile", cert_profile),
+    ):
+        monkeypatch.setattr(ncflab.enumeration, name, fake)
     split, forks = _verify_json(5, monkeypatch, cpus=2)
     assert forks == 1
     serial, _ = _verify_json(5, monkeypatch, cpus=1)
     assert split == serial
     checks = json.loads(split[1])
+    hexes = [compose(d).to_hex() for d in stream]
     assert checks["decompose_roundtrip"]["actual"] == "{} [counterexamples]".format(
-        [compose(stream[i]).to_hex() for i in (5, 70, 130)]
+        [hexes[i] for i in (5, 70, 130)]
+    )
+    assert checks["strong_asymmetry_iff_n_symmetric"]["actual"] == (
+        "{} [counterexamples]".format([hexes[i] for i in (3, 66, 129)])
     )
     assert checks["certificate_formula_vs_bruteforce"]["actual"] == (
-        f"2 mismatches in 506 functions (first: {compose(stream[84]).to_hex()})"
+        f"6 mismatches in 506 functions (first: {hexes[21]}, {hexes[84]}, {hexes[105]})"
     )
     _no_child_left()
 

@@ -1,0 +1,82 @@
+"""The frozen seed program as a differential oracle for the CLI.
+
+``bench/yardstick/ncflab_seed`` is a byte-identical copy of the first
+``src/ncflab``.  Both ``main(argv)`` run in this process on the same seeded
+argv; stdout and the exit code must agree.  stderr is not compared: its
+messages have changed on purpose since the seed.  The seed is only read:
+it is imported without writing bytecode next to it.
+
+The one deliberate difference on these argv: the seed refuses
+``--block-sensitivity`` above 6 variables (exit 3), and the program answers
+it up to 8.
+"""
+
+import contextlib
+import importlib
+import io
+import random
+import sys
+from pathlib import Path
+
+from conftest import random_ncf
+
+import ncflab.cli
+from ncflab import BooleanFunction
+
+YARDSTICK = Path(__file__).resolve().parents[1] / "bench" / "yardstick"
+SEED_BLOCK_SENSITIVITY_ARITY = 6
+
+
+def seed_cli():
+    """The seed's ``cli`` module."""
+    dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(YARDSTICK))
+    try:
+        return importlib.import_module("ncflab_seed.cli")
+    finally:
+        sys.path.remove(str(YARDSTICK))
+        sys.dont_write_bytecode = dont_write_bytecode
+
+
+def seeded_argv(seed: int) -> list[tuple[int, list[str]]]:
+    """``(arity, argv)`` pairs: ``verify 2..4``, ``count 2..11``, ``enumerate
+    2..4``, and ``analyze --table`` on 150 random tables at n = 1..6 and five
+    random NCFs at each n = 2..7, each with random output flags."""
+    rng = random.Random(seed)
+    runs = [(n, ["verify", str(n)]) for n in range(2, 5)]
+    runs += [(n, ["count", str(n)]) for n in range(2, 12)]
+    runs += [(n, ["enumerate", str(n)]) for n in range(2, 5)]
+    arities = rng.choices(range(1, 7), k=150)
+    tables = [BooleanFunction(n, rng.getrandbits(1 << n)) for n in arities]
+    tables += [random_ncf(rng, n)[1] for n in range(2, 8) for _ in range(5)]
+    for f in tables:
+        flags = ("--json", "--witnesses", "--block-sensitivity")
+        flags = [flag for flag in flags if rng.random() < 0.5]
+        runs.append((f.arity, ["analyze", "--table", f.to_hex(), *flags]))
+    return runs
+
+
+def _run(main, argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def seed_differences(seed: int) -> list[str]:
+    """The argv of ``seeded_argv(seed)`` on which the program and the seed
+    differ in stdout or exit code, beyond the deliberate difference."""
+    seed_main = seed_cli().main
+    differences = []
+    for n, argv in seeded_argv(seed):
+        ours, theirs = _run(ncflab.cli.main, argv), _run(seed_main, argv)
+        if "--block-sensitivity" in argv and n > SEED_BLOCK_SENSITIVITY_ARITY:
+            if ours[0] != 0 or theirs != (3, ""):
+                differences.append(" ".join(argv))
+        elif ours != theirs:
+            differences.append(" ".join(argv))
+    return differences
+
+
+def test_cli_matches_the_frozen_seed():
+    assert seed_differences(1600) == []
