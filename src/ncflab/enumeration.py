@@ -15,22 +15,22 @@ closed form in Stirling numbers.  The paper's closed forms are its oracles:
 
 :func:`verify` holds the census to these forms, the generator and the
 brute-force analyses and reports one pass/fail entry per identity.  One
-kernel, ``_check``, runs the per-function checks on each stream item and
-folds them into a record of builtins: a tally by kind, which counts every
+kernel, ``_check``, takes the ``2**(n+1)`` functions of one ordered variable
+partition at a time, makes one pass per check over them, and folds them in
+stream order into a record of builtins: a tally by kind, which counts every
 mismatch, the composed tables, and the first three faults of each kind.
-With two CPUs, no other thread and ``n >= 4`` it deals the ordered variable
-partitions alternately to itself and a forked child, and adds the child's
-record to its own; every partition holds ``2**(n+1)`` functions, so both
-halves know each function's stream index, and the report is the same as
-one walk in one process.
+With two CPUs, no other thread and ``n >= 4`` it deals the partitions
+alternately to itself and a forked child, and adds the child's record to
+its own; both halves know each function's stream index, so the report is
+the same as one walk in one process.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
-from collections.abc import Iterator
-from math import comb, factorial
+from collections.abc import Iterable, Iterator
+from math import comb, factorial, prod
 from operator import itemgetter
 
 from .core import InvalidInputError, _check_guard, _check_int
@@ -153,10 +153,7 @@ def _partition_stream(n: int, blocks) -> Iterator[LayerDecomposition]:
 
 
 def _multinomial(n: int, sizes: tuple[int, ...]) -> int:
-    out = factorial(n)
-    for size in sizes:
-        out //= factorial(size)
-    return out
+    return factorial(n) // prod(map(factorial, sizes))
 
 
 def _stirling_rows(n: int) -> tuple[list[int], list[int]]:
@@ -421,8 +418,8 @@ def verify(
     checks["layer_histogram_matches_formula"] = _result(by_layers, layers)
     checks["symmetry_histogram_matches_formula"] = _result(by_symmetry, levels)
     checks["strongly_asymmetric_census"] = _result(by_symmetry[n], strong)
-    checks["strong_asymmetry_iff_n_symmetric"] = _result([], iff, "counterexamples")
-    checks["decompose_roundtrip"] = _result([], roundtrip, "counterexamples")
+    checks["strong_asymmetry_iff_n_symmetric"] = _result([], iff, f"{tally['iff']} counterexamples")
+    checks["decompose_roundtrip"] = _result([], roundtrip, f"{tally['roundtrip']} counterexamples")
     checks["certificate_formula_vs_bruteforce"] = CheckResult(
         not cert,
         f"0 mismatches in {tally['sampled']} functions",
@@ -432,43 +429,45 @@ def verify(
     return VerificationReport(n, count, checks)
 
 
-def _check(record: tuple, stride: int, index: int, d: LayerDecomposition) -> None:
-    """verify's checks on stream item ``index``, ``d``, folded into ``record``:
-    a tally by kind (each function's cell ``(layers, level, strongly
-    asymmetric)``, certificate samples at every ``stride``-th index, each
-    fault), the composed tables, and ``(index, kind, hex)`` for the first
-    three faults of each kind.  Builtins only, so :mod:`marshal` carries it."""
+def _check(record: tuple, stride: int, indices: Iterable[int], batch: list) -> None:
+    """verify's checks on the stream items ``batch`` at stream ``indices``,
+    folded into ``record``: a tally by kind (each function's cell ``(layers,
+    level, strongly asymmetric)``, certificate samples at every ``stride``-th
+    index, each fault), the composed tables, and ``(index, kind, hex)`` for
+    the first three faults of each kind, in builtins that :mod:`marshal`
+    carries.  One pass per check over the batch, then one fold in order."""
     tally, tables, faults = record
-    f = compose(d)
-    tables.append(f.bits)
-    s = symmetry_level(f)
-    strong = not has_nontrivial_automorphism(f)
-    cell = (len(d.layers), s, strong)
-    tally[cell] = tally.get(cell, 0) + 1
-    kinds = ["iff"] if strong != (s == d.arity) else []
-    back = decompose(f)
-    if not (back.is_ncf and back.decomposition == d):
-        kinds.append("roundtrip")
-    if index % stride == 0:
-        kinds.append("sampled")
-        profile = cert_profile(f)
-        if ncf_cert_formula(d.structure(), d.b) != (profile.c0, profile.c1, profile.c):
-            kinds.append("cert")
-    for kind in kinds:
-        tally[kind] = count = tally.get(kind, 0) + 1
-        if count <= 3 and kind in _FAULTS:
-            faults.append((index, kind, f.to_hex()))
+    fs = list(map(compose, batch))
+    levels = list(map(symmetry_level, fs))
+    asymmetric = [not found for found in map(has_nontrivial_automorphism, fs)]
+    backs = list(map(decompose, fs))
+    for index, d, f, s, strong, back in zip(indices, batch, fs, levels, asymmetric, backs):
+        tables.append(f.bits)
+        cell = (len(d.layers), s, strong)
+        tally[cell] = tally.get(cell, 0) + 1
+        kinds = ["iff"] if strong != (s == d.arity) else []
+        if not (back.is_ncf and back.decomposition == d):
+            kinds.append("roundtrip")
+        if index % stride == 0:
+            kinds.append("sampled")
+            profile = cert_profile(f)
+            if ncf_cert_formula(d.structure(), d.b) != (profile.c0, profile.c1, profile.c):
+                kinds.append("cert")
+        for kind in kinds:
+            tally[kind] = count = tally.get(kind, 0) + 1
+            if count <= 3 and kind in _FAULTS:
+                faults.append((index, kind, f.to_hex()))
 
 
 def _walk(n: int, stride: int, first: int = 0, step: int = 1) -> tuple:
     """:func:`_check`'s record of every ``step``-th ordered variable partition
-    of the stream, from partition ``first``.  Partition ``k`` starts at stream
-    index ``k * 2**(n+1)``, so the certificate stride samples the same
-    functions however the partitions are dealt."""
+    of the stream from partition ``first``, each one batch.  Partition ``k``
+    holds the stream indices from ``k * 2**(n+1)``, so the certificate stride
+    samples the same functions however the partitions are dealt."""
     record = ({}, [], [])
     for k, blocks in itertools.islice(enumerate(_partitions(n)), first, None, step):
-        for index, d in enumerate(_partition_stream(n, blocks), k << (n + 1)):
-            _check(record, stride, index, d)
+        batch = list(_partition_stream(n, blocks))
+        _check(record, stride, range(k * len(batch), (k + 1) * len(batch)), batch)
     return record
 
 

@@ -392,7 +392,8 @@ def test_split_verify_keeps_stream_order_of_faults(monkeypatch):
     # each in stream order.  Certificate faults on the sampled items 21 and
     # 147 (parent) and 84, 105, 210 and 252 (child), stride 21, and the
     # unsampled 85: all six are counted, though each half keeps only its
-    # first three, and the report names 21, 84 and 105.
+    # first three, and the report names 21, 84 and 105.  The roundtrip and
+    # strong-asymmetry texts count their four faults too.
     stream = list(enumerate_ncfs(5))
     bad_roundtrip = {compose(stream[i]).bits for i in (5, 70, 130, 200)}
     bad_iff = {compose(stream[i]).bits for i in (3, 66, 129, 250)}
@@ -427,11 +428,11 @@ def test_split_verify_keeps_stream_order_of_faults(monkeypatch):
     assert split == serial
     checks = json.loads(split[1])
     hexes = [compose(d).to_hex() for d in stream]
-    assert checks["decompose_roundtrip"]["actual"] == "{} [counterexamples]".format(
+    assert checks["decompose_roundtrip"]["actual"] == "{} [4 counterexamples]".format(
         [hexes[i] for i in (5, 70, 130)]
     )
     assert checks["strong_asymmetry_iff_n_symmetric"]["actual"] == (
-        "{} [counterexamples]".format([hexes[i] for i in (3, 66, 129)])
+        "{} [4 counterexamples]".format([hexes[i] for i in (3, 66, 129)])
     )
     assert checks["certificate_formula_vs_bruteforce"]["actual"] == (
         f"6 mismatches in 506 functions (first: {hexes[21]}, {hexes[84]}, {hexes[105]})"
@@ -472,6 +473,99 @@ def test_dealt_halves_walk_the_stream_once(monkeypatch):
         assert sorted(even[0] + odd[0]) == one[0], n
         assert sorted(even[1] + odd[1]) == one[1] == one[0][::stride], n
         assert abs(len(even[0]) - len(odd[0])) <= 1 << (n + 1), n
+
+
+def _reference_check(record, stride, index, d):
+    """``_check`` one function at a time: every check on stream item
+    ``index``, ``d``, in turn, through the names the tests patch."""
+    enum = ncflab.enumeration
+    tally, tables, faults = record
+    f = enum.compose(d)
+    tables.append(f.bits)
+    s = enum.symmetry_level(f)
+    strong = not enum.has_nontrivial_automorphism(f)
+    cell = (len(d.layers), s, strong)
+    tally[cell] = tally.get(cell, 0) + 1
+    kinds = ["iff"] if strong != (s == d.arity) else []
+    back = enum.decompose(f)
+    if not (back.is_ncf and back.decomposition == d):
+        kinds.append("roundtrip")
+    if index % stride == 0:
+        kinds.append("sampled")
+        profile = enum.cert_profile(f)
+        if enum.ncf_cert_formula(d.structure(), d.b) != (profile.c0, profile.c1, profile.c):
+            kinds.append("cert")
+    for kind in kinds:
+        tally[kind] = count = tally.get(kind, 0) + 1
+        if count <= 3 and kind in enum._FAULTS:
+            faults.append((index, kind, f.to_hex()))
+
+
+def _reference_walk(n, stride, first=0, step=1):
+    record = ({}, [], [])
+    partitions = itertools.islice(enumerate(ncflab.enumeration._partitions(n)), first, None, step)
+    for k, blocks in partitions:
+        for index, d in enumerate(ncflab.enumeration._partition_stream(n, blocks), k << (n + 1)):
+            _reference_check(record, stride, index, d)
+    return record
+
+
+def _entries(record):
+    """A record with its tally's entries in the order they were written."""
+    tally, tables, faults = record
+    return list(tally.items()), tables, faults
+
+
+def _plant_faults(patch):
+    """Wrong answers from ``decompose``, ``has_nontrivial_automorphism`` and
+    ``cert_profile`` on a few tables of every arity, picked by their bits."""
+    real_decompose = ncflab.enumeration.decompose
+    real_automorphism = ncflab.enumeration.has_nontrivial_automorphism
+    real_cert_profile = ncflab.enumeration.cert_profile
+
+    def decompose(f):
+        if f.bits % 11 == 1:
+            return types.SimpleNamespace(is_ncf=False)
+        if f.bits % 11 == 2:
+            return types.SimpleNamespace(is_ncf=True, decomposition=None)
+        return real_decompose(f)
+
+    def has_nontrivial_automorphism(f):
+        return real_automorphism(f) != (f.bits % 13 == 3)
+
+    def cert_profile(f):
+        p = real_cert_profile(f)
+        return types.SimpleNamespace(c0=p.c0, c1=p.c1 + (f.bits % 5 == 1), c=p.c)
+
+    patch.setattr(ncflab.enumeration, "decompose", decompose)
+    patch.setattr(ncflab.enumeration, "has_nontrivial_automorphism", has_nontrivial_automorphism)
+    patch.setattr(ncflab.enumeration, "cert_profile", cert_profile)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_batched_check_writes_the_per_function_record(monkeypatch, planted):
+    # The batched kernel runs each check over a whole variable partition, then
+    # folds in stream order: the record, tally entries in order included, is
+    # the one the per-function kernel writes, for every deal of the
+    # partitions, and for a batch of every 7th stream item.
+    stride = 7
+    if planted:
+        _plant_faults(monkeypatch)
+    for n in range(2, 6):
+        for deal in ((), (0, 2), (1, 2)):
+            want = _entries(_reference_walk(n, stride, *deal))
+            assert _entries(ncflab.enumeration._walk(n, stride, *deal)) == want, (n, deal)
+            # from n = 4 each deal has more than three planted faults of each
+            # kind, so the record keeps three of each
+            assert not planted or n < 4 or len(want[2]) == 9, (n, deal)
+        indices = range(3, count_total(n), 7)
+        batch = list(enumerate_ncfs(n))[3::7]
+        record, reference = ({}, [], []), ({}, [], [])
+        ncflab.enumeration._check(record, stride, indices, batch)
+        for index, d in zip(indices, batch):
+            _reference_check(reference, stride, index, d)
+        assert _entries(record) == _entries(reference), n
+        assert len(record[1]) == len(batch) > 0, n
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
