@@ -166,17 +166,15 @@ def _load_spec(spec: str, cert_guard: int, table: bool | None) -> BooleanFunctio
 
 def _analysis_report(f: BooleanFunction, args, guards: tuple[int, int, int]) -> dict:
     cert_guard, block_guard, perm_guard = guards
-    # Guards first, the automorphism guard once f is known to be an NCF or not,
-    # all before any partition or certificate.  An NCF's decomposition lets
-    # symmetry_report pass it above that guard and cert_profile read c0/c1
-    # off the cover it proposes.
+    # The certificate guards before decompose; symmetry_report checks the
+    # automorphism guard before any partition, and runs before cert_profile.
+    # An NCF's decomposition lets symmetry_report pass it above that guard
+    # and cert_profile read c0/c1 off the cover it proposes.
     _check_guard("certificate", f.arity, cert_guard)
     if args.block_sensitivity:
         _check_guard("block sensitivity", f.arity, block_guard)
     classification = decompose(f) if f.arity >= 2 else None
     d = classification.decomposition if classification is not None else None
-    if d is None:
-        _check_guard("automorphism", f.arity, perm_guard)
 
     ncf_section = formula = None
     if classification is not None:

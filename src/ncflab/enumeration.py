@@ -8,8 +8,9 @@ closed form in Stirling numbers.  The paper's closed forms are its oracles:
 
 * total count: ``2**(n+1)`` times the sum of multinomials over layer
   structures;
-* per-symmetry-level count ``N(n, s)``: a triple sum over layer structures
-  and per-layer class contributions, with closed forms at the edges
+* per-symmetry-level count ``N(n, s)``: a sum over layer structures of
+  multinomials times the coefficient of ``z**s`` in the product over layer
+  sizes ``k`` of ``2z + (2**k - 2) z**2``, with closed forms at the edges
   (``N(n, 1) = 4``; ``N(n, n) = n! * A(n-1)`` for the integer recurrence
   ``A(m) = 2*A(m-1) + A(m-2)``, ``A(0) = 0``, ``A(1) = 2``).
 
@@ -47,8 +48,8 @@ MAX_COUNT_ARITY = 200
 MAX_VERIFY_ARITY = 22
 #: verify() runs the full generate-and-measure loop up to here.
 MAX_VERIFY_EXHAUSTIVE_ARITY = 5
-#: verify() checks every certificate up to here, a stride sample above.
-_CERT_EXHAUSTIVE_MAX, _CERT_SAMPLE_TARGET = 4, 500
+#: verify() checks every ``max(1, total // this)``-th certificate: all below 1,000.
+_CERT_SAMPLE_TARGET = 500
 #: The kinds of fault verify's walk records, in the order it reports them.
 _FAULTS = ("iff", "roundtrip", "cert")
 
@@ -214,23 +215,13 @@ def pell_like(m: int) -> int:
     return a
 
 
-def _t_assignment_sum(sizes: tuple[int, ...], s: int) -> int:
-    """Sum over per-layer class counts ``t_i`` (1..min(2, k_i), summing to s)."""
-
-    def rec(index: int, remaining: int) -> int:
-        if index == len(sizes):
-            return 1 if remaining == 0 else 0
-        lo = len(sizes) - index  # at least one class per remaining layer
-        hi = sum(min(2, k) for k in sizes[index:])
-        if not lo <= remaining <= hi:
-            return 0
-        total = 0
-        for t in range(1, min(2, sizes[index]) + 1):
-            ways = 2 if t == 1 else (1 << sizes[index]) - 2  # t = 1: constant inputs
-            total += ways * rec(index + 1, remaining - t)
-        return total
-
-    return rec(0, s)
+def _class_ways(sizes: tuple[int, ...]) -> list[int]:
+    """Coefficients of the product over layer sizes ``k`` of ``2z + (2**k - 2) z**2``:
+    entry ``s`` counts the layers' inputs that make ``s`` classes in all."""
+    ways = [1]
+    for k in sizes:
+        ways = [2 * a + ((1 << k) - 2) * b for a, b in zip([0, *ways, 0], [0, 0, *ways])]
+    return ways
 
 
 def s_symmetric_triple_sum(n: int, s: int) -> int:
@@ -244,13 +235,10 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
     _check_guard("verify", n, MAX_VERIFY_ARITY)
     _check_int(s, "symmetry level", 1, n)
     total = 0
-    for r in range(-(-s // 2), s + 1):
-        if r > n - 1:
-            break
+    for r in range(-(-s // 2), min(s, n - 1) + 1):
         for sizes in _compositions(n, r):
-            inner = _t_assignment_sum(sizes, s)
-            if inner:
-                total += _multinomial(n, sizes) * inner
+            if sum(min(2, k) for k in sizes) >= s:
+                total += _multinomial(n, sizes) * _class_ways(sizes)[s]
     return 2 * total
 
 
@@ -367,9 +355,9 @@ def verify(
     Up to ``exhaustive_max`` variables the full stream is generated and
     measured: stream length and distinctness, per-layer and per-symmetry
     histograms, a brute-force strong-asymmetry census, decomposition round
-    trips, and certificate formula versus brute force (exhaustive up to
-    ``_CERT_EXHAUSTIVE_MAX``, deterministic stride sampling of at least
-    ``_CERT_SAMPLE_TARGET`` functions above that).  Larger arities run the
+    trips, and certificate formula versus brute force (every function when
+    there are fewer than 1,000, else a deterministic stride sample of at least
+    ``_CERT_SAMPLE_TARGET``).  Larger arities run the
     formula-level identities only, up to ``MAX_VERIFY_ARITY``.
     """
     _check_arity(n)
@@ -389,7 +377,7 @@ def verify(
     checks["triple_sum_matches_edge_s_n"] = _result(
         by_symmetry[n], s_symmetric_triple_sum(n, n)
     )
-    max_layer_count = count_strongly_asym_max_layers(n)
+    max_layer_count = table.strongly_asym_max_layers
     if n >= 4:
         checks["strongly_asymmetric_exceeds_max_layer_count"] = CheckResult(
             by_symmetry[n] > max_layer_count,
@@ -404,7 +392,7 @@ def verify(
     if n > exhaustive_max:
         return VerificationReport(n, None, checks)
 
-    stride = 1 if n <= _CERT_EXHAUSTIVE_MAX else max(1, total // _CERT_SAMPLE_TARGET)
+    stride = max(1, total // _CERT_SAMPLE_TARGET)
     tally, tables, faults = _split_walk(n, stride)
     tally, faults = Counter(tally), sorted(faults)
     iff, roundtrip, cert = ([t for _, k, t in faults if k == kind][:3] for kind in _FAULTS)

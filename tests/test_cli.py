@@ -381,13 +381,13 @@ def test_analyze_guard_exit_3(capsys):
 
 def test_analyze_automorphism_guard_before_certificates(capsys, monkeypatch):
     # 12 variables, not nested canalizing: within the certificate guard but
-    # above the automorphism guard, so no certificate or symmetry class may
-    # be computed.
+    # above the automorphism guard, so no certificate, symmetry class or
+    # automorphism search may be computed.
     def no_analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the automorphism guard")
 
     monkeypatch.setattr("ncflab.cli.cert_profile", no_analysis)
-    monkeypatch.setattr("ncflab.cli.symmetry_report", no_analysis)
+    monkeypatch.setattr("ncflab.symmetry._automorphisms", no_analysis)
     monkeypatch.setattr("ncflab.symmetry.partition", no_analysis)
     anf = " + ".join(f"x{i}" for i in range(1, 12)) + " + x12*x1"
     code, out, err = run(capsys, "analyze", "--anf", anf)

@@ -206,6 +206,38 @@ def test_triple_sum_reproduces_edges():
         assert s_symmetric_triple_sum(n, n) == count_s_symmetric(n, n)
 
 
+def _reference_class_ways(sizes, s):
+    """Sum over per-layer class counts ``t_i`` (1..min(2, k_i), summing to s):
+    the triple sum's inner sum as a recursion, pruned to feasible remainders."""
+
+    def rec(index, remaining):
+        if index == len(sizes):
+            return 1 if remaining == 0 else 0
+        lo = len(sizes) - index  # at least one class per remaining layer
+        hi = sum(min(2, k) for k in sizes[index:])
+        if not lo <= remaining <= hi:
+            return 0
+        total = 0
+        for t in range(1, min(2, sizes[index]) + 1):
+            ways = 2 if t == 1 else (1 << sizes[index]) - 2  # t = 1: constant inputs
+            total += ways * rec(index + 1, remaining - t)
+        return total
+
+    return rec(0, s)
+
+
+def test_class_ways_product_matches_the_recursion():
+    # Every coefficient of the product, up to its degree 2r, is the
+    # recursion's sum for every layer structure with n <= 10; a level below r
+    # (a layer without a class) or above the layers' class capacity gives 0.
+    for n in range(2, 11):
+        for sizes in layer_structures(n):
+            ways = ncflab.enumeration._class_ways(sizes)
+            assert ways == [_reference_class_ways(sizes, s) for s in range(2 * len(sizes) + 1)]
+            feasible = range(len(sizes), sum(min(2, k) for k in sizes) + 1)
+            assert all(c == 0 for s, c in enumerate(ways) if s not in feasible), sizes
+
+
 def test_strongly_asymmetric_exceeds_max_layer_count():
     assert count_strongly_asym_max_layers(2) == 4 == count_s_symmetric(2, 2)
     assert count_strongly_asym_max_layers(3) == 24 == count_s_symmetric(3, 3)

@@ -27,7 +27,7 @@ import random
 import sys
 from pathlib import Path
 
-from conftest import random_anf_text, random_ncf
+from conftest import planted_table, random_anf_text, random_ncf
 
 import ncflab.cli
 from ncflab import BooleanFunction
@@ -50,10 +50,11 @@ def seed_cli():
 
 def seeded_argv(seed: int) -> list[tuple[int, list[str]]]:
     """``(arity, argv)`` pairs: ``verify 2..4``, ``count 2..11``, ``enumerate
-    2..4``, ``analyze --table`` on 150 random tables at n = 1..6 and five
-    random NCFs at each n = 2..7, each with random output flags, and
-    ``analyze --anf`` on 100 random texts, half of them with ``--json`` (arity
-    0: the text names it)."""
+    2..4``, ``analyze --table`` on 150 random tables at n = 1..6, five
+    random NCFs at each n = 2..7 and ten n = 7 tables, half of them uniform
+    and half ``planted_table`` tables fixed by a random cycle, each with
+    random output flags, and ``analyze --anf`` on 100 random texts, half of
+    them with ``--json`` (arity 0: the text names it)."""
     rng = random.Random(seed)
     runs = [(n, ["verify", str(n)]) for n in range(2, 5)]
     runs += [(n, ["count", str(n)]) for n in range(2, 12)]
@@ -61,6 +62,15 @@ def seeded_argv(seed: int) -> list[tuple[int, list[str]]]:
     arities = rng.choices(range(1, 7), k=150)
     tables = [BooleanFunction(n, rng.getrandbits(1 << n)) for n in arities]
     tables += [random_ncf(rng, n)[1] for n in range(2, 8) for _ in range(5)]
+    for k in range(10):  # n = 7 beyond NCFs: odd k fixed by a random cycle
+        bits = rng.getrandbits(1 << 7)
+        if k % 2:
+            cycle, sigma = rng.sample(range(1, 8), rng.randint(2, 7)), list(range(1, 8))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                sigma[a - 1] = b
+            tables.append(planted_table(7, [tuple(sigma)], bits))
+        else:
+            tables.append(BooleanFunction(7, bits))
     for f in tables:
         flags = ("--json", "--witnesses", "--block-sensitivity")
         flags = [flag for flag in flags if rng.random() < 0.5]
