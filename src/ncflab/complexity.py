@@ -22,8 +22,9 @@ runs the dynamic program only when ``s < C``.
 
 :func:`cert_profile` walks unless it is given a decomposition whose cover
 holds and no witnesses are asked for.  The decomposition only proposes the
-n + 1 certificates of the closed form to :func:`_ncf_cover`, each checked on
-the table: once every word of fiber ``b`` is certified by one of at most
+n + 1 certificate cubes of the closed form (each a variable set and its
+values) to :func:`_ncf_cover`, each checked constant on the table with one
+AND: once every word of fiber ``b`` lies in a constant cube of at most
 ``s_b`` variables, ``s_b <= C_b <= s_b``, both bounds from the table, so a
 wrong decomposition costs only the walk.  ``analyze`` passes an NCF's, and
 its ``certificate_formula_matches_bruteforce`` compares the formula with
@@ -195,44 +196,42 @@ def _never_constant(f: BooleanFunction, steps: list, height: int) -> list[int]:
     return never
 
 
-def _ncf_cover(
-    f: BooleanFunction, steps: list, layers, sensitivities: tuple[int, int]
-) -> bool:
+def _ncf_cover(f: BooleanFunction, layers, sensitivities: tuple[int, int]) -> bool:
     """Whether the NCF certificates proposed by ``layers`` (a decomposition's
-    ``(variable, input)`` layers) show ``C_b <= s_b`` on the table, folding
-    with ``steps``, the :func:`_fold_steps` of ``f``.
+    ``(variable, input)`` layers) show ``C_b <= s_b`` on the table.
 
-    The candidates follow the layer parities: each variable of layer ``t``
-    with every earlier layer of the other parity, and every layer of the
-    last layer's parity.  Each is tested on the whole table, and fiber ``b``
-    is covered when every word in it lies in a constant subcube fixing a
-    candidate of at most ``s_b`` variables.  Folds commute, so the layers
-    are walked from the last, folding each into the table of the layers
-    after it once, and the part of a layer's free sets that its variables
-    share is folded once.
+    Each candidate is a cube, a set of variables at fixed values, from the
+    closed form.  Layer ``t``'s quiet mask ``M_t`` holds the words where
+    each of its variables is off its input.  Each ``(v, a)`` of layer ``t``
+    proposes ``x_v = a`` with every earlier layer of the other parity quiet,
+    and the last cube is every layer of the last layer's parity quiet.  A
+    cube of ``k`` variables on which ``f`` is ``b`` (one AND) certifies its
+    words for fiber ``b`` if ``k <= s_b``, and fiber ``b`` is covered when
+    its words all lie in such cubes.
     """
-    uncovered = [full_mask(f.arity)] * 2
-
-    def cover(size: int, free: list, table: int = 0) -> None:
-        table = _fold_free(table, steps, free)
-        for b in (0, 1):
-            if size <= sensitivities[b]:
-                uncovered[b] &= table
-
-    positions = [[var - 1 for var, _ in layer] for layer in layers]
-    r = len(positions)
-    later = 0  # every layer after t free
-    for t in reversed(range(r)):
-        own = positions[t]
-        shared = _fold_free(later, steps, [p for layer in positions[t % 2 : t : 2] for p in layer])
-        size = 1 + sum(map(len, positions[1 - t % 2 : t : 2]))
-        for v in own:
-            cover(size, [p for p in own if p != v], shared)
-        if t:
-            later = _fold_free(later, steps, own)
-    held, free = positions[(r - 1) % 2 :: 2], positions[r % 2 :: 2]
-    cover(sum(map(len, held)), [p for layer in free for p in layer])
-    return not (uncovered[0] & ~f.bits or uncovered[1] & f.bits)
+    n, bits = f.arity, f.bits
+    full, literals = full_mask(n), _literals(n)
+    quiet, sizes = [full, full], [0, 0]  # per parity: the AND of the earlier M_u, their size
+    cubes = []  # (cube, number of fixed variables)
+    for t, layer in enumerate(layers):
+        p = t & 1
+        other, size = quiet[p ^ 1], sizes[p ^ 1] + 1
+        cubes += [(other & literals[v - 1][a], size) for v, a in layer]
+        for v, a in layer:
+            quiet[p] &= literals[v - 1][a ^ 1]
+        sizes[p] += len(layer)
+    last = (len(layers) - 1) & 1
+    cubes.append((quiet[last], sizes[last]))
+    s0, s1 = sensitivities
+    covered0 = covered1 = 0
+    for cube, size in cubes:
+        held = bits & cube
+        if not held:
+            if size <= s0:
+                covered0 |= cube
+        elif held == cube and size <= s1:
+            covered1 |= cube
+    return covered0 | bits == full and covered1 & bits == bits
 
 
 def _first_certificates(f: BooleanFunction, steps: list, never: list[int]) -> tuple:
@@ -420,7 +419,8 @@ def cert_profile(
 
     It walks unless it is given a decomposition of ``f``'s arity whose cover
     holds, with no witnesses asked for: then ``c0, c1 = s0, s1`` is read off
-    :func:`_ncf_cover`, which checks the proposed certificates on the table.
+    :func:`_ncf_cover`, which checks the n + 1 proposed certificate cubes on
+    the table, one AND each.
     ``analyze`` passes an NCF's; ``verify`` passes none, so it still searches.
     """
     _check_guard("certificate", f.arity, max_arity)
@@ -433,7 +433,7 @@ def cert_profile(
     counts = _sensitivity_counts(steps)
     s0, s1 = (_max_count(counts, fiber) for fiber in fibers)
     if decomposition is not None and not with_witnesses and _ncf_cover(
-        f, steps, decomposition.layers, (s0, s1)
+        f, decomposition.layers, (s0, s1)
     ):
         c0, c1, witnesses = s0, s1, None  # s_b <= C_b <= s_b
     else:

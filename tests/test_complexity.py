@@ -1,6 +1,8 @@
 """Certificate complexity, sensitivity, block sensitivity."""
 
+import functools
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -486,14 +488,16 @@ def test_pruned_walk_folds_few_free_sets_at_guard(monkeypatch):
     assert (p.c0, p.c1, p.c) == ncf_cert_formula(d.structure(), d.b)
 
 
+def _fiber_sensitivities(f):
+    """``(s0, s1)``: ``f``'s largest sensitivity on each output fiber."""
+    counts = complexity._sensitivity_counts(complexity._fold_steps(f))
+    return tuple(complexity._max_count(counts, b) for b in (full_mask(f.arity) ^ f.bits, f.bits))
+
+
 def _cover(f, layers):
     """``_ncf_cover`` of ``f`` with the proposed ``layers``, told ``f``'s
     per-fiber sensitivities."""
-    steps = complexity._fold_steps(f)
-    counts = complexity._sensitivity_counts(steps)
-    fibers = (full_mask(f.arity) ^ f.bits, f.bits)
-    s0, s1 = (complexity._max_count(counts, fiber) for fiber in fibers)
-    return complexity._ncf_cover(f, steps, layers, (s0, s1))
+    return complexity._ncf_cover(f, layers, _fiber_sensitivities(f))
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,10 +586,12 @@ def test_ncf_cover_never_holds_where_s_is_below_c():
 
 
 def _reference_cover(f, layers, sensitivities):
-    """``_ncf_cover`` as its docstring states it: the n + 1 candidate fixed
-    sets, each free set's table built from 0 one ``_fold`` at a time, and
-    fiber ``b`` covered when each of its words lies outside the table (in a
-    constant subcube) of some candidate of at most ``s_b`` variables."""
+    """The fold cover: the variable sets of ``_ncf_cover``'s n + 1 cubes,
+    each free set's table built from 0 one ``_fold`` at a time, and fiber
+    ``b`` covered when each of its words lies outside the table (in a
+    constant subcube) of some set of at most ``s_b`` variables.  A cube
+    fixes one subcube of its set's, so this holds wherever the cube cover
+    does."""
     variables = [[v for v, _ in layer] for layer in layers]
     candidates = []
     for t, layer in enumerate(variables):  # each variable with earlier layers of other parity
@@ -607,21 +613,76 @@ def _reference_cover(f, layers, sensitivities):
     return not (uncovered[0] & (full_mask(f.arity) ^ f.bits) or uncovered[1] & f.bits)
 
 
+@functools.lru_cache(maxsize=1)  # a test checks several layers on one table in a row
+def _evaluated(f):
+    """``{word: f(word)}`` over ``words(n)``, by ``f.evaluate``."""
+    return {w: f.evaluate(w) for w in words(f.arity)}
+
+
+def _reference_cube_cover(f, layers, sensitivities):
+    """``_ncf_cover`` word by word: the n + 1 candidates as ``{variable:
+    value}`` assignments, each tested for constancy by evaluating ``f`` on
+    the words of ``words(n)`` it contains, and a word of fiber ``b`` covered
+    when it lies in a constant candidate of at most ``s_b`` variables."""
+    candidates = []
+    for t, layer in enumerate(layers):  # x_v = a, earlier layers of other parity off their inputs
+        quiet = {u: c ^ 1 for k, earlier in enumerate(layers[:t]) if (t - k) % 2 for u, c in earlier}
+        candidates += [{**quiet, v: a} for v, a in layer]
+    last = len(layers) - 1  # and every layer of the last layer's parity off its inputs
+    candidates.append(
+        {v: a ^ 1 for t, layer in enumerate(layers) if t % 2 == last % 2 for v, a in layer}
+    )
+    assert len(candidates) == f.arity + 1
+    values = _evaluated(f)
+    covered = set()
+    for fixed in candidates:
+        project = operator.itemgetter(*(v - 1 for v in fixed))
+        at = project(tuple(fixed.get(v, 0) for v in range(1, f.arity + 1)))
+        cube = [w for w in values if project(w) == at]
+        outputs = {values[w] for w in cube}
+        if len(outputs) == 1 and len(fixed) <= sensitivities[outputs.pop()]:
+            covered.update(cube)
+    return covered == set(values)
+
+
 def test_ncf_cover_matches_a_plain_reference_on_every_small_ncf():
     # Every NCF of 2 to 5 variables, covered with its own layers and with
     # those of the next NCF of the same arity in the stream (the first,
-    # after the last); 191 of the 11,432 second pairings leave a word
-    # uncovered.
+    # after the last); 5,716 of the 11,432 second pairings leave a word
+    # uncovered.  The fold cover holds wherever the cube cover does.
     refused = 0
     for n in range(2, 6):
         stream = [(d, compose(d)) for d in enumerate_ncfs(n)]
         for (d, f), (other, _) in zip(stream, stream[1:] + stream[:1]):
-            steps = complexity._fold_steps(f)
-            counts = complexity._sensitivity_counts(steps)
-            s = tuple(complexity._max_count(counts, b) for b in (full_mask(n) ^ f.bits, f.bits))
-            assert complexity._ncf_cover(f, steps, d.layers, s)
+            s = _fiber_sensitivities(f)
+            assert complexity._ncf_cover(f, d.layers, s)
+            assert _reference_cube_cover(f, d.layers, s), d
             assert _reference_cover(f, d.layers, s), d
-            held = complexity._ncf_cover(f, steps, other.layers, s)
-            assert held == _reference_cover(f, other.layers, s), (d, other)
+            held = complexity._ncf_cover(f, other.layers, s)
+            assert held == _reference_cube_cover(f, other.layers, s), (d, other)
+            assert not held or _reference_cover(f, other.layers, s), (d, other)
             refused += not held
     assert refused > 0
+
+
+def test_ncf_cover_is_sound_on_arbitrary_tables():
+    # Whatever layers it is told, the cover holds only where the walk finds
+    # C_b = s_b: every table of 2 and 3 variables with every decomposition
+    # of its arity (256 x 64 pairs at n = 3), and seeded 4-variable tables
+    # (uniform, NCFs, and NCFs with one entry flipped) with every one of 736.
+    rng = random.Random(3904)
+    ncfs4 = [compose(d).bits for d in enumerate_ncfs(4)]
+    sample4 = [rng.getrandbits(16) for _ in range(40)] + rng.sample(ncfs4, 20)
+    sample4 += [bits ^ 1 << rng.randrange(16) for bits in rng.sample(ncfs4, 40)]
+    held = 0
+    for n, tables in ((2, range(16)), (3, range(256)), (4, sample4)):
+        decompositions = list(enumerate_ncfs(n))
+        for bits in tables:
+            f = BooleanFunction(n, bits)
+            s = _fiber_sensitivities(f)
+            holds = [d for d in decompositions if complexity._ncf_cover(f, d.layers, s)]
+            if holds:
+                p = cert_profile(f)
+                assert (p.c0, p.c1) == s, (f, holds[0])
+                held += len(holds)
+    assert held > 0

@@ -33,6 +33,7 @@ from ncflab import (
     strongly_asymmetric_structure_sum,
     verify,
 )
+from ncflab import complexity
 from ncflab.cli import main
 
 
@@ -266,6 +267,30 @@ def test_verify_small():
         report = verify(n)
         assert report.all_pass, report.checks
         assert report.functions_checked == count_total(n)
+
+
+def test_verify_never_consults_the_ncf_cover(monkeypatch):
+    # certificate_formula_vs_bruteforce stays a search: verify passes no
+    # decomposition, so every sampled function is walked and the cover,
+    # which would read C_b off the layers, is never asked.
+    walks = 0
+    never_constant = complexity._never_constant
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return never_constant(*args)
+
+    def cover(*args):
+        raise AssertionError("verify consulted the NCF cover")
+
+    monkeypatch.setattr(complexity, "_never_constant", counted)
+    monkeypatch.setattr(complexity, "_ncf_cover", cover)
+    _cpus(monkeypatch, 1)
+    report = verify(3)
+    assert report.all_pass, report.checks
+    assert report.checks["certificate_formula_vs_bruteforce"].passed
+    assert walks == report.functions_checked == 64
 
 
 def test_verify_formulas_only_above_guard():
