@@ -25,25 +25,25 @@ dense: it reverses the variable order of a truth table's coefficient table,
 so that among monomials of one degree a larger index comes first, scans the
 coefficients once from the top into one bucket per degree, and writes each
 term from two tables of partial products, so it sorts nothing.  The sparse
-writer :func:`_monomial_text` sorts monomial masks by key and builds no
-table, so :meth:`AnfPolynomial.format` takes any arity; the tests hold the
-dense writer to it.
+writer :func:`_monomial_text` sorts index lists and builds nothing per
+variable of the arity, so :meth:`AnfPolynomial.format` takes any arity; the
+tests hold the dense writer to it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import chain, compress, islice
+from itertools import chain, islice
 
 from .core import (
     MAX_TABLE_ARITY,
     BooleanFunction,
-    InvalidInputError,
     ParseError,
     _check_arity,
     _check_int,
     _check_items,
+    _check_kind,
     _check_var,
     _decimal,
     _literals,
@@ -84,7 +84,7 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
     def to_function(self) -> BooleanFunction:
         """The truth table: each monomial sets its mask's digit among ``2**n``
         base-2 digits, and the self-inverse Moebius transform turns them into values."""
-        _check_table_arity(self.arity)
+        _check_arity(self.arity)
         digits = bytearray(b"0" * (1 << self.arity))  # bit m is digit ~m, from the end
         for monomial in self.monomials:
             digits[~sum(1 << (i - 1) for i in monomial)] = ord("1")
@@ -106,8 +106,7 @@ class AnfPolynomial(namedtuple("AnfPolynomial", "arity monomials")):
 
     def format(self) -> str:
         """Canonical text, written by :func:`_monomial_text`."""
-        masks = (sum(1 << (i - 1) for i in monomial) for monomial in self.monomials)
-        return _monomial_text(self.arity, masks)
+        return _monomial_text(self.monomials)
 
     @classmethod
     def parse(cls, text: str, arity: int | None) -> "AnfPolynomial":
@@ -182,22 +181,11 @@ def _products(names: list[str]) -> list[str]:
     return products
 
 
-def _monomial_text(arity: int, masks) -> str:
-    """Canonical text of the monomials given as variable masks (bit ``i - 1``
-    for ``x_i``), by sorting: terms by descending degree, then by index list;
-    ``0`` for none.
-
-    A mask's bits read from ``x_1`` up, with 0 and 1 swapped, sort like its
-    index list among masks of one degree: at the first position where two
-    such masks differ, the one holding that variable comes first.
-    """
-    names = [f"x{i}" for i in range(1, arity + 1)]
-    swap = str.maketrans("01", "10")
-    keys = sorted(
-        (-mask.bit_count(), bin(mask)[:1:-1].ljust(arity, "0").translate(swap))
-        for mask in masks
-    )
-    terms = ("*".join(compress(names, map("0".__eq__, key))) or "1" for _, key in keys)
+def _monomial_text(monomials) -> str:
+    """Canonical text of the monomials given as sets of indices, by sorting:
+    terms by descending degree, then by sorted index list; ``0`` for none."""
+    keys = sorted((-len(monomial), sorted(monomial)) for monomial in monomials)
+    terms = ("*".join(f"x{i}" for i in indices) or "1" for _, indices in keys)
     return " + ".join(terms) or "0"
 
 
@@ -221,6 +209,7 @@ def check_anf(text: str, arity: int | None = None) -> tuple[int, list]:
     names a variable outside ``1..arity``.  One ``findall`` reads the token
     texts; a column is read, off ``finditer``, only to raise.
     """
+    _check_kind(text, str, "ANF text")
     cap = MAX_TABLE_ARITY if arity is None else _check_int(arity, "arity")
     texts = _TOKEN.findall(text)
     program = []
@@ -270,12 +259,6 @@ def _column(text: str, k: int) -> int:
     return next(islice(_TOKEN.finditer(text), k, None)).start() + 1
 
 
-def _check_table_arity(arity: int) -> None:
-    if _check_int(arity, "arity") > MAX_TABLE_ARITY:
-        raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
-    _check_arity(arity)
-
-
 def evaluate_anf(arity: int, program: list) -> BooleanFunction:
     """The truth table of tokens from :func:`check_anf`, in one pass.
 
@@ -285,7 +268,7 @@ def evaluate_anf(arity: int, program: list) -> BooleanFunction:
     of the current term's factors so far.  Raises :class:`InvalidInputError`
     for an arity that is not an ``int`` in ``0..`` the table cap.
     """
-    _check_table_arity(arity)
+    _check_arity(arity)
     ones = full_mask(arity)
     masks = [None, *(mask for _, mask in _literals(arity))]  # masks[i]: x_i's table
     frames = []

@@ -11,12 +11,18 @@ All values are immutable; every operation returns a new value.  The package's
 records are ``collections.namedtuple`` subclasses with empty ``__slots__``:
 assigning a field raises :class:`AttributeError`, and ``__new__`` validates.
 
-One argument rule holds across the package: a count, arity, index or guard
-limit is a plain ``int``, and a bool, float, string or None raises
-:class:`InvalidInputError`; a bit is 0 or 1, and a bool is taken as one.
-A container that is not iterable (a word, offset, value column, assignment,
-layer, class, monomial or term, or a list of them) raises
-``InvalidInputError("bad <what> <value>")``; a non-permutation says so.
+One argument rule holds across the package, each kind checked by one
+function here, and every refusal is :class:`InvalidInputError`.  A count,
+index, guard limit or record arity is a plain ``int``: a bool, float,
+string or None is refused (``_check_int``, ``_check_var``).  A table arity
+lies in ``0..24`` (``_check_arity``, run before anything is sized by it): a
+larger ``int`` gives ``arity N is above the table cap 24``, anything else
+``arity must lie in 0..24, got X``.  A bit is 0 or 1, and a bool is taken
+as one (``_check_bit``).  A text is a ``str``, and a record argument an
+instance of its record type (``_check_kind``: ``<what> must be a <type>,
+got <value>``).  A container that is not iterable (a word, offset, value
+column, assignment, layer, class, monomial or term, or a list of them)
+gives ``bad <what> <value>`` (``_check_items``); a non-permutation says so.
 """
 
 from __future__ import annotations
@@ -128,14 +134,13 @@ def index_of(word: Sequence[int]) -> int:
     """Encode a word (a1, ..., an) as a table index."""
     idx = 0
     for p, bit in enumerate(_check_items(word, "word")):
-        if not isinstance(bit, int) or bit not in (0, 1):
-            raise InvalidInputError(f"word entries must be bits, got {bit!r}")
-        idx |= bit << p
+        idx |= _check_bit(bit, "word entry") << p
     return idx
 
 
 def word_at(index: int, arity: int) -> Word:
     """Decode a table index back into the word (a1, ..., an)."""
+    _check_arity(arity)  # before _check_index builds 1 << arity
     _check_index(index, arity)
     return tuple((index >> p) & 1 for p in range(arity))
 
@@ -146,20 +151,20 @@ def words(arity: int) -> Iterator[Word]:
     The arity is capped like a table's: ``product`` allocates one slot per
     position before it yields anything.
     """
-    if type(arity) is not int or arity < 0:
-        raise InvalidInputError(f"arity must be nonnegative, got {arity!r}")
-    if arity > MAX_TABLE_ARITY:
-        raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
+    _check_arity(arity)
     return (word[::-1] for word in product((0, 1), repeat=arity))
 
 
 def _check_index(index: int, arity: int) -> None:
-    if not (type(index) is type(arity) is int and arity >= 0 and 0 <= index < 1 << arity):
+    if not (type(index) is int and 0 <= index < 1 << arity):  # the arity is checked
         raise InvalidInputError(f"table index {index!r} out of range for arity {arity!r}")
 
 
 def _check_arity(arity: int) -> None:
+    """The one check of a table arity: a plain ``int`` in ``0..MAX_TABLE_ARITY``."""
     if type(arity) is not int or not 0 <= arity <= MAX_TABLE_ARITY:
+        if type(arity) is int and arity > MAX_TABLE_ARITY:
+            raise InvalidInputError(f"arity {arity} is above the table cap {MAX_TABLE_ARITY}")
         raise InvalidInputError(f"arity must lie in 0..{MAX_TABLE_ARITY}, got {arity!r}")
 
 
@@ -192,8 +197,16 @@ def _check_items(value, name: str) -> Iterator:
 
 
 def _check_bit(value: int, name: str) -> int:
+    """The one bit test: 0 or 1, a bool taken as one."""
     if not isinstance(value, int) or value not in (0, 1):
         raise InvalidInputError(f"{name} must be 0 or 1, got {value!r}")
+    return value
+
+
+def _check_kind(value, kind: type, name: str):
+    """``value`` if it is a ``kind``, such as a text ``str`` or a record class."""
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"{name} must be a {kind.__name__}, got {value!r}")
     return value
 
 
@@ -271,7 +284,7 @@ class BooleanFunction(namedtuple("BooleanFunction", "arity bits")):
         ``ceil(2**n / 4)`` digits; the padding is required so the format is
         self-delimiting.
         """
-        head, sep, payload = text.strip().partition(":")
+        head, sep, payload = _check_kind(text, str, "table text").strip().partition(":")
         if not sep:
             raise InvalidInputError(f"expected 'n:HEX', got {text!r}")
         if not head.isdecimal():

@@ -54,7 +54,7 @@ _CERT_SAMPLE_TARGET = 500
 _FAULTS = ("iff", "roundtrip", "cert")
 
 
-def _check_arity(n: int) -> None:
+def _check_ncf_arity(n: int) -> None:
     _check_int(n, "arity")
     if n < 2:
         raise InvalidInputError(f"need at least two variables, got {n}")
@@ -74,7 +74,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def layer_structures(n: int) -> Iterator[tuple[int, ...]]:
     """All layer structures of arity ``n``: lexicographic within each ``r``."""
-    _check_arity(n)
+    _check_ncf_arity(n)
     for r in range(1, n):
         yield from _compositions(n, r)
 
@@ -109,7 +109,7 @@ def enumerate_ncfs(
     without walking the rest.  Items are valid by construction and skip
     :class:`LayerDecomposition`'s validation.
     """
-    _check_arity(n)
+    _check_ncf_arity(n)
     _check_guard("enumeration", n, max_arity)
     if layer_count is not None:
         _check_int(layer_count, "layer count")
@@ -175,7 +175,7 @@ def _census(n: int) -> dict[tuple[int, int], int]:
 
     The second term (zero at ``a = 0``) drops sequences ending in one variable.
     """
-    _check_arity(n)
+    _check_ncf_arity(n)
     _check_guard("count", n, MAX_COUNT_ARITY)
     below, row = _stirling_rows(n)
     census = {}
@@ -195,7 +195,7 @@ def count_total(n: int) -> int:
 
 def count_by_layers(n: int, r: int) -> int:
     """Number of ``n``-variable functions with exactly ``r`` layers."""
-    _check_arity(n)
+    _check_ncf_arity(n)
     _check_int(r, "layer count", 1, n - 1)
     return sum(count for (layers, _), count in _census(n).items() if layers == r)
 
@@ -231,7 +231,7 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
     (``s = 1`` and ``s = n``), which :func:`verify` checks rather than
     assumes.
     """
-    _check_arity(n)
+    _check_ncf_arity(n)
     _check_guard("verify", n, MAX_VERIFY_ARITY)
     _check_int(s, "symmetry level", 1, n)
     total = 0
@@ -244,7 +244,7 @@ def s_symmetric_triple_sum(n: int, s: int) -> int:
 
 def count_s_symmetric(n: int, s: int) -> int:
     """``N(n, s)``: the number of ``n``-variable s-symmetric functions."""
-    _check_arity(n)
+    _check_ncf_arity(n)
     _check_int(s, "symmetry level", 1, n)
     return sum(count for (_, level), count in _census(n).items() if level == s)
 
@@ -256,7 +256,7 @@ def strongly_asymmetric_structure_sum(n: int) -> int:
     to 2, each such layer having two input choices; cross-checks the
     recurrence form ``n! * pell_like(n - 1)``.
     """
-    _check_arity(n)
+    _check_ncf_arity(n)
     _check_guard("verify", n, MAX_VERIFY_ARITY)
     total = 0
     for r in range(-(-n // 2), n):
@@ -269,7 +269,7 @@ def strongly_asymmetric_structure_sum(n: int) -> int:
 
 def count_strongly_asym_max_layers(n: int) -> int:
     """Strongly asymmetric functions with the maximal ``n - 1`` layers."""
-    _check_arity(n)
+    _check_ncf_arity(n)
     _check_guard("count", n, MAX_COUNT_ARITY)
     return factorial(n) << (n - 1)
 
@@ -360,7 +360,7 @@ def verify(
     ``_CERT_SAMPLE_TARGET``).  Larger arities run the
     formula-level identities only, up to ``MAX_VERIFY_ARITY``.
     """
-    _check_arity(n)
+    _check_ncf_arity(n)
     _check_guard("verify", n, MAX_VERIFY_ARITY)
     _check_int(exhaustive_max, "exhaustive_max")
     table = count_table(n)

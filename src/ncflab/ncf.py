@@ -32,7 +32,7 @@ import enum
 from collections import namedtuple
 
 from .core import BooleanFunction, InvalidInputError, _check_bit, _check_int, _check_items
-from .core import _decimal, _literals, full_mask
+from .core import _check_kind, _decimal, _literals, full_mask
 
 LayerEntries = tuple[tuple[int, int], ...]
 
@@ -115,9 +115,7 @@ def _entries(layer, arity: int) -> LayerEntries:
         except (TypeError, ValueError):
             raise InvalidInputError(f"bad layer entry {entry!r}") from None
         _check_int(var, "variable index", 1, arity)
-        if not isinstance(inp, int) or inp not in (0, 1):
-            raise InvalidInputError(f"canalizing input must be a bit: {inp!r}")
-        pairs.append((var, int(inp)))
+        pairs.append((var, int(_check_bit(inp, "canalizing input"))))
     return tuple(pairs)
 
 
@@ -319,7 +317,7 @@ def parse_decomposition(text: str) -> LayerDecomposition:
     The arity is implied: the layers must partition ``1..n`` where ``n`` is
     the number of entries.
     """
-    head, sep, body = text.partition(";")
+    head, sep, body = _check_kind(text, str, "decomposition text").partition(";")
     if not sep:
         raise InvalidInputError(f"expected 'b; [...]', got {text!r}")
     head = head.strip()

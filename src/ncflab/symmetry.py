@@ -42,6 +42,7 @@ from .core import (
     NcflabError,
     _check_int,
     _check_items,
+    _check_kind,
     _check_var,
     _literals,
     _permute_bits,
@@ -74,7 +75,8 @@ class SymmetryPartition(namedtuple("SymmetryPartition", "arity classes")):
             if members[0] <= previous_min:
                 raise InvalidInputError("classes must be sorted by smallest member")
             previous_min = members[0]
-        if sorted(chain.from_iterable(classes)) != list(range(1, arity + 1)):
+        listed = sorted(chain.from_iterable(classes))  # counted before 1..arity is built
+        if len(listed) != arity or listed != list(range(1, arity + 1)):
             raise InvalidInputError(f"classes do not partition 1..{arity}")
         return tuple.__new__(cls, (arity, classes))
 
@@ -393,7 +395,8 @@ def ncf_symmetry_checks(
     d: LayerDecomposition, p: SymmetryPartition
 ) -> NcfSymmetryChecks:
     """Run the five structural checks; ``d`` and ``p`` must share the arity."""
-    if d.arity != p.arity:
+    _check_kind(d, LayerDecomposition, "decomposition")
+    if _check_kind(p, SymmetryPartition, "partition").arity != d.arity:
         raise InvalidInputError(
             f"decomposition arity {d.arity} does not match partition arity {p.arity}"
         )

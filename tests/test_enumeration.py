@@ -1,5 +1,6 @@
 """Exhaustive generation and exact counting formulas."""
 
+import errno
 import itertools
 import json
 import os
@@ -658,6 +659,30 @@ def test_split_verify_survives_a_dead_child(monkeypatch):
     assert forks == 1
     assert split == serial
     _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+def test_split_verify_survives_a_failed_fork(monkeypatch):
+    serial, _ = _verify_json(5, monkeypatch, cpus=1)
+    pipes = []
+    real_pipe = os.pipe
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def fork():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    split, forks = _verify_json(5, monkeypatch, cpus=2)
+    assert (split, forks) == (serial, 0)
+    _no_child_left()
+    assert len(pipes) == 1
+    for fd in pipes[0]:  # both ends closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_count_200_is_fast(capsys):

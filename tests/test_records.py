@@ -32,6 +32,7 @@ from ncflab import (
     is_strongly_asymmetric,
     layer_structures,
     ncf_cert_formula,
+    ncf_symmetry_checks,
     parse_decomposition,
     pell_like,
     s_symmetric_triple_sum,
@@ -151,7 +152,7 @@ def test_unchecked_records_equal_their_validated_twins():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: BooleanFunction(25, 0), InvalidInputError, "arity must lie in 0..24, got 25"),
+        (lambda: BooleanFunction(25, 0), InvalidInputError, "arity 25 is above the table cap 24"),
         (lambda: BooleanFunction(1, 4), InvalidInputError, "table value out of range for arity 1"),
         (
             lambda: AnfPolynomial(2, frozenset({frozenset({3})})),
@@ -210,7 +211,7 @@ def test_record_validation_messages(build, error, message):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: index_of((0, 2)), "word entries must be bits, got 2"),
+        (lambda: index_of((0, 2)), "word entry must be 0 or 1, got 2"),
         (lambda: BooleanFunction.constant(2, 2), "value must be 0 or 1, got 2"),
         (lambda: BooleanFunction.projection(3, 4), "variable index 4 out of range 1..3"),
         (lambda: BooleanFunction.projection(3, 1.5), "variable index 1.5 out of range 1..3"),
@@ -225,8 +226,9 @@ def test_record_validation_messages(build, error, message):
             lambda: BooleanFunction.projection(3, 1).restrict(1.5, 0),
             "variable index 1.5 out of range 1..3",
         ),
-        (lambda: list(words(-1)), "arity must be nonnegative, got -1"),
-        (lambda: words(1.5), "arity must be nonnegative, got 1.5"),
+        # Named: an automatic id repeating a message below would renumber that case.
+        pytest.param(lambda: list(words(-1)), "arity must lie in 0..24, got -1", id="words(-1)"),
+        pytest.param(lambda: words(1.5), "arity must lie in 0..24, got 1.5", id="words(1.5)"),
         # Capped before itertools.product allocates a slot per position.
         pytest.param(lambda: words(25), "arity 25 is above the table cap 24", id="words(25)"),
         pytest.param(
@@ -242,7 +244,7 @@ def test_record_validation_messages(build, error, message):
         ),
         pytest.param(
             lambda: BooleanFunction.constant(26, 1),
-            "arity must lie in 0..24, got 26",
+            "arity 26 is above the table cap 24",
             id="constant(26, 1)",
         ),
         pytest.param(
@@ -252,12 +254,12 @@ def test_record_validation_messages(build, error, message):
         ),
         pytest.param(
             lambda: BooleanFunction.projection(26, 1),
-            "arity must lie in 0..24, got 26",
+            "arity 26 is above the table cap 24",
             id="projection(26, 1)",
         ),
         pytest.param(
             lambda: BooleanFunction.from_predicate(25, lambda word: 0),
-            "arity must lie in 0..24, got 25",
+            "arity 25 is above the table cap 24",
             id="from_predicate(25, p)",
         ),
         pytest.param(
@@ -293,7 +295,7 @@ def test_record_validation_messages(build, error, message):
         ),
         (
             lambda: LayerDecomposition(2, (((1, 0), (2, 2)),), 0),
-            "canalizing input must be a bit: 2",
+            "canalizing input must be 0 or 1, got 2",
         ),
         (
             lambda: LayerDecomposition(3, (((1, 0),), ((1, 1), (2, 0), (3, 0))), 0),
@@ -317,7 +319,7 @@ def test_record_validation_messages(build, error, message):
         ),
         pytest.param(
             lambda: LayerDecomposition.from_pairs(2, [[(1, 0.9), (2, 0)]], 0),
-            "canalizing input must be a bit: 0.9",
+            "canalizing input must be 0 or 1, got 0.9",
             id="LayerDecomposition.from_pairs(2, [[(1, 0.9), (2, 0)]], 0)",
         ),
         pytest.param(
@@ -463,7 +465,7 @@ def test_record_validation_messages(build, error, message):
         # These ended in a bare TypeError, or in an answer for a float bit.
         pytest.param(
             lambda: word_at(1, 2.5),
-            "table index 1 out of range for arity 2.5",
+            "arity must lie in 0..24, got 2.5",
             id="word_at(1, 2.5)",
         ),
         pytest.param(
@@ -741,6 +743,23 @@ BIT_ARGUMENTS = {
     "f.transform(sigma, beta, x)": lambda x: CASCADE.transform((1, 2, 3), (0, 0, 0), x),
     "f.negate_inputs((x, 0, 0))": lambda x: CASCADE.negate_inputs((x, 0, 0)),
 }
+#: Every text parameter: a table, decomposition or ANF text.  Each must be a ``str``.
+TEXT_ARGUMENTS = {
+    "BooleanFunction.from_hex(x)": lambda x: BooleanFunction.from_hex(x),
+    "parse_decomposition(x)": lambda x: parse_decomposition(x),
+    "check_anf(x)": lambda x: check_anf(x),
+    "AnfPolynomial.parse(x, None)": lambda x: AnfPolynomial.parse(x, None),
+    "AnfPolynomial.parse(x, 2)": lambda x: AnfPolynomial.parse(x, 2),
+}
+#: Record parameters with no default: each must be an instance of its record type.
+RECORD_ARGUMENTS = {
+    "ncf_symmetry_checks(x, p)": (
+        lambda x: ncf_symmetry_checks(x, SymmetryPartition(2, ((1, 2),)))
+    ),
+    "ncf_symmetry_checks(d, x)": (
+        lambda x: ncf_symmetry_checks(LayerDecomposition(2, (((1, 0), (2, 0)),), 0), x)
+    ),
+}
 
 
 def _argument_cases(rule, calls, values):
@@ -758,6 +777,8 @@ def _argument_cases(rule, calls, values):
         *_argument_cases("refused", OPTIONAL_INTEGER_ARGUMENTS, (True, False, 1.0, "1")),
         *_argument_cases("refused", BIT_ARGUMENTS, (1.0, "1", None)),
         *_argument_cases("a bit", BIT_ARGUMENTS, (True, False)),
+        *_argument_cases("refused", TEXT_ARGUMENTS, (None, 5, b"1:0", ["1:0"])),
+        *_argument_cases("refused", RECORD_ARGUMENTS, (None, 5, "0; [1:0, 2:0]")),
     ],
 )
 def test_one_argument_rule(rule, call, value):
@@ -780,16 +801,28 @@ def test_constructors_check_arity_before_building_the_table():
     with pytest.raises(InvalidInputError):
         BooleanFunction.from_predicate(25, counting)
     assert calls == 0
-    # A 2^26-bit table is 8 MiB; the refusal allocates next to nothing.
-    for build in (BooleanFunction.constant, BooleanFunction.projection):
+    # A 2^26-bit table is 8 MiB; each refusal, and the answer, allocates next
+    # to nothing.  word_at checks the arity before it builds 1 << arity,
+    # SymmetryPartition counts the members before it lists 1..arity, and
+    # format() builds nothing per variable of the arity.
+    for call, want in (
+        (lambda: BooleanFunction.constant(26, 1), "arity 26 is above the table cap 24"),
+        (lambda: BooleanFunction.projection(26, 1), "arity 26 is above the table cap 24"),
+        (lambda: word_at(0, 25), "arity 25 is above the table cap 24"),
+        (lambda: word_at(0, 2**70), f"arity {2**70} is above the table cap 24"),
+        (lambda: SymmetryPartition(10**6, ((1,),)), "classes do not partition 1..1000000"),
+        (lambda: AnfPolynomial.from_terms(10**6, [[1]]).format(), "x1"),
+    ):
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidInputError):
-                build(26, 1)
+            try:
+                got = call()
+            except InvalidInputError as exc:
+                got = str(exc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20, build
+        assert (got, peak < 1 << 20) == (want, True), peak
 
 
 def test_max_layer_count_checks_the_count_guard():
